@@ -30,13 +30,6 @@ def split_quad(fn, a: float, b: float, points=(), epsabs: float = 1e-12,
     return total, err
 
 
-def quad_to_inf(fn, a: float, epsabs: float = 1e-12, epsrel: float = 1e-10,
-                limit: int = 200) -> tuple[float, float]:
-    """Integrate ``fn`` over [a, inf)."""
-    v, e = quad(fn, a, np.inf, epsabs=epsabs, epsrel=epsrel, limit=limit)
-    return v, e
-
-
 def octave_quad_to_inf(fn, a: float, tol: float = 1e-11,
                        max_octaves: int = 80) -> tuple[float, float]:
     """Integrate ``fn`` over [a, inf) by doubling octaves until they stop mattering.

@@ -2,8 +2,11 @@
 
 The repeatedly-restarted law solves a renewal identity that references only
 earlier times, so a forward midpoint/trapezoid discretization on a uniform
-grid solves it stably; atoms of the reset law enter exactly. Deterministic
-restart has a closed form, exponential restart closed-form means.
+grid solves it stably; atoms of the reset law enter exactly. The weights of
+that recursion depend only on the lag, so the whole grid is one
+lower-triangular Toeplitz system, solved blockwise with FFT products in
+O(n log^2 n). Deterministic restart has a closed form, exponential restart
+closed-form means.
 """
 from __future__ import annotations
 
@@ -38,6 +41,7 @@ __all__ = [
 
 _TRUNC = 1e-12
 _SERIES_CAP = 2000
+_TOEPLITZ_BLOCK = 128  # cells per diagonal block of the renewal solve
 
 
 class InvalidPeriodError(ValueError):
@@ -158,8 +162,8 @@ class ResetLaw:
             total += w * float(np.exp(m * np.asarray(log_tail(loc))))
         if self.has_density or self.kind == "exponential":
             upper = self.horizon()
-            pts = tuple(spec.tail_breakpoints()) + tuple(
-                p for p, _ in (self.atoms() or ()))
+            pts = _density_breakpoints(spec, self, upper) + tuple(
+                p for p, _ in self.atoms())
             head, _ = split_quad(f, 0.0, upper, points=pts)
             total += head
         return total
@@ -283,24 +287,34 @@ def _midpoint_weights(spec: DistributionSpec, reset: ResetLaw, h: float,
 
 def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
                          upper: float, n: int) -> np.ndarray:
-    """Forward solve of the restarted tail on the uniform grid i*upper/n."""
+    """Forward solve of the restarted tail on the uniform grid i*upper/n.
+
+    Step i of the trapezoid recursion sets y[i] from free[i] and a sum over
+    y[0..i] whose weights depend only on the lag d: the density's weight is
+    the mean mass of cells d and d + 1 (cell 0 has none), and an atom adds
+    one tap on the grid or two between nodes, at the same lags for every
+    i. So the recursion is one lower-triangular Toeplitz system in
+    y[1..n], with the lag-0 weight on the diagonal and the terms in y[0]
+    moved to the source.
+    """
     h = upper / n
-    t_grid = np.arange(n + 1) * h
-    free = np.asarray(spec.tail(t_grid)) * np.asarray(reset.tail(t_grid))
-    gh = np.empty(n + 1)
-    gh[0] = 0.0
     if reset.has_density or reset.kind == "exponential":
-        gh[1:] = _midpoint_weights(spec, reset, h, n, upper)
+        gh = _midpoint_weights(spec, reset, h, n, upper)  # gh[i-1]: cell i
     else:
-        gh[1:] = 0.0
+        gh = np.zeros(n)
     atoms = [(loc, w, float(spec.tail(loc))) for loc, w in reset.atoms()
              if loc <= upper + 1e-12]
     use_density = bool(np.any(gh != 0.0))
 
-    y = np.empty(n + 1)
+    def free_fn(x):
+        return np.asarray(spec.tail(x)) * np.asarray(reset.tail(x))
+
+    y = free_fn(np.arange(n + 1) * h)  # the free part, then the solution
+    free0 = y[0]
     w0 = sum(w for loc, w, _ in atoms if loc == 0.0)
     f0 = float(spec.tail(0.0))
-    y[0] = free[0] / (1.0 - f0 * w0) if w0 else free[0]
+    if w0:
+        y[0] /= 1.0 - f0 * w0
 
     # The solution can have infinite slope at 0 (inherited from the tail),
     # where linear interpolation is O(sqrt(h)) off. Near x = 0 the solution
@@ -308,48 +322,64 @@ def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
     # trapezoid of the free part over the first two cells by its exact
     # integral removes the degradation; the adjustment is the same at
     # every step.
-    head_corr = np.zeros(3)
     if use_density:
-        def free_fn(x):
-            return np.asarray(spec.tail(x)) * np.asarray(reset.tail(x))
         w_head0, _ = split_quad(free_fn, 0.0, h,
                                 points=np.geomspace(h * 1e-10, h, 7))
         w_head1, _ = split_quad(free_fn, h, 2.0 * h)
-        head_corr[1] = w_head0 / h - 0.5 * (free[0] + free[1])
-        if n >= 2:
-            head_corr[2] = w_head1 / h - 0.5 * (free[1] + free[2])
-
-    half_gh1 = 0.5 * gh[1]
-    for i in range(1, n + 1):
-        known = free[i]
-        coef = 0.0
-        if use_density:
-            a = gh[1:i + 1]
-            known += 0.5 * float(a @ y[i - 1::-1][:i])
-            if i >= 2:
-                known += 0.5 * float(gh[2:i + 1] @ y[i - 1:0:-1])
-                known += gh[i] * head_corr[1] + gh[i - 1] * head_corr[2]
-            else:
-                known += gh[i] * head_corr[1]
-            coef += half_gh1
-        for loc, w, f_loc in atoms:
-            if loc > t_grid[i] + 1e-12:
-                continue
-            x = t_grid[i] - loc
-            pos = x / h
-            m = int(math.floor(pos + 1e-9))
-            theta = pos - m
-            if m >= i:
-                coef += w * f_loc
-            elif theta <= 1e-9:
-                known += w * f_loc * y[m]
-            elif m == i - 1:
-                known += w * f_loc * (1.0 - theta) * y[m]
-                coef += w * f_loc * theta
-            else:
-                known += w * f_loc * ((1.0 - theta) * y[m] + theta * y[m + 1])
-        y[i] = known / (1.0 - coef)
+        corr1 = w_head0 / h - 0.5 * (free0 + y[1])
+        corr2 = w_head1 / h - 0.5 * (y[1] + y[2]) if n >= 2 else 0.0
+        y[1:] += gh * (0.5 * y[0] + corr1)
+        y[2:] += gh[:-1] * corr2
+    kern = gh  # in place: kern[d], the weight of y[i - d] in step i
+    kern[1:] += kern[:-1]
+    kern *= 0.5
+    for loc, w, f_loc in atoms:
+        pos = loc / h
+        lag = math.ceil(pos - 1e-9)  # the atom's first node at or past it
+        theta = lag - pos if lag - pos > 1e-9 else 0.0  # cells before it
+        mass = w * f_loc
+        if lag < n:
+            kern[lag] += mass * (1.0 - theta)
+        if theta and lag <= n:
+            kern[lag - 1] += mass * theta
+        if 0 < lag <= n:  # step lag reaches back to y[0]
+            y[lag] += mass * (1.0 - theta) * y[0]
+    np.negative(kern, out=kern)  # the system's first column: 1 - kern[0],
+    kern[0] += 1.0               # then -kern[d]
+    _solve_lower_toeplitz(kern, y[1:])
     return y
+
+
+def _solve_lower_toeplitz(a: np.ndarray, c: np.ndarray) -> None:
+    """Overwrite c with z solving sum_{d<=k} a[d] z[k-d] = c[k], k < len(c).
+
+    Blocked divide and conquer (Hairer, Lubich & Schlichte, SIAM J. Sci.
+    Stat. Comput. 6, 1985) in O(n log^2 n): every diagonal block is a
+    triangular solve with the same matrix, and as soon as the left half of
+    a span of 2m cells is solved, its effect on the right half is
+    subtracted by one FFT middle product of size 2m (the wrap-around of the
+    circular convolution misses the cells kept). ``a`` needs len(c) entries.
+    """
+    from scipy.linalg import solve_triangular, toeplitz
+
+    n = c.size
+    b = min(_TOEPLITZ_BLOCK, n)
+    tri = toeplitz(a[:b], np.zeros(b))
+    for lo in range(0, n, b):
+        hi = min(lo + b, n)
+        c[lo:hi] = solve_triangular(tri[:hi - lo, :hi - lo], c[lo:hi],
+                                    lower=True, check_finite=False)
+        if hi == n:
+            break
+        # spans of 2m cells start at multiples of 2m, so [hi - m, hi) is a
+        # left half for the largest such m
+        m = b
+        while hi % (2 * m) == 0:
+            m *= 2
+        prod = np.fft.rfft(c[hi - m:hi], 2 * m)
+        prod *= np.fft.rfft(a[:2 * m], 2 * m)
+        r = min(m, n - hi)
+        c[hi:hi + r] -= np.fft.irfft(prod, 2 * m)[m:m + r]
 
 
 def _snap_grid(reset: ResetLaw, upper: float, n: int,
@@ -473,8 +503,12 @@ def branching_reset_tail(spec: DistributionSpec, reset: ResetLaw, l: int,
         g_j = m_tail_grid * r_tail
         if np.any(dens_mass != 0.0):
             avg = 0.5 * (g_next[:-1] + g_next[1:])
-            with np.errstate(over="ignore"):
-                m_ratio = np.exp(np.clip((m - 1.0) * log_tail_mid, -745.0, 0.0))
+            if j == 0:  # tail**0 is 1, also where the tail is 0
+                m_ratio = 1.0
+            else:
+                with np.errstate(over="ignore"):
+                    m_ratio = np.exp(np.clip((m - 1.0) * log_tail_mid,
+                                             -745.0, 0.0))
             conv = np.convolve(dens_mass * m_ratio * tail_mid, avg)[:n]
             g_j[1:] += conv
         for loc, w in atoms:

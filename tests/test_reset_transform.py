@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from resetkit import distributions as d
+from resetkit import mrl
 from resetkit import reset_transform as rt
 
 from fixture_laws import (brute_tail_integral, exp_law, levy, pe_mean_only,
@@ -192,6 +193,17 @@ class TestMeans:
         assert got == pytest.approx(WEIB05_EXP_MEAN_MU1, rel=1e-9)
         assert got < d.mean(weib(0.5)) == 2.0
 
+    def test_reset_density_split_at_its_knots(self):
+        # a from_mrl reset density jumps at its knots; integrated across
+        # them, P(T <= R) was off and this mean came out as 0.99999348
+        reset = rt.ResetLaw.general(mrl.law_from_mrl(mrl.MrlCurve(
+            grid=(0.0, 0.12276769856301466, 1.0931967734732009,
+                  1.5429660758738368, 2.048259634983198),
+            values=(1.231739770011757, 1.2501305985172053,
+                    0.3767444310980377, 1.2945392721254323,
+                    1.70380825568104))))
+        assert rt.reset_mean(exp_law(), reset) == pytest.approx(1.0, abs=1e-9)
+
     def test_defective_numerator_infinite(self):
         spec = d.Exponential(rate=1.0, defect=0.2)
         reset = rt.ResetLaw.general(
@@ -270,6 +282,18 @@ class TestBranching:
         grid = np.asarray(curve.grid)
         closed = np.asarray(rt.branching_deterministic_tail(spec, 1.0, 2, grid))
         assert float(np.max(np.abs(curve.knot_values - closed))) < 1e-10
+
+    def test_branching_tail_past_finite_support(self):
+        # at depth 0 the law's own tail enters to the power 0, which is 1
+        # also where the tail is 0; it used to give 0 * -inf = NaN there
+        spec, mu = uniform02(), 1.0
+        curve = rt.branching_reset_tail(spec, rt.ResetLaw.exponential(mu), 2,
+                                        30.0)
+        vals = curve.knot_values
+        assert not np.any(np.isnan(vals))
+        mean = float(np.trapezoid(vals, np.asarray(curve.grid)))
+        assert mean == pytest.approx(rt.branching_mean_exponential(spec, mu, 2),
+                                     rel=1e-4)
 
     def test_branching_factor_validation(self):
         with pytest.raises(ValueError):
