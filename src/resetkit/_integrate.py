@@ -1,4 +1,4 @@
-"""Shared quadrature helpers built on scipy.integrate.quad."""
+"""Shared quadrature helpers: scipy.integrate.quad and Gauss-Legendre panels."""
 from __future__ import annotations
 
 import warnings
@@ -102,3 +102,49 @@ def gauss_legendre_cumulative(fn, knots: np.ndarray, order: int = 12) -> np.ndar
     out[0] = 0.0
     np.cumsum(panel, out=out[1:])
     return out
+
+
+def gl_panel(edges: np.ndarray, order: int = 12) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on consecutive panels of ``edges``."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    lo = edges[:-1]
+    hi = edges[1:]
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    weights = (half[:, None] * w[None, :]).ravel()
+    return nodes, weights
+
+
+_LADDER = np.array([1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3,
+                    1e-2, 3e-2, 0.1, 0.2, 0.35, 0.5])
+
+
+def _unit_panel_edges(extra: tuple[float, ...] = ()) -> np.ndarray:
+    edges = np.concatenate([[0.0], _LADDER, 1.0 - _LADDER[::-1], [1.0],
+                            np.asarray(extra, dtype=float)])
+    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
+    return np.unique(edges)
+
+
+def convolution_log_integrand(spec, t: float, l: int
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Weights and log integrand of int_0^1 tail(t v) tail(t (1 - v))**l dv.
+
+    The panels are graded towards both ends of [0, 1] and split wherever
+    either factor has a breakpoint or the support of ``spec`` ends. The
+    log integrand is -inf where the integrand is 0.
+    """
+    log_tail = spec.log_tail
+    kinks = list(spec.tail_breakpoints())
+    if np.isfinite(spec.t0):
+        kinks.append(spec.t0)
+    extra = []
+    for b in kinks:
+        if 0.0 < b < t:
+            extra += [b / t, 1.0 - b / t]
+    nodes, weights = gl_panel(_unit_panel_edges(tuple(extra)))
+    with np.errstate(invalid="ignore"):
+        expo = np.asarray(log_tail(t * nodes)) \
+            + float(l) * np.asarray(log_tail(t * (1.0 - nodes)))
+    return weights, np.where(np.isnan(expo), -np.inf, expo)

@@ -16,6 +16,7 @@ import numpy as np
 from . import distributions as dist
 from . import mrl as mrl_mod
 from . import reset_transform as rt
+from ._integrate import convolution_log_integrand, gl_panel
 from .distributions import DistributionSpec, MomentFunction
 
 __all__ = [
@@ -147,29 +148,6 @@ def _exp_condition_grid(spec: DistributionSpec, extend: bool) -> np.ndarray:
     return g
 
 
-def _gl_panel(edges: np.ndarray, order: int = 12) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on consecutive panels of ``edges``."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    lo = edges[:-1]
-    hi = edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
-
-
-_LADDER = np.array([1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3,
-                    1e-2, 3e-2, 0.1, 0.2, 0.35, 0.5])
-
-
-def _unit_panel_edges(extra: tuple[float, ...] = ()) -> np.ndarray:
-    edges = np.concatenate([[0.0], _LADDER, 1.0 - _LADDER[::-1], [1.0],
-                            np.asarray(extra, dtype=float)])
-    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
-    return np.unique(edges)
-
-
 # ----------------------------------------------------------------------
 # multiplicativity (dominance under arbitrary/deterministic restart)
 
@@ -241,29 +219,14 @@ def _exp_reset_ratio(spec: DistributionSpec, t: float, l: int) -> float:
     Computed as an integral over v = u/t in log space so that deep tails
     neither underflow nor lose the sign of the comparison.
     """
-    log_tail = spec.log_tail
-    lf_t = float(log_tail(t))
-    extra = []
-    for b in spec.tail_breakpoints():
-        if 0.0 < b < t:
-            extra += [b / t, 1.0 - b / t]
-    t0 = spec.t0
-    if np.isfinite(t0) and 0.0 < t0 < t:
-        extra += [t0 / t, 1.0 - t0 / t]
-    edges = _unit_panel_edges(tuple(extra))
-    nodes, weights = _gl_panel(edges)
-    lf_u = np.asarray(log_tail(t * nodes))
-    lf_rev = np.asarray(log_tail(t * (1.0 - nodes)))
+    lf_t = float(spec.log_tail(t))
+    weights, expo = convolution_log_integrand(spec, t, l)
     if math.isinf(lf_t):
         # past the support: the condition degenerates to "integral is zero"
-        with np.errstate(over="ignore", invalid="ignore"):
-            expo = np.where(np.isnan(lf_u + l * lf_rev), -np.inf,
-                            lf_u + float(l) * lf_rev)
+        with np.errstate(over="ignore"):
             raw = float(weights @ np.exp(np.clip(expo, -745.0, 700.0)))
         return math.inf if raw > _FLOOR else 1.0
-    with np.errstate(invalid="ignore"):
-        expo = lf_u + float(l) * lf_rev - lf_t
-    expo = np.where(np.isnan(expo), -np.inf, expo)
+    expo = expo - lf_t
     with np.errstate(over="ignore"):
         vals = np.exp(np.clip(expo, -745.0, 700.0))
     vals = np.where(np.isinf(expo) & (expo > 0), np.inf, vals)
@@ -390,7 +353,7 @@ def check_exp_mean_condition(spec: DistributionSpec, mu_grid=None,
             [0.0], np.geomspace(upper * 1e-9, upper, 40),
             np.asarray([b for b in spec.tail_breakpoints() if b < upper]),
             [upper]]))
-        nodes, weights = _gl_panel(edges)
+        nodes, weights = gl_panel(edges)
         rest = np.asarray(dist.mean_upper_rest(spec, nodes))
         lhs = float(weights @ (np.exp(-mu * nodes) * rest)) / m0
         rhs = 1.0 / (1.0 / m0 + mu)
@@ -518,7 +481,7 @@ def _transformed_power_moment(spec: DistributionSpec, reset: rt.ResetLaw,
 
     edges = np.unique(np.concatenate([
         [0.0], np.geomspace(max(upper * 1e-9, 1e-12), upper, 60), [upper]]))
-    nodes, weights = _gl_panel(edges)
+    nodes, weights = gl_panel(edges)
     vals = p * nodes ** (p - 1.0) * tail_fn(nodes)
     head = float(weights @ vals)
     tail_end = float(tail_fn(upper))

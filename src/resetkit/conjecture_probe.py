@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from .classifiers import _gl_panel, _unit_panel_edges
+from ._integrate import convolution_log_integrand
 from .distributions import DistributionSpec
 
 __all__ = ["ResidualReport", "lfold_invariance_residual"]
@@ -39,17 +39,8 @@ class ResidualReport:
 
 
 def _residual_at(spec: DistributionSpec, t: float, l: int) -> float:
-    log_tail = spec.log_tail
-    extra = []
-    for b in spec.tail_breakpoints():
-        if 0.0 < b < t:
-            extra += [b / t, 1.0 - b / t]
-    edges = _unit_panel_edges(tuple(extra))
-    nodes, weights = _gl_panel(edges)
-    with np.errstate(invalid="ignore"):
-        expo = float(l) * np.asarray(log_tail(t * nodes)) \
-            + np.asarray(log_tail(t * (1.0 - nodes)))
-    expo = np.where(np.isnan(expo), -np.inf, expo)
+    # int_0^t tail(u)**l tail(t-u) du, written with u -> t - u
+    weights, expo = convolution_log_integrand(spec, t, l)
     integral = t * float(weights @ np.exp(np.clip(expo, -745.0, 0.0)))
     return integral - t * float(spec.tail(t))
 

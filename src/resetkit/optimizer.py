@@ -23,10 +23,9 @@ __all__ = [
     "deterministic_mean_curve",
     "extremal_reset_mean",
     "best_exponential_rate",
-    "golden_section_minimize",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_RATE_SCAN = 13  # log-spaced rates of the first pass; 2 a decade on the default bracket
 
 
 class NoImprovementError(RuntimeError):
@@ -210,33 +209,14 @@ def extremal_reset_mean(spec: DistributionSpec, r_grid=None,
         exponential_improves=improves)
 
 
-def golden_section_minimize(f, lo: float, hi: float, tol: float = 1e-6,
-                            max_iter: int = 200) -> tuple[float, float]:
-    """Golden-section search for the minimum of a unimodal f on [lo, hi]."""
-    a, b = float(lo), float(hi)
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    it = 0
-    while (b - a) > tol * max(abs(a), abs(b), 1.0) and it < max_iter:
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        it += 1
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def best_exponential_rate(spec: DistributionSpec,
                           mu_bracket: tuple[float, float] | None = None
                           ) -> tuple[float, float]:
-    """Restart rate minimizing the mean, by golden section over log-rate.
+    """Restart rate minimizing the mean: a log-rate scan, then a refinement.
 
+    The mean need not be unimodal in the rate, so the whole bracket is
+    scanned first; a bounded scalar search then refines the best scanned
+    rate between its neighbours, unless it lies on the bracket's edge.
     Raises NoImprovementError when the best rate found does not beat the
     bare mean (minimum pinned at a bracket edge, or the law is already
     restart-indifferent).
@@ -251,7 +231,16 @@ def best_exponential_rate(spec: DistributionSpec,
     def f(log_mu: float) -> float:
         return rt.exp_reset_mean(spec, math.exp(log_mu))
 
-    x, fx = golden_section_minimize(f, math.log(lo), math.log(hi), tol=1e-7)
+    xs = np.linspace(math.log(lo), math.log(hi), _RATE_SCAN)
+    fs = [f(x) for x in xs]
+    i = int(np.argmin(fs))
+    x, fx = float(xs[i]), fs[i]
+    if 0 < i < xs.size - 1:
+        from scipy.optimize import minimize_scalar
+        res = minimize_scalar(f, bounds=(xs[i - 1], xs[i + 1]),
+                              method="bounded", options={"xatol": 1e-7})
+        if res.fun < fx:
+            x, fx = float(res.x), float(res.fun)
     mu_star = math.exp(x)
     m0 = dist.mean(spec)
     edge = min(x - math.log(lo), math.log(hi) - x) < 1e-3

@@ -58,27 +58,29 @@ class SeriesNotConvergingError(RuntimeError):
 
 @dataclass(frozen=True)
 class ResetLaw:
-    """Law of the restart epoch: deterministic, exponential, or general.
+    """Law of the restart epoch R, held as a distribution spec.
 
-    A valid reset law puts positive mass on (0, inf] and on [0, inf).
+    Deterministic restart is the one-atom law at its period and exponential
+    restart the exponential law; ``kind`` only selects the closed forms
+    those two admit. A valid reset law puts positive mass on (0, inf] and
+    on [0, inf).
     """
 
     kind: str
-    period: float | None = None
-    rate: float | None = None
-    spec: DistributionSpec | None = None
+    spec: DistributionSpec
 
     @classmethod
     def deterministic(cls, r: float) -> "ResetLaw":
         if not (r > 0.0 and math.isfinite(r)):
             raise InvalidPeriodError(f"restart period must be in (0, inf), got {r!r}")
-        return cls(kind="deterministic", period=float(r))
+        return cls(kind="deterministic", spec=dist.PiecewiseConstantTail(
+            breakpoints=(0.0, float(r)), levels=(1.0, 0.0), check_standing=False))
 
     @classmethod
     def exponential(cls, mu: float) -> "ResetLaw":
         if not (mu > 0.0 and math.isfinite(mu)):
             raise SpecValidationError(f"restart rate must be in (0, inf), got {mu!r}")
-        return cls(kind="exponential", rate=float(mu))
+        return cls(kind="exponential", spec=dist.Exponential(rate=float(mu)))
 
     @classmethod
     def general(cls, spec: DistributionSpec) -> "ResetLaw":
@@ -87,6 +89,16 @@ class ResetLaw:
         if spec.mass_at_infinity >= 1.0:
             raise SpecValidationError("reset law needs positive mass on [0, inf)")
         return cls(kind="general", spec=spec)
+
+    @property
+    def period(self) -> float | None:
+        """The restart period of deterministic restart, else None."""
+        return self.spec.breakpoints[1] if self.kind == "deterministic" else None
+
+    @property
+    def rate(self) -> float | None:
+        """The restart rate of exponential restart, else None."""
+        return self.spec.rate if self.kind == "exponential" else None
 
     def describe(self) -> str:
         if self.kind == "deterministic":
@@ -97,55 +109,24 @@ class ResetLaw:
 
     # distributional surface -------------------------------------------
     def tail(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if self.kind == "deterministic":
-            out = np.where(t_arr < self.period, 1.0, 0.0)
-        elif self.kind == "exponential":
-            out = np.exp(-self.rate * t_arr)
-        else:
-            out = np.asarray(self.spec.tail(t_arr))
-        return out if out.shape else float(out)
-
-    def cdf(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        out = 1.0 - np.asarray(self.tail(t_arr))
-        return out if out.shape else float(out)
+        return self.spec.tail(t)
 
     @property
     def mass_at_infinity(self) -> float:
-        if self.kind == "general":
-            return self.spec.mass_at_infinity
-        return 0.0
+        return self.spec.mass_at_infinity
 
     def atoms(self) -> tuple[tuple[float, float], ...]:
-        if self.kind == "deterministic":
-            return ((self.period, 1.0),)
-        if self.kind == "exponential":
-            return ()
         return self.spec.jumps()
 
     @property
     def has_density(self) -> bool:
-        if self.kind == "deterministic":
-            return False
-        if self.kind == "exponential":
-            return True
         atom_mass = sum(w for _, w in self.spec.jumps())
         return atom_mass + self.spec.mass_at_infinity < 1.0 - 1e-12
 
     def density(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if self.kind == "deterministic":
-            out = np.zeros(t_arr.shape)
-        elif self.kind == "exponential":
-            out = self.rate * np.exp(-self.rate * t_arr)
-        else:
-            out = np.asarray(self.spec.density(t_arr))
-        return out if out.shape else float(out)
+        return self.spec.density(t)
 
     def horizon(self) -> float:
-        if self.kind == "deterministic":
-            return self.period
         if self.kind == "exponential":
             return 45.0 / self.rate
         return dist.default_horizon(self.spec)
@@ -160,7 +141,7 @@ class ResetLaw:
         total = 0.0
         for loc, w in self.atoms():
             total += w * float(np.exp(m * np.asarray(log_tail(loc))))
-        if self.has_density or self.kind == "exponential":
+        if self.has_density:
             upper = self.horizon()
             pts = _density_breakpoints(spec, self, upper) + tuple(
                 p for p, _ in self.atoms())
@@ -169,12 +150,6 @@ class ResetLaw:
         return total
 
     def make_scalar_sampler(self) -> Callable[[float], float]:
-        if self.kind == "deterministic":
-            r = self.period
-            return lambda u: r
-        if self.kind == "exponential":
-            mu = self.rate
-            return lambda u: -math.log(u) / mu
         return self.spec.make_scalar_sampler()
 
 
@@ -213,16 +188,11 @@ def single_reset_tail(spec: DistributionSpec, reset: ResetLaw, t) -> float:
 def _single_reset_tail_scalar(spec: DistributionSpec, reset: ResetLaw,
                               t: float) -> float:
     tl = spec.tail
-    if reset.kind == "deterministic":
-        r = reset.period
-        if r > t:
-            return float(tl(t))
-        return float(tl(r)) * float(tl(t - r))
     total = float(tl(t)) * float(reset.tail(t))
     for loc, w in reset.atoms():
         if loc <= t:
             total += w * float(tl(loc)) * float(tl(t - loc))
-    if reset.has_density or reset.kind == "exponential":
+    if reset.has_density:
         def f(s):
             s_arr = np.asarray(s)
             return np.asarray(tl(s_arr)) * np.asarray(tl(t - s_arr)) \
@@ -241,13 +211,11 @@ def _single_reset_tail_scalar(spec: DistributionSpec, reset: ResetLaw,
 def _density_breakpoints(spec: DistributionSpec, reset: ResetLaw,
                          upper: float) -> tuple[float, ...]:
     """Kinks and jumps of tail_T(s) * reset_density(s) inside (0, upper)."""
-    pts = set(spec.tail_breakpoints())
-    if np.isfinite(spec.t0):
-        pts.add(float(spec.t0))
-    if reset.kind == "general":
-        pts.update(reset.spec.tail_breakpoints())
-        if np.isfinite(reset.spec.t0):
-            pts.add(float(reset.spec.t0))
+    pts = set()
+    for law in (spec, reset.spec):
+        pts.update(law.tail_breakpoints())
+        if np.isfinite(law.t0):
+            pts.add(float(law.t0))
     return tuple(p for p in pts if 0.0 < p < upper)
 
 
@@ -298,7 +266,7 @@ def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
     moved to the source.
     """
     h = upper / n
-    if reset.has_density or reset.kind == "exponential":
+    if reset.has_density:
         gh = _midpoint_weights(spec, reset, h, n, upper)  # gh[i-1]: cell i
     else:
         gh = np.zeros(n)
@@ -479,7 +447,7 @@ def branching_reset_tail(spec: DistributionSpec, reset: ResetLaw, l: int,
     log_tail_mid = np.asarray(spec.log_tail(s_mid))
     tail_mid = np.exp(log_tail_mid)
     base_mass = _midpoint_weights(spec, reset, h, n, upper) \
-        if (reset.has_density or reset.kind == "exponential") else np.zeros(n)
+        if reset.has_density else np.zeros(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         dens_mass = np.where(tail_mid > 0.0, base_mass / tail_mid, 0.0)
     r_tail = np.asarray(reset.tail(t_grid))
@@ -577,10 +545,11 @@ def _expected_minimum(spec: DistributionSpec, reset: ResetLaw) -> float:
         return np.asarray(spec.tail(t)) * np.asarray(reset.tail(t))
     upper = 1.0
     for _ in range(120):
-        rem = min(float(np.asarray(reset.tail(upper)))
-                  * float(dist.mean_upper_rest(spec, upper)),
-                  float(np.asarray(spec.tail(upper)))
-                  * float(_reset_tail_rest(reset, upper)))
+        # a bound whose tail factor is 0 is 0, even when its integral is inf
+        rem = min(_bound_term(reset.tail(upper),
+                              dist.mean_upper_rest(spec, upper)),
+                  _bound_term(spec.tail(upper),
+                              dist.mean_upper_rest(reset.spec, upper)))
         if rem < 1e-10:
             break
         upper *= 2.0
@@ -592,12 +561,10 @@ def _expected_minimum(spec: DistributionSpec, reset: ResetLaw) -> float:
     return val + rem  # rem is an upper bound on what is left; below tolerance
 
 
-def _reset_tail_rest(reset: ResetLaw, t: float) -> float:
-    if reset.kind == "deterministic":
-        return max(reset.period - t, 0.0)
-    if reset.kind == "exponential":
-        return math.exp(-reset.rate * t) / reset.rate
-    return float(dist.mean_upper_rest(reset.spec, t))
+def _bound_term(tail_value, rest) -> float:
+    """tail_value * rest, which is 0 where the tail has already reached 0."""
+    tail_value = float(tail_value)
+    return 0.0 if tail_value == 0.0 else tail_value * float(rest)
 
 
 def exp_reset_mean(spec: DistributionSpec, mu: float) -> float:

@@ -6,8 +6,13 @@ from resetkit import distributions as d
 from resetkit import optimizer as opt
 from resetkit import reset_transform as rt
 
-from fixture_laws import (exp_law, levy, pe_mean_only, pw_finite, sps,
-                          uniform02, weib)
+from fixture_laws import (exp_law, levy, pe_mean_only, plateau, pw_finite,
+                          sps, uniform02, weib)
+
+# 10% of the mass near t = 1, 90% near t = 100; bare mean 85.55
+BIMODAL = {"family": "piecewise_exp",
+           "params": {"segments": [[0, 0, 0.001], [0.95, 0.00095, 1.05],
+                                   [1.05, 0.10595, 0], [90, 0.10595, 0.2]]}}
 
 
 class TestCurve:
@@ -106,10 +111,31 @@ class TestExtremal:
 
 
 class TestGoldenSection:
-    def test_quadratic_minimum(self):
-        x, fx = opt.golden_section_minimize(lambda x: (x - 1.3) ** 2, -4.0, 9.0)
-        assert x == pytest.approx(1.3, abs=1e-5)
-        assert fx == pytest.approx(0.0, abs=1e-9)
+    """best_exponential_rate: log-rate scan, bounded refinement, and the
+    no-improvement rule (the class keeps its name for stable test ids)."""
+
+    def test_interior_minimum_is_refined(self):
+        spec = plateau()
+        mu, mean = opt.best_exponential_rate(spec)
+        scale = d.characteristic_scale(spec)
+        scan = [rt.exp_reset_mean(spec, m)
+                for m in np.geomspace(1e-3 / scale, 1e3 / scale, 13)]
+        # strictly inside the bracket, below every scanned rate, and a
+        # local minimum to the refinement's resolution
+        assert 1e-3 / scale < mu < 1e3 / scale
+        assert mean < min(scan)
+        assert mean <= rt.exp_reset_mean(spec, mu * 1.001) + 1e-12
+        assert mean <= rt.exp_reset_mean(spec, mu / 1.001) + 1e-12
+
+    def test_bimodal_global_minimum(self):
+        # 10% of the mass near t = 1, 90% near t = 100: the mean rises with
+        # the rate to ~169 at mu ~ 0.03 before it falls to ~25.8 at mu ~ 1,
+        # and a search assuming one minimum stopped near mu = 1e-5
+        spec = d.spec_from_dict(BIMODAL)
+        mu, mean = opt.best_exponential_rate(spec)
+        assert mu == pytest.approx(0.973, rel=1e-2)
+        assert mean == pytest.approx(25.80, rel=1e-3)
+        assert opt.extremal_reset_mean(spec).exponential_improves
 
     def test_best_exponential_rate_levy(self):
         mu, mean = opt.best_exponential_rate(levy())

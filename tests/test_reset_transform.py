@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +9,15 @@ from resetkit import mrl
 from resetkit import reset_transform as rt
 
 from fixture_laws import (brute_tail_integral, exp_law, levy, pe_mean_only,
-                          sps, two_atom_reset, uniform02, weib)
+                          pw_sixth, sps, two_atom_reset, uniform02, weib)
 
 # frozen oracle values, computed by independent adaptive quadrature
 LEVY_DET1_MEAN = 2.6766224636947697
 WEIB05_EXP_MEAN_MU1 = 0.8327056412998532
 BRANCH_DET_EXP1_L2 = 0.8034995079577224
+# levy under a uniform reset law on [0, 2], by scipy.quad split at every
+# breakpoint of both laws
+LEVY_UNIFORM02_MEAN = 2.88213856072
 
 
 class TestResetLaw:
@@ -32,6 +36,25 @@ class TestResetLaw:
                                        check_standing=False)
         with pytest.raises(d.SpecValidationError):
             rt.ResetLaw.general(dead)
+
+    def test_every_law_is_a_spec(self):
+        uniform = uniform02()
+        for reset in (rt.ResetLaw.deterministic(1.5),
+                      rt.ResetLaw.exponential(2.0),
+                      rt.ResetLaw.general(uniform)):
+            assert [f.name for f in dataclasses.fields(reset)] == \
+                ["kind", "spec"]
+            assert isinstance(reset.spec, d.DistributionSpec)
+        det = rt.ResetLaw.deterministic(1.5)
+        assert (det.period, det.rate) == (1.5, None)
+        assert det.atoms() == ((1.5, 1.0),) and not det.has_density
+        assert det.tail(np.array([1.4, 1.5])).tolist() == [1.0, 0.0]
+        exp = rt.ResetLaw.exponential(2.0)
+        assert (exp.period, exp.rate) == (None, 2.0)
+        assert exp.atoms() == () and exp.has_density
+        gen = rt.ResetLaw.general(uniform)
+        assert (gen.period, gen.rate) == (None, None)
+        assert gen.spec is uniform
 
     def test_descriptors(self):
         assert rt.ResetLaw.deterministic(1.0).describe() == "det:1"
@@ -203,6 +226,25 @@ class TestMeans:
                     0.3767444310980377, 1.2945392721254323,
                     1.70380825568104))))
         assert rt.reset_mean(exp_law(), reset) == pytest.approx(1.0, abs=1e-9)
+
+    def test_bounded_reset_law_with_infinite_mean(self):
+        # past the reset law's support the truncation bound of E[T ^ R] is
+        # 0 * inf; it counts as 0, where it made these means inf
+        uniform = rt.ResetLaw.general(uniform02())
+        assert rt.reset_mean(levy(), uniform) == \
+            pytest.approx(LEVY_UNIFORM02_MEAN, rel=1e-9)
+        # pw_sixth keeps 1/6 of its mass at infinity; exact value 83/124
+        assert rt.reset_mean(pw_sixth(), uniform) == \
+            pytest.approx(83.0 / 124.0, rel=1e-12)
+
+    def test_general_one_atom_law_matches_deterministic(self):
+        atom = rt.ResetLaw.general(d.PiecewiseConstantTail(
+            breakpoints=(0.0, 1.0), levels=(1.0, 0.0), check_standing=False))
+        assert rt.reset_mean(levy(), atom) == \
+            pytest.approx(LEVY_DET1_MEAN, rel=1e-9)
+        for spec in (levy(), pw_sixth()):
+            assert rt.reset_mean(spec, atom) == pytest.approx(
+                rt.reset_mean(spec, rt.ResetLaw.deterministic(1.0)), rel=1e-12)
 
     def test_defective_numerator_infinite(self):
         spec = d.Exponential(rate=1.0, defect=0.2)
