@@ -332,7 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-cycles", type=int, default=None)
     p.add_argument("--probes", type=_float_list, default=None)
-    p.add_argument("--chunks", type=int, default=1)
+    p.add_argument("--chunks", type=int, default=1,
+                   help="accepted and validated (>= 1) but changes nothing: "
+                        "results depend on --seed alone")
     p.add_argument("--branching-mode", choices=("min-law", "direct"),
                    default="min-law")
     p.set_defaults(func=cmd_simulate)

@@ -129,6 +129,7 @@ class _CurveTables:
     slopes: np.ndarray      # one per segment, then the terminal slope
     cum_inv: np.ndarray     # int_0^knot dv/m at each knot
     knot_tails: np.ndarray  # tail values at the knots
+    amp: np.ndarray         # per piece: tail = amp * m ** -(1 + 1/slope)
     m0: float
     support_end: float
 
@@ -146,8 +147,16 @@ def _tables(curve: MrlCurve) -> _CurveTables:
     m0 = curve.mean
     with np.errstate(divide="ignore"):
         knot_tails = (m0 / v) * np.exp(-cum)
+    amp = np.full(g.size, np.nan)
+    for k in range(g.size):
+        s, v0 = float(slopes[k]), float(v[k])
+        if abs(s) >= 1e-14:
+            try:
+                amp[k] = m0 * math.exp(-float(cum[k])) * v0 ** (1.0 / s)
+            except OverflowError:  # nearly flat piece: see FromMrl._isf0
+                pass
     return _CurveTables(knots=g, values=v, slopes=slopes, cum_inv=cum,
-                        knot_tails=knot_tails, m0=m0,
+                        knot_tails=knot_tails, amp=amp, m0=m0,
                         support_end=curve.support_end)
 
 
@@ -281,10 +290,39 @@ class FromMrl(dist.DistributionSpec):
         return out if np.asarray(t).shape else out[0]
 
     def _isf0(self, u):
+        """Exact inverse survival via the per-piece closed forms."""
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
+        tb = _tables(self.curve)
+        tails = tb.knot_tails
+        # piece k: the segment after knot k (the last is the terminal piece)
+        k = np.clip(np.searchsorted(-tails, -u_arr, side="left"), 1,
+                    tails.size) - 1
+        g0, v0, s, top = tb.knots[k], tb.values[k], tb.slopes[k], tails[k]
         out = np.empty(u_arr.shape)
-        for j in np.ndindex(u_arr.shape):
-            out[j] = _isf_scalar(self.curve, float(u_arr[j]))
+        rest = ~((u_arr >= tails[0]) | (u_arr >= top) | (u_arr <= 0.0))
+        flat = rest & (np.abs(s) < 1e-14)
+        with np.errstate(divide="ignore", over="ignore"):
+            # top / u overflows for u near 0, and the log is then inf
+            out[flat] = g0[flat] + v0[flat] * dist._libm(
+                math.log, top[flat] / u_arr[flat])
+            q = 1.0 + 1.0 / s
+        # slope -1: the tail is flat on the piece and drops to 0 where m
+        # does, at g0 + v0 (only the terminal piece can hold such a u)
+        jump = rest & ~flat & (np.abs(q) < 1e-14)
+        out[jump] = g0[jump] + v0[jump]
+        power = rest & ~flat & ~jump
+        amp = tb.amp[k]
+        exact = power & (amp > 0.0) & (amp < np.inf)
+        m_here = dist._libm(pow, u_arr[exact] / amp[exact], -1.0 / q[exact])
+        out[exact] = g0[exact] + (m_here - v0[exact]) / s[exact]
+        # amp over- or underflows on a nearly flat piece; there
+        # m - v0 = v0 * expm1(log(top / u) / q) keeps the precision
+        near = power & ~exact
+        out[near] = g0[near] + v0[near] * np.expm1(
+            np.log(top[near] / u_arr[near]) / q[near]) / s[near]
+        out[u_arr <= 0.0] = tb.support_end
+        out[u_arr >= top] = g0[u_arr >= top]
+        out[u_arr >= tails[0]] = 0.0
         return out if np.asarray(u).shape else out[0]
 
     def _tail_rest0(self, t):
@@ -321,10 +359,6 @@ class FromMrl(dist.DistributionSpec):
         out = np.where(t_arr >= tb.support_end, 0.0, out)
         return out if np.asarray(t).shape else out[0]
 
-    def _scalar_isf(self):
-        curve = self.curve
-        return lambda u: _isf_scalar(curve, u)
-
     @classmethod
     def from_params(cls, params: dict, **extra) -> "FromMrl":
         curve = MrlCurve(
@@ -346,41 +380,6 @@ class FromMrl(dist.DistributionSpec):
             if self.curve.terminal_slope is not None:
                 out["terminal_slope"] = self.curve.terminal_slope
         return out
-
-
-def _isf_scalar(curve: MrlCurve, u: float) -> float:
-    """Exact inverse survival via the per-segment closed forms."""
-    tb = _tables(curve)
-    tails = tb.knot_tails
-    if u >= tails[0]:
-        return 0.0
-    j = int(np.searchsorted(-tails, -u, side="left"))
-    if j >= tails.size:
-        # terminal piece
-        g0 = float(tb.knots[-1])
-        v0 = float(tb.values[-1])
-        c0 = float(tb.cum_inv[-1])
-        s = float(tb.slopes[-1])
-        top = tails[-1]
-    else:
-        g0 = float(tb.knots[j - 1])
-        v0 = float(tb.values[j - 1])
-        c0 = float(tb.cum_inv[j - 1])
-        s = float(tb.slopes[j - 1])
-        top = tails[j - 1]
-    if u >= top:
-        return g0
-    if u <= 0.0:
-        return tb.support_end
-    if abs(s) < 1e-14:
-        return g0 + v0 * math.log(top / u)
-    q = 1.0 + 1.0 / s
-    if abs(q) < 1e-14:
-        # slope -1: flat tail on this piece, jump to its far end
-        return g0
-    amp = tb.m0 * math.exp(-c0) * v0 ** (1.0 / s)
-    m_here = (u / amp) ** (-1.0 / q)
-    return g0 + (m_here - v0) / s
 
 
 dist.register_family("from_mrl", FromMrl)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -149,9 +148,6 @@ class ResetLaw:
             total += head
         return total
 
-    def make_scalar_sampler(self) -> Callable[[float], float]:
-        return self.spec.make_scalar_sampler()
-
 
 def prob_completion_first(spec: DistributionSpec, reset: ResetLaw) -> float:
     """P(T <= R): the per-cycle stopping probability (ties go to completion)."""
@@ -197,9 +193,11 @@ def _single_reset_tail_scalar(spec: DistributionSpec, reset: ResetLaw,
             s_arr = np.asarray(s)
             return np.asarray(tl(s_arr)) * np.asarray(tl(t - s_arr)) \
                 * np.asarray(reset.density(s_arr))
-        pts = [p for p in spec.tail_breakpoints() if p < t]
-        pts += [t - p for p in spec.tail_breakpoints() if 0.0 < t - p < t]
-        head, _ = split_quad(f, 0.0, t, points=tuple(pts))
+        # kinks of tl(s) and of the reset density, then those of tl(t - s)
+        own = spec.tail_breakpoints() + ((spec.t0,) if np.isfinite(spec.t0)
+                                         else ())
+        pts = _density_breakpoints(spec, reset, t) + tuple(t - p for p in own)
+        head, _ = split_quad(f, 0.0, t, points=pts)
         total += head
     return total
 

@@ -105,7 +105,7 @@ def test_criterion_2_exponential_fixed_point(tmp_path):
             if abs(hat - want) > 4.0 * se + 1e-12:
                 failures.append((label, "mc tail", p, hat, want))
     _finish(2, "solver tail within 1e-6 of exp(-t) and Monte Carlo within "
-               "4 sigma for six reset laws", failures, started, 60.0)
+               "4 sigma for six reset laws", failures, started, 10.0)
 
 
 def test_criterion_3_counterexample_regressions():
@@ -259,7 +259,7 @@ def test_criterion_5_mean_formula_cross_validation():
                 failures.append((sname, mu, "transform vs direct", a, b))
     _finish(5, "restart means: formula vs tail integral vs Monte Carlo on a "
                "3x3 matrix; transform route within 1e-8", failures, started,
-            150.0)
+            30.0)
 
 
 def test_criterion_6_branching_series_vs_simulation():
@@ -290,7 +290,7 @@ def test_criterion_6_branching_series_vs_simulation():
             if abs(a - b) > 1e-8 * max(1.0, a):
                 failures.append((sname, mu, "l=1 exponential", a, b))
     _finish(6, "branching mean series vs 1e5-replicate simulation within "
-               "3 sigma; l=1 degeneracy within 1e-8", failures, started, 90.0)
+               "3 sigma; l=1 degeneracy within 1e-8", failures, started, 10.0)
 
 
 def _random_reset_law(rng: np.random.Generator, scale: float) -> rt.ResetLaw:

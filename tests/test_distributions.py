@@ -221,11 +221,14 @@ class TestSampling:
 
     @pytest.mark.parametrize("name", sorted(ALL_LAWS))
     def test_scalar_sampler_matches_isf(self, name):
+        # a draw made one u at a time equals the array call, bit for bit
         spec = ALL_LAWS[name]()
-        draw = spec.make_scalar_sampler()
-        for u in (0.01, 0.2, 0.5, 0.9, 0.99):
-            assert draw(u) == pytest.approx(float(spec.isf(u)), rel=1e-12,
-                                            abs=1e-12)
+        us = np.concatenate([[0.0, 1e-300, 0.01, 0.2, 0.5, 0.9, 0.99, 1.0],
+                             np.random.default_rng(3).random(500)])
+        arr = np.asarray(spec.isf(us))
+        one = np.array([spec.isf(float(u)) for u in us])
+        assert arr.shape == us.shape
+        assert arr.tobytes() == one.tobytes()
 
     def test_isf_step_atoms(self):
         spec = pw_sixth()

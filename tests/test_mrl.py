@@ -150,6 +150,25 @@ class TestLawFromMrl:
             emp = float(np.mean(x > t))
             assert abs(emp - th) <= 4.0 * math.sqrt(th * (1 - th) / x.size)
 
+    def test_isf_past_a_flat_terminal_piece(self):
+        # m(t) = 2 - t: the tail stays 1 and drops to 0 at t = 2
+        law = mrl.law_from_mrl(mrl.MrlCurve(grid=(0.0, 1.0),
+                                            values=(2.0, 1.0),
+                                            terminal="linear"))
+        us = np.array([0.9, 0.5, 0.1])
+        assert np.asarray(law.isf(us)).tolist() == [2.0, 2.0, 2.0]
+        assert np.all(np.asarray(law.tail(law.isf(us))) <= us)
+
+    @pytest.mark.parametrize("v0", [2.0, 0.5])
+    def test_isf_on_nearly_flat_piece(self, v0):
+        # slope 1e-9: v0 ** (1 / slope) overflows (v0 > 1) or underflows
+        # (v0 < 1), and the inverse used to raise on such a piece
+        law = mrl.law_from_mrl(mrl.MrlCurve(grid=(0.0, 1.0),
+                                            values=(v0, v0 + 1e-9)))
+        us = np.exp(-np.array([0.1, 0.5, 0.9]) / v0)
+        np.testing.assert_allclose(np.asarray(law.isf(us)), -v0 * np.log(us),
+                                   rtol=1e-8)
+
     def test_json_round_trip(self):
         law = uniform02()
         doc = d.spec_to_dict(law)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from resetkit import distributions as d
 from resetkit import mrl
@@ -115,6 +116,30 @@ class TestClosedForms:
             + float(np.trapezoid(integrand, s))
         got = rt.single_reset_tail(spec, rt.ResetLaw.exponential(mu), t)
         assert got == pytest.approx(brute, rel=1e-6)
+
+    def test_single_reset_splits_at_reset_knots(self):
+        # log-linear reset law whose hazard alternates 0.2 / 2 over 24
+        # cells: its density jumps at every knot
+        spec, t = weib(0.5), 3.0
+        grid = np.linspace(0.0, 2.4, 25)
+        hazard = np.where(np.arange(24) % 2 == 0, 0.2, 2.0)
+        ladder = np.exp(-np.concatenate([[0.0],
+                                         np.cumsum(hazard * np.diff(grid))]))
+        law = d.Tabulated(curve=d.TailCurve(
+            grid=tuple(grid), values=tuple(ladder[:-1]),
+            terminal=float(ladder[-1]), mode="log-linear"),
+            check_standing=False)
+
+        def f(s):
+            return float(spec.tail(s)) * float(spec.tail(t - s)) \
+                * float(law.density(s))
+
+        knots = list(grid) + [t]
+        want = float(spec.tail(t)) * float(law.tail(t)) + sum(
+            quad(f, a, b, epsabs=1e-14, epsrel=1e-13)[0]
+            for a, b in zip(knots[:-1], knots[1:]))
+        got = rt.single_reset_tail(spec, rt.ResetLaw.general(law), t)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-10)
 
     def test_single_reset_atoms(self):
         spec = weib(2.0)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,25 @@ class TestDeterminism:
         b = sim.simulate_branching(exp_law(), rt.ResetLaw.exponential(1.0), 1,
                                    cfg(replicates=8_000))
         np.testing.assert_array_equal(a.times, b.times)
+
+    def test_chunks_invisible_across_block_boundaries(self):
+        n = 2 * sim._BLOCK + 17
+        for reset in (rt.ResetLaw.exponential(1.0), two_atom_reset()):
+            results = [sim.simulate_reset(weib(0.5), reset,
+                                          cfg(replicates=n,
+                                              parallel_chunks=chunks))
+                       for chunks in (1, 3, 8)]
+            for other in results[1:]:
+                np.testing.assert_array_equal(results[0].times, other.times)
+                assert results[0].to_dict() == other.to_dict()
+
+    def test_first_block_is_prefix_stable(self):
+        block = sim._BLOCK
+        reset = rt.ResetLaw.general(uniform02())
+        for run in (sim.simulate_reset, sim.simulate_single_reset):
+            short = run(weib(0.5), reset, cfg(replicates=block))
+            long = run(weib(0.5), reset, cfg(replicates=2 * block + 17))
+            np.testing.assert_array_equal(short.times, long.times[:block])
 
     def test_different_seed_differs(self):
         a = sim.simulate_reset(exp_law(), rt.ResetLaw.deterministic(0.5),
@@ -161,6 +181,32 @@ class TestCensoringAndGuards:
         with pytest.raises(sim.ExcessiveBranchingError):
             sim.simulate_branching(spec, reset, 2,
                                    cfg(replicates=50, max_cycles=100))
+
+    def test_excessive_branching_direct_mode(self):
+        spec = exp_law()
+        reset = rt.ResetLaw.deterministic(1e-8)
+        with pytest.raises(sim.ExcessiveBranchingError):
+            sim.simulate_branching(spec, reset, 2,
+                                   cfg(replicates=50, max_cycles=100,
+                                       branching_mode="direct"))
+
+    def test_direct_mode_memory_is_one_row(self):
+        # completion needs ~1e4 racing copies: rows of 3**9 and 3**10
+        # uniforms, each drawn alone, past the block size
+        spec = exp_law()
+        reset = rt.ResetLaw.deterministic(1e-4)
+        config = cfg(replicates=64, seed=3, max_cycles=40,
+                     branching_mode="direct")
+        sim.simulate_branching(spec, reset, 3, cfg(replicates=2))  # warm up
+        tracemalloc.start()
+        try:
+            res = sim.simulate_branching(spec, reset, 3, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        widest = 3 ** (len(res.cycle_histogram) - 2)
+        assert widest > sim._BLOCK
+        assert peak <= 8 * widest + 64 * 1024
 
     def test_infinite_outcomes_counted(self):
         # defective completion law against a defective reset law
