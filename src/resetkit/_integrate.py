@@ -127,13 +127,15 @@ def _unit_panel_edges(extra: tuple[float, ...] = ()) -> np.ndarray:
     return np.unique(edges)
 
 
-def convolution_log_integrand(spec, t: float, l: int
-                              ) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and log integrand of int_0^1 tail(t v) tail(t (1 - v))**l dv.
+def convolution_log_tails(spec, t: float
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights and log factors of int_0^1 tail(t v) tail(t (1 - v))**l dv.
 
-    The panels are graded towards both ends of [0, 1] and split wherever
-    either factor has a breakpoint or the support of ``spec`` ends. The
-    log integrand is -inf where the integrand is 0.
+    Returns (weights, head, rest) with head = log tail(t v) and rest =
+    log tail(t (1 - v)) at the nodes, so that the integrand for any l is
+    exp(head + l * rest). The panels are graded towards both ends of
+    [0, 1] and split wherever either factor has a breakpoint or the
+    support of ``spec`` ends. Log tails are -inf where the tail is 0.
     """
     log_tail = spec.log_tail
     kinks = list(spec.tail_breakpoints())
@@ -144,7 +146,7 @@ def convolution_log_integrand(spec, t: float, l: int
         if 0.0 < b < t:
             extra += [b / t, 1.0 - b / t]
     nodes, weights = gl_panel(_unit_panel_edges(tuple(extra)))
-    with np.errstate(invalid="ignore"):
-        expo = np.asarray(log_tail(t * nodes)) \
-            + float(l) * np.asarray(log_tail(t * (1.0 - nodes)))
-    return weights, np.where(np.isnan(expo), -np.inf, expo)
+    head = np.asarray(log_tail(t * nodes))
+    rest = np.asarray(log_tail(t * (1.0 - nodes)))
+    return (weights, np.where(np.isnan(head), -np.inf, head),
+            np.where(np.isnan(rest), -np.inf, rest))

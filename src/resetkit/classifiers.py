@@ -1,22 +1,26 @@
 """Numeric verdicts for the universal-ordering conditions of a lifetime law.
 
 Each condition is an inequality that must hold for every point of a grid;
-verdicts are therefore grid-certified, never proofs. Margins are computed
-in log-tail space where products of tiny tails would underflow, and a
-verdict is only "fails" when the worst margin clears the tolerance; sub-
-tolerance violations report "inconclusive".
+verdicts are therefore grid-certified, never proofs. A condition's margins
+are computed once and read three ways: no_bigger (restart cannot make the
+law bigger), no_smaller (the mirror image) and invariant (equality), so
+every public check returns a ``{reading: Verdict}`` dict. Margins are
+computed in log-tail space where products of tiny tails would underflow,
+and a verdict is only "fails" when the worst margin clears the tolerance;
+sub-tolerance violations report "inconclusive".
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from . import distributions as dist
 from . import mrl as mrl_mod
 from . import reset_transform as rt
-from ._integrate import convolution_log_integrand, gl_panel
+from ._integrate import (convolution_log_tails, gauss_legendre_cumulative,
+                         gl_panel)
 from .distributions import DistributionSpec, MomentFunction
 
 __all__ = [
@@ -25,7 +29,6 @@ __all__ = [
     "ClassifyConfig",
     "MomentTransferReport",
     "check_supermultiplicative",
-    "check_lfold_supermultiplicative",
     "check_exp_reset_condition",
     "check_mean_conditions",
     "check_exp_mean_condition",
@@ -37,6 +40,7 @@ __all__ = [
 ]
 
 _FLOOR = 1e-12  # violations below this are indistinguishable from roundoff
+_READINGS = ("no_bigger", "no_smaller", "invariant")
 
 
 @dataclass(frozen=True)
@@ -72,40 +76,44 @@ class Verdict:
         return out
 
 
-def _one_sided(margins: np.ndarray, witnesses, eps: float,
-               note: str = "") -> Verdict:
-    """Verdict for: margin >= 0 required everywhere (within tolerance)."""
+def _verdict(margins: np.ndarray, witnesses, eps: float,
+             equality: bool = False) -> Verdict:
+    """Verdict for margin >= 0 everywhere, or with ``equality`` for margin
+    == 0, within tolerance; only one-sided checks can be inconclusive."""
     margins = np.asarray(margins, dtype=float)
     ok = ~np.isnan(margins)
     if margins.size == 0 or not ok.any():
-        return Verdict("undefined", math.nan, eps, note=note or "no usable grid")
-    idx = int(np.argmin(np.where(ok, margins, np.inf)))
+        return Verdict("undefined", math.nan, eps, note="no usable grid")
+    if equality:
+        idx = int(np.argmax(np.where(ok, np.abs(margins), -np.inf)))
+    else:
+        idx = int(np.argmin(np.where(ok, margins, np.inf)))
     worst = float(margins[idx])
-    witness = tuple(np.atleast_1d(witnesses[idx]).tolist()) \
-        if witnesses is not None else None
-    if worst >= -_FLOOR:
-        return Verdict("holds", worst, eps, witness=witness, note=note)
-    if worst >= -eps:
+    witness = tuple(np.atleast_1d(witnesses[idx]).tolist())
+    if (abs(worst) <= eps) if equality else (worst >= -_FLOOR):
+        return Verdict("holds", worst, eps, witness=witness)
+    if not equality and worst >= -eps:
         return Verdict("inconclusive", worst, eps, witness=witness,
-                       note=note or "violation below tolerance")
-    return Verdict("fails", worst, eps, witness=witness, note=note)
+                       note="violation below tolerance")
+    return Verdict("fails", worst, eps, witness=witness)
 
 
-def _two_sided(margins: np.ndarray, witnesses, eps: float,
-               note: str = "") -> Verdict:
-    """Verdict for: margin == 0 required everywhere (within tolerance)."""
-    margins = np.asarray(margins, dtype=float)
-    ok = ~np.isnan(margins)
-    if margins.size == 0 or not ok.any():
-        return Verdict("undefined", math.nan, eps, note=note or "no usable grid")
-    dev = np.where(ok, np.abs(margins), -np.inf)
-    idx = int(np.argmax(dev))
-    worst = float(margins[idx])
-    witness = tuple(np.atleast_1d(witnesses[idx]).tolist()) \
-        if witnesses is not None else None
-    if abs(worst) <= eps:
-        return Verdict("holds", worst, eps, witness=witness, note=note)
-    return Verdict("fails", worst, eps, witness=witness, note=note)
+def _verdicts(margins: np.ndarray, witnesses, eps: float,
+              smaller: np.ndarray | None = None,
+              equal: np.ndarray | None = None) -> dict[str, Verdict]:
+    """The three readings of one condition's margins.
+
+    ``margins`` is the no-bigger slack, nonnegative where that inequality
+    holds. no_smaller needs the mirror slack ``smaller`` (default
+    ``-margins``) to be nonnegative; invariant needs the deviation ``equal``
+    (default ``margins``) to vanish, skipping infinite (vacuous) points.
+    """
+    smaller = -margins if smaller is None else smaller
+    equal = margins if equal is None else equal
+    return {"no_bigger": _verdict(margins, witnesses, eps),
+            "no_smaller": _verdict(smaller, witnesses, eps),
+            "invariant": _verdict(np.where(np.isinf(equal), np.nan, equal),
+                                  witnesses, eps, equality=True)}
 
 
 def default_tolerance(spec: DistributionSpec) -> float:
@@ -135,149 +143,156 @@ def _axis_grid(spec: DistributionSpec, upper: float | None = None,
     return np.unique(np.concatenate([[0.0], *pieces]))
 
 
-def _exp_condition_grid(spec: DistributionSpec, extend: bool) -> np.ndarray:
+def _exp_condition_grids(spec: DistributionSpec
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The t grid for l = 1 and, for unbounded support, its extension for
+    l >= 2 out to 1e6 horizons, where the branching condition can first fail."""
     upper = dist.default_horizon(spec)
     t0 = spec.t0
     if np.isfinite(t0):
         upper = min(max(upper, 2.5 * t0), 4.0 * t0)
     g = _axis_grid(spec, upper=upper, n_geo=48, n_lin=32)
     g = g[g > 0.0]
-    if extend and not np.isfinite(t0):
-        far = np.geomspace(upper, max(upper * 1e6, 1e6), 25)
-        g = np.unique(np.concatenate([g, far]))
-    return g
+    if np.isfinite(t0):
+        return g, g
+    far = np.geomspace(upper, max(upper * 1e6, 1e6), 25)
+    return g, np.unique(np.concatenate([g, far]))
 
 
 # ----------------------------------------------------------------------
 # multiplicativity (dominance under arbitrary/deterministic restart)
 
 
-def _pair_margins(spec: DistributionSpec, xs: np.ndarray, l: int = 1):
-    """Log-space slack of tail(x) * tail(y)**l <= tail(x + y) on the grid."""
+def _pair_margins(spec: DistributionSpec, xs: np.ndarray,
+                  ls) -> list[np.ndarray]:
+    """Log-space slack of tail(x) * tail(y)**l <= tail(x + y) over the
+    raveled (x, y) pairs, one array per l in ``ls``."""
     h = -np.asarray(spec.log_tail(xs))  # nondecreasing, 0 at 0, may be inf
     hx = h[:, None]
     hy = h[None, :]
     hsum = -np.asarray(spec.log_tail(xs[:, None] + xs[None, :]))
-    with np.errstate(invalid="ignore"):
-        margins = hx + float(l) * hy - hsum
     # tail(x) * tail(y)**l == 0 makes the inequality vacuous
     vacuous = np.isinf(hx) | np.isinf(hy)
-    margins = np.where(vacuous, np.inf, margins)
-    return margins
+    out = []
+    for l in ls:
+        with np.errstate(invalid="ignore"):
+            margins = hx + float(l) * hy - hsum
+        out.append(np.where(vacuous, np.inf, margins).ravel())
+    return out
+
+
+def _pair_verdicts(margins: np.ndarray, xs: np.ndarray, eps: float,
+                   l: int) -> dict[str, Verdict]:
+    pairs = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
+    verdicts = _verdicts(margins, pairs, eps)
+    if l == 1:
+        return verdicts
+    probe = replace(verdicts["invariant"],
+                    note="equality probe; must fail for every law")
+    return {"no_bigger": verdicts["no_bigger"], "invariant": probe}
 
 
 def check_supermultiplicative(spec: DistributionSpec, grid=None,
                               eps: float | None = None,
-                              variant: str = "super") -> Verdict:
-    """Grid check of tail multiplicativity.
+                              l: int = 1) -> dict[str, Verdict]:
+    """Grid check of tail(x) tail(y)**l <= tail(x + y).
 
-    ``variant`` selects supermultiplicative (restart cannot make the law
-    bigger), submultiplicative (mirrored), or multiplicative (both).
+    For l = 1 the readings are supermultiplicative (no_bigger: restart
+    cannot make the law bigger), submultiplicative (no_smaller) and
+    multiplicative (invariant). For l >= 2 (branching restart) invariant
+    is an equality probe that must fail for every law; a holds there
+    signals the tolerance is too loose.
     """
     eps = default_tolerance(spec) if eps is None else eps
     xs = np.asarray(grid, dtype=float) if grid is not None else _axis_grid(spec)
-    margins = _pair_margins(spec, xs, l=1).ravel()
-    pairs = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    if variant == "super":
-        return _one_sided(margins, pairs, eps)
-    if variant == "sub":
-        return _one_sided(-margins, pairs, eps)
-    if variant == "multiplicative":
-        finite = np.where(np.isinf(margins), np.nan, margins)
-        return _two_sided(finite, pairs, eps)
-    raise ValueError(f"unknown variant {variant!r}")
-
-
-def check_lfold_supermultiplicative(spec: DistributionSpec, l: int,
-                                    grid=None, eps: float | None = None
-                                    ) -> tuple[Verdict, Verdict]:
-    """Branching analogue tail(x+y) >= tail(x) tail(y)**l, plus equality probe.
-
-    The equality probe must fail for every law; a holds there signals the
-    tolerance is too loose.
-    """
-    if l < 2:
-        raise ValueError("branching check needs l >= 2")
-    eps = default_tolerance(spec) if eps is None else eps
-    xs = np.asarray(grid, dtype=float) if grid is not None else _axis_grid(spec)
-    margins = _pair_margins(spec, xs, l=l).ravel()
-    pairs = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    main = _one_sided(margins, pairs, eps)
-    finite = np.where(np.isinf(margins), np.nan, margins)
-    probe = _two_sided(finite, pairs, eps,
-                       note="equality probe; must fail for every law")
-    return main, probe
+    return _pair_verdicts(_pair_margins(spec, xs, (l,))[0], xs, eps, l)
 
 
 # ----------------------------------------------------------------------
 # exponential-restart dominance condition
 
 
-def _exp_reset_ratio(spec: DistributionSpec, t: float, l: int) -> float:
+def _exp_reset_ratios(spec: DistributionSpec, t_grid: np.ndarray,
+                      ls) -> np.ndarray:
     """(1/t) int_0^t tail(u) tail(t-u)**l du, normalized by tail(t).
 
-    Computed as an integral over v = u/t in log space so that deep tails
-    neither underflow nor lose the sign of the comparison.
+    One row per l in ``ls``, one column per t. Computed as an integral over
+    v = u/t in log space so that deep tails neither underflow nor lose the
+    sign of the comparison; the log tails at the nodes are evaluated once
+    per t and shared by every l.
     """
-    lf_t = float(spec.log_tail(t))
-    weights, expo = convolution_log_integrand(spec, t, l)
-    if math.isinf(lf_t):
-        # past the support: the condition degenerates to "integral is zero"
-        with np.errstate(over="ignore"):
-            raw = float(weights @ np.exp(np.clip(expo, -745.0, 700.0)))
-        return math.inf if raw > _FLOOR else 1.0
-    expo = expo - lf_t
-    with np.errstate(over="ignore"):
-        vals = np.exp(np.clip(expo, -745.0, 700.0))
-    vals = np.where(np.isinf(expo) & (expo > 0), np.inf, vals)
-    return float(weights @ vals)
+    out = np.empty((len(ls), len(t_grid)))
+    for j, t in enumerate(t_grid):
+        t = float(t)
+        lf_t = float(spec.log_tail(t))
+        weights, head, rest = convolution_log_tails(spec, t)
+        for i, l in enumerate(ls):
+            expo = head + float(l) * rest
+            if math.isinf(lf_t):
+                # past the support the condition is "the integral is zero"
+                with np.errstate(over="ignore"):
+                    raw = float(weights @ np.exp(np.clip(expo, -745.0, 700.0)))
+                out[i, j] = math.inf if raw > _FLOOR else 1.0
+                continue
+            expo = expo - lf_t
+            with np.errstate(over="ignore"):
+                vals = np.exp(np.clip(expo, -745.0, 700.0))
+            vals = np.where(np.isinf(expo) & (expo > 0), np.inf, vals)
+            out[i, j] = float(weights @ vals)
+    return out
+
+
+def _exp_reset_verdicts(ratios: np.ndarray, t_grid: np.ndarray, eps: float,
+                        l: int) -> dict[str, Verdict]:
+    # 1.0 - ratios and ratios - 1.0 are each other's negation except at a
+    # ratio of exactly 1, where both are +0.0; -(ratios - 1.0) would be -0.0
+    if l != 1:
+        return {"no_bigger": _verdict(1.0 - ratios, t_grid, eps)}
+    excess = ratios - 1.0
+    return _verdicts(1.0 - ratios, t_grid, eps, smaller=excess, equal=excess)
 
 
 def check_exp_reset_condition(spec: DistributionSpec, t_grid=None,
-                              eps: float | None = None, l: int = 1,
-                              variant: str = "no_bigger") -> Verdict:
+                              eps: float | None = None,
+                              l: int = 1) -> dict[str, Verdict]:
     """Convolution-average condition for ordering under constant-rate restart.
 
     For each grid t the average of tail(u) tail(t-u)**l over u in [0, t] is
-    compared against tail(t); no_bigger requires <=, no_smaller >= (l = 1
-    only), invariant equality.
+    compared against tail(t): no_bigger requires <=, no_smaller >=,
+    invariant equality. For l >= 2 only no_bigger is returned.
     """
     eps = default_tolerance(spec) if eps is None else eps
     if t_grid is None:
-        t_grid = _exp_condition_grid(spec, extend=l >= 2)
+        near, wide = _exp_condition_grids(spec)
+        t_grid = wide if l >= 2 else near
     t_grid = np.asarray(t_grid, dtype=float)
     t_grid = t_grid[t_grid > 0.0]
-    ratios = np.array([_exp_reset_ratio(spec, float(t), l) for t in t_grid])
-    if variant == "no_bigger":
-        return _one_sided(1.0 - ratios, t_grid, eps)
-    if l != 1:
-        raise ValueError("no_smaller/invariant variants are defined for l = 1")
-    if variant == "no_smaller":
-        return _one_sided(ratios - 1.0, t_grid, eps)
-    if variant == "invariant":
-        return _two_sided(np.where(np.isinf(ratios), np.nan, ratios - 1.0),
-                          t_grid, eps)
-    raise ValueError(f"unknown variant {variant!r}")
+    ratios = _exp_reset_ratios(spec, t_grid, (l,))[0]
+    return _exp_reset_verdicts(ratios, t_grid, eps, l)
 
 
 # ----------------------------------------------------------------------
 # mean conditions
 
 
+def _undefined_mean(eps: float) -> dict[str, Verdict]:
+    undefined = Verdict("undefined", math.nan, eps,
+                        note="mean is infinite; condition undefined (m0=inf)")
+    return dict.fromkeys(_READINGS, undefined)
+
+
 def check_mean_conditions(spec: DistributionSpec, r_grid=None,
-                          eps: float | None = None,
-                          variant: str = "no_bigger") -> Verdict:
+                          eps: float | None = None) -> dict[str, Verdict]:
     """Residual-mean comparison m(r) vs the unconditional mean.
 
     no_bigger requires m(r) >= m0 on [0, t0); no_smaller the mirror image
     (which forces tail(0) = 1); invariant both. Margins are relative to m0.
-    Infinite-mean laws get an undefined verdict.
+    Infinite-mean laws get undefined verdicts.
     """
     eps = default_tolerance(spec) if eps is None else eps
     m0 = dist.mean(spec)
     if not np.isfinite(m0):
-        return Verdict("undefined", math.nan, eps,
-                       note="mean is infinite; condition undefined (m0=inf)")
+        return _undefined_mean(eps)
     if r_grid is None:
         upper = dist.default_horizon(spec)
         if np.isfinite(spec.t0):
@@ -286,18 +301,13 @@ def check_mean_conditions(spec: DistributionSpec, r_grid=None,
     r_grid = np.asarray(r_grid, dtype=float)
     r_grid = r_grid[(r_grid >= 0.0) & (r_grid < spec.t0)]
     m_vals = np.atleast_1d(np.asarray(mrl_mod.mrl_from_tail(spec, r_grid)))
-    rel = (m_vals - m0) / m0
-    note = ""
-    if variant in ("no_smaller", "invariant") \
-            and float(spec.tail(0.0)) < 1.0 - _FLOOR:
-        note = "tail(0) < 1, which already rules out the no-smaller case"
-    if variant == "no_bigger":
-        return _one_sided(rel, r_grid, eps)
-    if variant == "no_smaller":
-        return _one_sided(-rel, r_grid, eps, note=note)
-    if variant == "invariant":
-        return _two_sided(rel, r_grid, eps, note=note)
-    raise ValueError(f"unknown variant {variant!r}")
+    verdicts = _verdicts((m_vals - m0) / m0, r_grid, eps)
+    if float(spec.tail(0.0)) < 1.0 - _FLOOR:
+        for reading in ("no_smaller", "invariant"):
+            verdicts[reading] = replace(
+                verdicts[reading],
+                note="tail(0) < 1, which already rules out the no-smaller case")
+    return verdicts
 
 
 def exp_mean_margin_from_curve(m_fn, m0: float, mu: float,
@@ -320,7 +330,6 @@ def exp_mean_margin_from_curve(m_fn, m0: float, mu: float,
     def inv_m(t):
         return 1.0 / np.clip(np.asarray(m_fn(t), dtype=float), 1e-300, None)
 
-    from ._integrate import gauss_legendre_cumulative
     cum = gauss_legendre_cumulative(inv_m, knots)
     integrand = np.exp(-mu * knots - cum)
     lhs = float(np.trapezoid(integrand, knots))
@@ -329,23 +338,20 @@ def exp_mean_margin_from_curve(m_fn, m0: float, mu: float,
 
 
 def check_exp_mean_condition(spec: DistributionSpec, mu_grid=None,
-                             eps: float | None = None,
-                             variant: str = "no_bigger"
-                             ) -> tuple[Verdict, dict[float, float]]:
+                             eps: float | None = None
+                             ) -> tuple[dict[str, Verdict], dict[float, float]]:
     """Per-rate mean condition under constant-rate restart.
 
     Evaluates int_0^inf exp(-mu t - int_0^t du/m(u)) dt against
     1/(1/m0 + mu) for each mu. The inner exponential equals the integrated
     tail beyond t divided by m0, which is how it is computed here. Returns
-    the aggregate verdict plus the per-mu relative margins.
+    the verdicts over all rates plus the per-mu relative margins.
     """
     eps = default_tolerance(spec) if eps is None else eps
     mu_grid = tuple(mu_grid) if mu_grid is not None else (0.1, 0.5, 1.0, 5.0)
     m0 = dist.mean(spec)
     if not np.isfinite(m0):
-        return (Verdict("undefined", math.nan, eps,
-                        note="mean is infinite; condition undefined (m0=inf)"),
-                {float(mu): math.nan for mu in mu_grid})
+        return _undefined_mean(eps), {float(mu): math.nan for mu in mu_grid}
     margins: dict[float, float] = {}
     for mu in mu_grid:
         upper = 42.0 / mu
@@ -360,15 +366,7 @@ def check_exp_mean_condition(spec: DistributionSpec, mu_grid=None,
         margins[float(mu)] = (lhs - rhs) / rhs
     vals = np.asarray(list(margins.values()))
     mus = np.asarray(list(margins.keys()))
-    if variant == "no_bigger":
-        verdict = _one_sided(vals, mus, eps)
-    elif variant == "no_smaller":
-        verdict = _one_sided(-vals, mus, eps)
-    elif variant == "invariant":
-        verdict = _two_sided(vals, mus, eps)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    return verdict, margins
+    return _verdicts(vals, mus, eps), margins
 
 
 def check_second_order(spec: DistributionSpec,
@@ -408,15 +406,7 @@ class MomentTransferReport:
     consistent: bool | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "base_value": self.base_value,
-            "transformed_value": self.transformed_value,
-            "remainder_estimate": self.remainder_estimate,
-            "base_finite": self.base_finite,
-            "transformed_finite": self.transformed_finite,
-            "direction": self.direction,
-            "consistent": self.consistent,
-        }
+        return asdict(self)
 
 
 def moment_transfer_check(spec: DistributionSpec, reset: rt.ResetLaw,
@@ -495,14 +485,11 @@ def _transformed_power_moment(spec: DistributionSpec, reset: rt.ResetLaw,
 
 @dataclass(frozen=True)
 class ClassifyConfig:
-    """Grids and tolerances for a full classification run."""
+    """Tolerance, restart rates and branching factors of a classify run."""
 
     eps: float | None = None
     mu_grid: tuple[float, ...] = (0.1, 0.5, 1.0, 5.0)
     lfolds: tuple[int, ...] = (2, 3)
-    xy_grid: tuple[float, ...] | None = None
-    t_grid: tuple[float, ...] | None = None
-    r_grid: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -529,78 +516,65 @@ class ClassificationReport:
         }
 
 
-_IMPLICATIONS = (
-    ("no_bigger_reset", "no_bigger_exp_reset"),
-    ("no_bigger_reset", "no_bigger_mean"),
-    ("no_bigger_exp_reset", "no_bigger_exp_mean"),
-    ("no_bigger_mean", "no_bigger_exp_mean"),
-    ("no_smaller_reset", "no_smaller_exp_reset"),
-    ("no_smaller_reset", "no_smaller_mean"),
-    ("no_smaller_exp_reset", "no_smaller_exp_mean"),
-    ("no_smaller_mean", "no_smaller_exp_mean"),
-)
+# each class implies the weaker ones, in either direction
+_IMPLICATIONS = tuple(
+    (f"{side}_{ante}", f"{side}_{cons}") for side in ("no_bigger", "no_smaller")
+    for ante, cons in (("reset", "exp_reset"), ("reset", "mean"),
+                       ("exp_reset", "exp_mean"), ("mean", "exp_mean")))
 
 
 def classify(spec: DistributionSpec,
              config: ClassifyConfig | None = None) -> ClassificationReport:
-    """Run every ordering check on one law with shared grids."""
+    """Run every ordering check on one law with shared grids.
+
+    Each condition's margins are computed once for l = 1 and every l in
+    ``lfolds``, the convolution average on the wider l >= 2 grid; its l = 1
+    readings come from the points of the l = 1 grid.
+    """
     cfg = config or ClassifyConfig()
+    if any(l < 2 for l in cfg.lfolds):
+        raise ValueError("branching check needs l >= 2")
     eps = cfg.eps if cfg.eps is not None else default_tolerance(spec)
-    xy = np.asarray(cfg.xy_grid, dtype=float) if cfg.xy_grid is not None \
-        else _axis_grid(spec)
+    ls = (1, *cfg.lfolds)
+    xy = _axis_grid(spec)
+    pair = dict(zip(ls, _pair_margins(spec, xy, ls)))
+    near, wide = _exp_condition_grids(spec)
+    ratios = dict(zip(ls, _exp_reset_ratios(spec, wide, ls)))
+    exp_mean, margins_mu = check_exp_mean_condition(spec, cfg.mu_grid, eps)
+    del exp_mean["invariant"]  # the report has no invariant exp-mean reading
 
-    conditions: dict[str, Verdict] = {}
-    per_mu: dict[str, dict[float, float]] = {}
-
-    pairs = np.stack(np.meshgrid(xy, xy, indexing="ij"), axis=-1).reshape(-1, 2)
-    margins = _pair_margins(spec, xy, l=1).ravel()
-    conditions["no_bigger_reset"] = _one_sided(margins, pairs, eps)
-    conditions["no_smaller_reset"] = _one_sided(-margins, pairs, eps)
-    conditions["invariant_reset"] = _two_sided(
-        np.where(np.isinf(margins), np.nan, margins), pairs, eps)
-
-    t_grid = np.asarray(cfg.t_grid, dtype=float) if cfg.t_grid is not None \
-        else None
-    conditions["no_bigger_exp_reset"] = check_exp_reset_condition(
-        spec, t_grid, eps, l=1, variant="no_bigger")
-    conditions["no_smaller_exp_reset"] = check_exp_reset_condition(
-        spec, t_grid, eps, l=1, variant="no_smaller")
-    conditions["invariant_exp_reset"] = check_exp_reset_condition(
-        spec, t_grid, eps, l=1, variant="invariant")
-
-    r_grid = np.asarray(cfg.r_grid, dtype=float) if cfg.r_grid is not None \
-        else None
-    for variant in ("no_bigger", "no_smaller", "invariant"):
-        conditions[f"{variant}_mean"] = check_mean_conditions(
-            spec, r_grid, eps, variant=variant)
-
-    for variant in ("no_bigger", "no_smaller"):
-        verdict, margins_mu = check_exp_mean_condition(
-            spec, cfg.mu_grid, eps, variant=variant)
-        conditions[f"{variant}_exp_mean"] = verdict
-        per_mu[f"{variant}_exp_mean"] = margins_mu
-
+    readings = {
+        "reset": _pair_verdicts(pair[1], xy, eps, 1),
+        "exp_reset": _exp_reset_verdicts(ratios[1][np.isin(wide, near)], near,
+                                         eps, 1),
+        "mean": check_mean_conditions(spec, eps=eps),
+        "exp_mean": exp_mean,
+    }
+    conditions = {f"{reading}_{name}": verdict
+                  for name, verdicts in readings.items()
+                  for reading, verdict in verdicts.items()}
+    per_mu = {"no_bigger_exp_mean": margins_mu,
+              "no_smaller_exp_mean": margins_mu}
     conditions["second_order"] = check_second_order(spec, eps)
 
     for l in cfg.lfolds:
-        main, probe = check_lfold_supermultiplicative(spec, l, xy, eps)
-        conditions[f"lfold_no_bigger_{l}"] = main
-        conditions[f"lfold_invariance_probe_{l}"] = probe
-        conditions[f"lfold_exp_no_bigger_{l}"] = check_exp_reset_condition(
-            spec, t_grid, eps, l=l, variant="no_bigger")
+        lfold = _pair_verdicts(pair[l], xy, eps, l)
+        conditions[f"lfold_no_bigger_{l}"] = lfold["no_bigger"]
+        conditions[f"lfold_invariance_probe_{l}"] = lfold["invariant"]
+        conditions[f"lfold_exp_no_bigger_{l}"] = _exp_reset_verdicts(
+            ratios[l], wide, eps, l)["no_bigger"]
 
     # the arbitrary and deterministic restart classes provably coincide
-    conditions["no_bigger_deterministic_reset"] = conditions["no_bigger_reset"]
-    conditions["no_smaller_deterministic_reset"] = conditions["no_smaller_reset"]
-    conditions["no_bigger_deterministic_mean"] = conditions["no_bigger_mean"]
-    conditions["no_smaller_deterministic_mean"] = conditions["no_smaller_mean"]
+    for name in ("reset", "mean"):
+        for side in ("no_bigger", "no_smaller"):
+            conditions[f"{side}_deterministic_{name}"] = \
+                conditions[f"{side}_{name}"]
 
     exponential_flag = conditions["invariant_reset"].holds
 
     implications = []
     for ante, cons in _IMPLICATIONS:
-        a = conditions[ante]
-        c = conditions[cons]
+        a, c = conditions[ante], conditions[cons]
         applicable = a.status != "undefined" and c.status != "undefined"
         implications.append({
             "antecedent": ante, "consequent": cons,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._integrate import convolution_log_integrand
+from ._integrate import convolution_log_tails
 from .distributions import DistributionSpec
 
 __all__ = ["ResidualReport", "lfold_invariance_residual"]
@@ -40,7 +40,8 @@ class ResidualReport:
 
 def _residual_at(spec: DistributionSpec, t: float, l: int) -> float:
     # int_0^t tail(u)**l tail(t-u) du, written with u -> t - u
-    weights, expo = convolution_log_integrand(spec, t, l)
+    weights, head, rest = convolution_log_tails(spec, t)
+    expo = head + float(l) * rest
     integral = t * float(weights @ np.exp(np.clip(expo, -745.0, 0.0)))
     return integral - t * float(spec.tail(t))
 

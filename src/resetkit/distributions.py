@@ -752,7 +752,7 @@ class Tabulated(DistributionSpec):
         if self.curve.mode == "step":
             cell_int = ladder[:-1] * cells
         else:
-            cell_int = _loglinear_cell_integrals(ladder, cells)
+            cell_int = _geo_segment_integral(ladder[:-1], ladder[1:], cells)
         suffix = np.append(np.cumsum(cell_int[::-1])[::-1], 0.0)
         idx = np.clip(np.searchsorted(g, t_arr, side="right") - 1, 0, g.size - 1)
         nxt = np.minimum(idx + 1, g.size - 1)
@@ -809,11 +809,14 @@ class Tabulated(DistributionSpec):
         ladder = self.curve.knot_values
         idx = np.clip(np.searchsorted(g, t_arr, side="right") - 1, 0,
                       max(g.size - 2, 0))
-        lo_v = np.maximum(ladder[idx], 1e-300)
-        hi_v = np.maximum(ladder[np.minimum(idx + 1, g.size - 1)], 1e-300)
+        lo_v, hi_v = ladder[idx], ladder[np.minimum(idx + 1, g.size - 1)]
         width = np.maximum(g[np.minimum(idx + 1, g.size - 1)] - g[idx], 1e-300)
-        rate = -(np.log(hi_v) - np.log(lo_v)) / width
-        out = rate * np.asarray(self._tail0(t_arr))
+        rate = -(np.log(np.maximum(hi_v, 1e-300))
+                 - np.log(np.maximum(lo_v, 1e-300))) / width
+        # the tail falls linearly over a cell with a (numerically) zero end
+        out = np.where((lo_v > 1e-300) & (hi_v > 1e-300),
+                       rate * np.asarray(self._tail0(t_arr)),
+                       (lo_v - hi_v) / width)
         return np.where((t_arr < 0.0) | (t_arr >= g[-1]), 0.0, out)
 
 
@@ -853,14 +856,6 @@ def _libm(fn, *args) -> np.ndarray:
     lists = [a.ravel().tolist() for a in arrays]
     return np.fromiter(map(fn, *lists), dtype=float,
                        count=arrays[0].size).reshape(arrays[0].shape)
-
-
-def _loglinear_cell_integrals(ladder: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    out = np.empty_like(cells)
-    for i in range(cells.size):
-        out[i] = _geo_segment_integral(float(ladder[i]), float(ladder[i + 1]),
-                                       float(cells[i]))
-    return out
 
 
 def _geo_segment_integral(lo_v, hi_v, width):

@@ -21,13 +21,12 @@ NO_SMALLER = ("no_smaller_reset", "no_smaller_exp_reset", "no_smaller_mean",
 class TestMultiplicativity:
     def test_exponential_is_multiplicative(self):
         for lam in (0.3, 1.0, 2.0):
-            v = cls.check_supermultiplicative(exp_law(lam),
-                                              variant="multiplicative")
+            v = cls.check_supermultiplicative(exp_law(lam))["invariant"]
             assert v.holds and abs(v.margin) <= 1e-9
 
     def test_weibull_super_iff_shape_below_one(self):
-        assert cls.check_supermultiplicative(weib(0.5)).holds
-        v = cls.check_supermultiplicative(weib(1.5))
+        assert cls.check_supermultiplicative(weib(0.5))["no_bigger"].holds
+        v = cls.check_supermultiplicative(weib(1.5))["no_bigger"]
         assert v.fails
         x, y = v.witness
         assert abs(x - y) < max(x, y)  # worst violation sits near x == y
@@ -36,13 +35,13 @@ class TestMultiplicativity:
         for name, make in ALL_LAWS.items():
             if name == "exp1":
                 continue
-            v = cls.check_supermultiplicative(make(), variant="multiplicative")
+            v = cls.check_supermultiplicative(make())["invariant"]
             assert v.fails and abs(v.margin) > 1e-8, name
 
     def test_plateau_example(self):
         # fails on the diagonal x + y == 1 while the shifted family holds
         spec = plateau()
-        v = cls.check_supermultiplicative(spec)
+        v = cls.check_supermultiplicative(spec)["no_bigger"]
         assert v.fails
         x, y = v.witness
         assert x + y == pytest.approx(1.0, abs=0.25)
@@ -61,20 +60,20 @@ class TestMultiplicativity:
             lhs = tail[i] * tail
             rhs = np.asarray(spec.tail(x + xs))
             worst = min(worst, float(np.min(np.log(rhs) - np.log(lhs))))
-        v = cls.check_supermultiplicative(spec)
+        v = cls.check_supermultiplicative(spec)["no_bigger"]
         assert v.fails
         assert v.margin <= worst + 1e-9
 
 
 class TestExpResetCondition:
     def test_exponential_equality(self):
-        v = cls.check_exp_reset_condition(exp_law(1.7), variant="invariant")
+        v = cls.check_exp_reset_condition(exp_law(1.7))["invariant"]
         assert v.holds and abs(v.margin) <= 1e-9
 
     def test_step_example_holds_while_supermult_fails(self):
         spec = pw_sixth()
-        assert cls.check_exp_reset_condition(spec).holds
-        assert cls.check_supermultiplicative(spec).fails
+        assert cls.check_exp_reset_condition(spec)["no_bigger"].holds
+        assert cls.check_supermultiplicative(spec)["no_bigger"].fails
 
     def test_ratio_against_brute_riemann(self):
         spec = pw_sixth()
@@ -82,75 +81,75 @@ class TestExpResetCondition:
             u = np.linspace(0.0, t, 400_001)
             f = np.asarray(spec.tail(u)) * np.asarray(spec.tail(t - u))
             brute = float(np.trapezoid(f, u)) / (t * float(spec.tail(t)))
-            got = cls._exp_reset_ratio(spec, t, 1)
+            got = cls._exp_reset_ratios(spec, [t], (1,))[0, 0]
             assert got == pytest.approx(brute, rel=5e-4), t
 
     def test_weibull_lfold_condition(self):
-        assert cls.check_exp_reset_condition(weib(0.5), l=2).holds
-        assert cls.check_exp_reset_condition(weib(1.5), l=2).fails
+        assert cls.check_exp_reset_condition(weib(0.5), l=2)["no_bigger"].holds
+        assert cls.check_exp_reset_condition(weib(1.5), l=2)["no_bigger"].fails
         # the k just above 1 failures appear only at very large times
-        v = cls.check_exp_reset_condition(weib(1.1), l=3)
+        v = cls.check_exp_reset_condition(weib(1.1), l=3)["no_bigger"]
         assert v.fails
         assert v.witness[0] > 1e3
 
     def test_mean_only_example_fails_dominance(self):
-        v = cls.check_exp_reset_condition(pe_mean_only())
+        v = cls.check_exp_reset_condition(pe_mean_only())["no_bigger"]
         assert v.fails
         assert v.witness[0] == pytest.approx(1.0, abs=0.05)
 
     def test_compact_support_fails(self):
-        assert cls.check_exp_reset_condition(uniform02()).fails
+        assert cls.check_exp_reset_condition(uniform02())["no_bigger"].fails
 
-    def test_no_smaller_rejects_l_above_one(self):
-        with pytest.raises(ValueError):
-            cls.check_exp_reset_condition(exp_law(), l=2, variant="no_smaller")
+    def test_branching_reports_only_no_bigger(self):
+        # no_smaller and invariant are defined for l = 1 only
+        verdicts = cls.check_exp_reset_condition(exp_law(), l=2)
+        assert set(verdicts) == {"no_bigger"}
 
 
 class TestMeanConditions:
     def test_exponential_invariant(self):
-        v = cls.check_mean_conditions(exp_law(), variant="invariant")
+        v = cls.check_mean_conditions(exp_law())["invariant"]
         assert v.holds
 
     def test_mean_only_example_holds(self):
-        v = cls.check_mean_conditions(pe_mean_only(), variant="no_bigger")
+        v = cls.check_mean_conditions(pe_mean_only())["no_bigger"]
         assert v.holds
 
     def test_weibull_directions(self):
-        assert cls.check_mean_conditions(weib(0.5), variant="no_bigger").holds
-        assert cls.check_mean_conditions(weib(0.5), variant="no_smaller").fails
-        assert cls.check_mean_conditions(weib(2.0), variant="no_smaller").holds
+        assert cls.check_mean_conditions(weib(0.5))["no_bigger"].holds
+        assert cls.check_mean_conditions(weib(0.5))["no_smaller"].fails
+        assert cls.check_mean_conditions(weib(2.0))["no_smaller"].holds
 
     def test_tail_below_one_blocks_no_smaller(self):
-        v = cls.check_mean_conditions(pw_finite(), variant="no_smaller")
+        v = cls.check_mean_conditions(pw_finite())["no_smaller"]
         assert v.fails
         assert "tail(0) < 1" in v.note
 
     def test_infinite_mean_undefined(self):
-        v = cls.check_mean_conditions(levy())
+        v = cls.check_mean_conditions(levy())["no_bigger"]
         assert v.status == "undefined"
         assert "m0=inf" in v.note
 
     def test_normalized_pareto_square_holds_in_mean(self):
         # with tail k^2/(t+k)^2 the residual mean t+k always exceeds m0=k
-        v = cls.check_mean_conditions(sps(0.5), variant="no_bigger")
+        v = cls.check_mean_conditions(sps(0.5))["no_bigger"]
         assert v.holds
 
 
 class TestExpMeanCondition:
     def test_exponential_equality_every_rate(self):
-        verdict, margins = cls.check_exp_mean_condition(exp_law(),
-                                                        variant="invariant")
-        assert verdict.holds
+        verdicts, margins = cls.check_exp_mean_condition(exp_law())
+        assert verdicts["invariant"].holds
         assert all(abs(m) <= 1e-9 for m in margins.values())
 
     def test_weibull_heavy_holds(self):
-        verdict, _ = cls.check_exp_mean_condition(weib(0.5))
-        assert verdict.holds
+        verdicts, _ = cls.check_exp_mean_condition(weib(0.5))
+        assert verdicts["no_bigger"].holds
 
     def test_normalized_pareto_square_holds(self):
         # the normalized law is supermultiplicative, so this must hold
-        verdict, margins = cls.check_exp_mean_condition(sps(0.5))
-        assert verdict.holds
+        verdicts, margins = cls.check_exp_mean_condition(sps(0.5))
+        assert verdicts["no_bigger"].holds
         assert all(m > 0 for m in margins.values())
 
     def test_formal_profile_fails_all_rates(self):
@@ -174,8 +173,8 @@ class TestExpMeanCondition:
         assert got == pytest.approx(want, rel=1e-5)
 
     def test_infinite_mean_undefined(self):
-        verdict, margins = cls.check_exp_mean_condition(levy())
-        assert verdict.status == "undefined"
+        verdicts, margins = cls.check_exp_mean_condition(levy())
+        assert verdicts["no_bigger"].status == "undefined"
         assert all(math.isnan(m) for m in margins.values())
 
 
@@ -196,19 +195,19 @@ class TestSecondOrder:
 
 class TestLfold:
     def test_weibull_lfold_pointwise(self):
-        main, probe = cls.check_lfold_supermultiplicative(weib(0.5), 2)
-        assert main.holds and probe.fails
-        main, probe = cls.check_lfold_supermultiplicative(weib(1.5), 2)
-        assert main.fails and probe.fails
+        v = cls.check_supermultiplicative(weib(0.5), l=2)
+        assert v["no_bigger"].holds and v["invariant"].fails
+        v = cls.check_supermultiplicative(weib(1.5), l=2)
+        assert v["no_bigger"].fails and v["invariant"].fails
 
     def test_exponential_lfold_holds_but_never_invariant(self):
-        main, probe = cls.check_lfold_supermultiplicative(exp_law(), 2)
-        assert main.holds
-        assert probe.fails  # invariance is impossible under branching
+        v = cls.check_supermultiplicative(exp_law(), l=2)
+        assert v["no_bigger"].holds
+        assert v["invariant"].fails  # invariance is impossible under branching
 
     def test_invariance_probe_fails_on_every_fixture(self):
         for name, make in ALL_LAWS.items():
-            _, probe = cls.check_lfold_supermultiplicative(make(), 2)
+            probe = cls.check_supermultiplicative(make(), l=2)["invariant"]
             assert probe.fails, name
 
 
@@ -316,13 +315,60 @@ class TestClassifyReport:
         assert rep.conditions["no_bigger_exp_mean"].holds
 
 
+class TestOneMarginPass:
+    @pytest.mark.parametrize("name", sorted(ALL_LAWS))
+    def test_classify_matches_standalone_checks(self, name):
+        # classify shares one margin pass per condition across its readings
+        # and branching factors; each verdict must be the standalone one
+        spec = ALL_LAWS[name]()
+        rep = cls.classify(spec)
+        eps = rep.metadata["eps"]
+        exp_mean, margins = cls.check_exp_mean_condition(spec, eps=eps)
+        want = {}
+        for cond, verdicts in (
+                ("reset", cls.check_supermultiplicative(spec, eps=eps)),
+                ("exp_reset", cls.check_exp_reset_condition(spec, eps=eps)),
+                ("mean", cls.check_mean_conditions(spec, eps=eps)),
+                ("exp_mean", exp_mean)):
+            for reading, v in verdicts.items():
+                want[f"{reading}_{cond}"] = v
+        want["second_order"] = cls.check_second_order(spec, eps)
+        for l in (2, 3):
+            pair = cls.check_supermultiplicative(spec, eps=eps, l=l)
+            want[f"lfold_no_bigger_{l}"] = pair["no_bigger"]
+            want[f"lfold_invariance_probe_{l}"] = pair["invariant"]
+            want[f"lfold_exp_no_bigger_{l}"] = cls.check_exp_reset_condition(
+                spec, eps=eps, l=l)["no_bigger"]
+        for cond, verdict in rep.conditions.items():
+            if "deterministic" in cond:
+                continue
+            # repr tells nan margins and the sign of zero apart
+            assert repr(verdict) == repr(want.pop(cond)), (name, cond)
+        assert set(want) == {"invariant_exp_mean"}
+        for key in ("no_bigger_exp_mean", "no_smaller_exp_mean"):
+            assert repr(rep.per_mu_margins[key]) == repr(margins)
+
+    @pytest.mark.parametrize("name", sorted(ALL_LAWS))
+    def test_multi_l_ratios_equal_single_l_pass(self, name):
+        spec = ALL_LAWS[name]()
+        _, wide = cls._exp_condition_grids(spec)
+        together = cls._exp_reset_ratios(spec, wide, (1, 2, 3))
+        for row, l in zip(together, (1, 2, 3)):
+            alone = cls._exp_reset_ratios(spec, wide, (l,))[0]
+            assert row.tobytes() == alone.tobytes(), (name, l)
+
+    def test_lfold_below_two_rejected(self):
+        with pytest.raises(ValueError):
+            cls.classify(exp_law(), cls.ClassifyConfig(lfolds=(1,)))
+
+
 class TestClassifierVsSimulator:
     def test_no_bigger_laws_dominate_monte_carlo(self):
         resets = (rt.ResetLaw.deterministic(0.7), rt.ResetLaw.exponential(1.0),
                   rt.ResetLaw.general(uniform02()))
         for make in (lambda: weib(0.5), sps, exp_law):
             spec = make()
-            assert cls.check_supermultiplicative(spec).holds
+            assert cls.check_supermultiplicative(spec)["no_bigger"].holds
             probes = tuple(float(spec.isf(u))
                            for u in (0.8, 0.6, 0.4, 0.2, 0.08))
             for reset in resets:
@@ -344,5 +390,5 @@ class TestInconclusive:
         curve = d.TailCurve(grid=tuple(grid), values=tuple(vals[:-1]),
                             terminal=float(vals[-1]), mode="log-linear")
         spec = d.Tabulated(curve=curve)
-        v = cls.check_supermultiplicative(spec)
+        v = cls.check_supermultiplicative(spec)["no_bigger"]
         assert v.status == "inconclusive"

@@ -5,6 +5,8 @@ import pytest
 from scipy import special as sp
 
 from resetkit import distributions as d
+from resetkit import reset_transform as rt
+from resetkit._integrate import split_quad
 from resetkit.distributions import (DegenerateAtZeroError, MomentFunction,
                                     NonMonotoneError, TailCurve,
                                     ZeroAtOriginError)
@@ -268,6 +270,31 @@ class TestTailCurve:
         curve = TailCurve(grid=(0.0, 2.0), values=(1.0,), terminal=math.exp(-2.0),
                           mode="log-linear")
         assert curve(1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+
+    def test_loglinear_density_where_the_tail_falls_linearly(self):
+        # the tail interpolates linearly on a cell with a zero end; the
+        # density there used the log slope against 1e-300, 340x too large
+        curve = TailCurve(grid=(0.0, 0.4, 1.1, 1.9, 2.6),
+                          values=(1.0, 0.7, 0.45, 0.2), terminal=0.0,
+                          mode="log-linear")
+        reset = d.Tabulated(curve=curve)
+        mass, _ = split_quad(reset.density, 1.9, 2.6)
+        assert mass == pytest.approx(0.2, abs=1e-12)
+        # restart mean E[min(T, R)] / P(T <= R), from the reset law's tail
+        # and T's density only
+        law = weib(0.5)
+        grid = curve.grid
+
+        def both(t):
+            return float(law.tail(t)) * float(reset.tail(t))
+
+        def finish(t):
+            return float(law.density(t)) * float(reset.tail(t))
+
+        want = split_quad(both, 0.0, 2.6, grid)[0] \
+            / split_quad(finish, 0.0, 2.6, grid)[0]
+        got = rt.reset_mean(law, rt.ResetLaw.general(reset))
+        assert got == pytest.approx(want, rel=1e-9)
 
     def test_tabulated_sampling_consistency(self):
         spec = d.Tabulated(curve=d.as_tail_curve(weib(2.0)))

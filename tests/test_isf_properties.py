@@ -19,6 +19,8 @@ from resetkit import mrl
 
 import isf_loop_reference as ref
 from fixture_laws import ALL_LAWS
+from law_strategies import (from_mrl, piecewise_constant, piecewise_exp,
+                            tabulated, unit)
 
 # a fixed, derandomized budget: the whole file runs in a few seconds
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -27,66 +29,6 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None,
 # tail(isf(u)) <= u holds in exact arithmetic; isf(u) and the tail each
 # round, so the check allows a relative 1e-12 in t and in u
 ROUNDING = 1e-12
-
-steps = st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6)
-unit = st.floats(0.0, 1.0)
-
-
-def starts(widths) -> tuple[float, ...]:
-    return (0.0,) + tuple(float(x) for x in np.cumsum(widths[:-1]))
-
-
-@st.composite
-def piecewise_constant(draw):
-    widths = draw(steps)
-    levels = sorted(draw(st.lists(unit, min_size=len(widths),
-                                  max_size=len(widths))), reverse=True)
-    return d.PiecewiseConstantTail(breakpoints=starts(widths),
-                                   levels=tuple(levels), check_standing=False)
-
-
-@st.composite
-def piecewise_exp(draw):
-    widths = draw(steps)
-    segs, offset = [], draw(st.floats(0.0, 2.0))
-    for s, w in zip(starts(widths), widths):
-        rate = draw(st.sampled_from([0.0, 0.3, 1.0, 4.0]))
-        segs.append((s, offset, rate))
-        offset += rate * w + draw(st.sampled_from([0.0, 0.0, 0.5]))
-    if draw(st.booleans()):
-        segs[-1] = segs[-1][:2] + (1.5,)
-    defect = draw(st.sampled_from([0.0, 0.0, 0.2]))
-    return d.PiecewiseExpTail(segments=tuple(segs), defect=defect,
-                              check_standing=False)
-
-
-@st.composite
-def tabulated(draw):
-    widths = draw(steps)
-    grid = starts(widths) + (float(sum(widths)),)
-    first = draw(st.floats(0.05, 1.0))
-    ladder = [first] + sorted((min(x, first) for x in draw(
-        st.lists(st.one_of(unit, st.just(0.0)), min_size=len(widths),
-                 max_size=len(widths)))), reverse=True)
-    curve = d.TailCurve(grid=grid, values=tuple(ladder[:-1]),
-                        terminal=ladder[-1],
-                        mode=draw(st.sampled_from(["step", "log-linear"])))
-    return d.Tabulated(curve=curve, check_standing=False)
-
-
-@st.composite
-def from_mrl(draw):
-    widths = draw(steps)
-    grid = starts(widths) + (float(sum(widths)),)
-    values = [draw(st.floats(0.2, 3.0))]
-    for w in widths:
-        slope = draw(st.sampled_from([-1.0, -0.7, 0.0, 0.4, 2.0]))
-        values.append(max(values[-1] + slope * w, 0.05))
-    curve = mrl.MrlCurve(grid=grid, values=tuple(values),
-                         terminal=draw(st.sampled_from(["constant", "linear"])),
-                         m0=values[0] * draw(st.floats(0.5, 1.0)))
-    return mrl.law_from_mrl(curve)
-
 
 laws = st.one_of(piecewise_constant(), piecewise_exp(), tabulated(),
                  from_mrl())

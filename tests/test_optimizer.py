@@ -96,11 +96,11 @@ class TestExtremal:
     def test_classifier_consistency(self):
         # no-bigger in mean forces sup <= m0; no-smaller forces inf >= m0
         spec = weib(0.5)
-        assert cls.check_mean_conditions(spec, variant="no_bigger").holds
+        assert cls.check_mean_conditions(spec)["no_bigger"].holds
         rep = opt.extremal_reset_mean(spec)
         assert rep.sup <= d.mean(spec) + 1e-7
         spec = weib(2.0)
-        assert cls.check_mean_conditions(spec, variant="no_smaller").holds
+        assert cls.check_mean_conditions(spec)["no_smaller"].holds
         rep = opt.extremal_reset_mean(spec)
         assert rep.inf >= d.mean(spec) - 1e-7
 
