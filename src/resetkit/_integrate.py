@@ -1,56 +1,60 @@
-"""Shared quadrature helpers: scipy.integrate.quad and Gauss-Legendre panels."""
+"""Shared quadrature: tanh-sinh panels cut at kinks, Gauss-Legendre panels.
+
+``quad`` integrates over [a, b] cut at every kink, jump and finite support
+end of the laws it is given (plus any extra ``points``), so no panel holds
+a kink; ``panels`` integrates all panels in one vectorised call of the
+tanh-sinh rule (Takahasi & Mori 1974), which tolerates endpoint
+singularities and an infinite upper limit and returns an error estimate
+per panel. The fixed-order Gauss-Legendre panels serve the cumulative and
+convolution integrals, which need values at thousands of knots.
+"""
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import tanhsinh
+
+_RTOL = 1e-13
+_ATOL = 1e-14
+_MERGE = 1e-13  # relative gap below which cuts merge: one-ulp panels give NaN
 
 
-def split_quad(fn, a: float, b: float, points=(), epsabs: float = 1e-12,
-               epsrel: float = 1e-10, limit: int = 200) -> tuple[float, float]:
-    """Integrate ``fn`` over [a, b], splitting at the interior breakpoints.
+def panels(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of ``fn`` over the panels [lo[i], hi[i]] and their errors.
 
-    Splitting keeps the adaptive rule away from discontinuities and kinks.
-    Returns (value, error_estimate). Roundoff chatter from the adaptive
-    rule is suppressed; callers judge accuracy by the returned estimate.
+    ``fn`` must accept arrays of any shape; ``hi`` may be inf.
     """
-    inner = sorted({float(p) for p in points if a < float(p) < b})
-    knots = [float(a)] + inner + [float(b)]
-    total = 0.0
-    err = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(knots[:-1], knots[1:]):
-            if hi - lo <= 0.0:
-                continue
-            v, e = quad(fn, lo, hi, epsabs=epsabs, epsrel=epsrel, limit=limit)
-            total += v
-            err += e
-    return total, err
+    res = tanhsinh(fn, np.asarray(lo, float), np.asarray(hi, float),
+                   rtol=_RTOL, atol=_ATOL)
+    return res.integral, res.error
 
 
-def octave_quad_to_inf(fn, a: float, tol: float = 1e-11,
-                       max_octaves: int = 80) -> tuple[float, float]:
-    """Integrate ``fn`` over [a, inf) by doubling octaves until they stop mattering.
+def kinks(laws) -> np.ndarray:
+    """Sorted kinks, jumps and finite support ends (of the base law, which a
+    defect leaves a kink) of the tails of ``laws``."""
+    pts = np.array([p for law in laws
+                    for p in (*law.tail_breakpoints(), law._support_end())])
+    return np.unique(pts[np.isfinite(pts)])
 
-    Robust for slowly decaying integrands where a single infinite-interval
-    quad call loses the tail. Returns (value, error_estimate); the estimate
-    is the size of the last octave plus accumulated quad errors.
+
+def cuts(a: float, b: float, points) -> np.ndarray:
+    """Panel edges: a, the ``points`` strictly between a and b, and b.
+
+    Sorted, with cuts closer than a relative 1e-13 merged; ``b`` may be inf.
     """
-    lo = max(a, 0.0)
-    hi = max(2.0 * lo, 1.0)
-    total, err = quad(fn, lo, hi, epsabs=0.0, epsrel=1e-10, limit=100)
-    piece = np.inf
-    for _ in range(max_octaves):
-        v, e = quad(fn, hi, 2.0 * hi, epsabs=0.0, epsrel=1e-10, limit=100)
-        total += v
-        err += e
-        piece = abs(v)
-        hi *= 2.0
-        if piece < tol * max(1.0, abs(total)):
-            return total, err + piece
-    return total, err + piece
+    pts = np.ravel(np.asarray(points, dtype=float))
+    edges = np.unique(np.concatenate([[a, b], pts[(pts > a) & (pts < b)]]))
+    scale = np.where(np.isfinite(edges), np.abs(edges), 0.0)
+    edges = edges[np.diff(edges, prepend=-np.inf) > _MERGE * scale]
+    edges[-1] = b
+    return edges
+
+
+def quad(fn, a: float, b: float, laws=(), points=()) -> tuple[float, float]:
+    """Integral of ``fn`` over [a, b] and its error estimate, with panels cut
+    at every kink of ``laws`` and at ``points``; ``b`` may be inf."""
+    edges = cuts(a, b, np.concatenate([kinks(laws), np.ravel(points)]))
+    vals, errs = panels(fn, edges[:-1], edges[1:])
+    return float(np.sum(vals)), float(np.sum(errs))
 
 
 def hybrid_grid(upper: float, n: int = 4096, lower: float | None = None,
@@ -83,25 +87,10 @@ def hybrid_grid(upper: float, n: int = 4096, lower: float | None = None,
 
 
 def gauss_legendre_cumulative(fn, knots: np.ndarray, order: int = 12) -> np.ndarray:
-    """Cumulative integral of ``fn`` along sorted knots with fixed-order GL panels.
-
-    Returns an array c with c[i] = integral of fn over [knots[0], knots[i]].
-    ``fn`` must accept numpy arrays.
-    """
-    knots = np.asarray(knots, dtype=float)
-    x, w = np.polynomial.legendre.leggauss(order)
-    lo = knots[:-1]
-    hi = knots[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    # evaluation points: panels x nodes
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = fn(pts.ravel()).reshape(pts.shape)
-    panel = half * (vals @ w)
-    out = np.empty(knots.shape, dtype=float)
-    out[0] = 0.0
-    np.cumsum(panel, out=out[1:])
-    return out
+    """c[i] = integral of ``fn`` over [knots[0], knots[i]] by GL panels."""
+    nodes, weights = gl_panel(np.asarray(knots, dtype=float), order)
+    panel = (fn(nodes) * weights).reshape(-1, order).sum(axis=1)
+    return np.concatenate([[0.0], np.cumsum(panel)])
 
 
 def gl_panel(edges: np.ndarray, order: int = 12) -> tuple[np.ndarray, np.ndarray]:
@@ -120,13 +109,6 @@ _LADDER = np.array([1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3,
                     1e-2, 3e-2, 0.1, 0.2, 0.35, 0.5])
 
 
-def _unit_panel_edges(extra: tuple[float, ...] = ()) -> np.ndarray:
-    edges = np.concatenate([[0.0], _LADDER, 1.0 - _LADDER[::-1], [1.0],
-                            np.asarray(extra, dtype=float)])
-    edges = edges[(edges >= 0.0) & (edges <= 1.0)]
-    return np.unique(edges)
-
-
 def convolution_log_tails(spec, t: float
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Weights and log factors of int_0^1 tail(t v) tail(t (1 - v))**l dv.
@@ -137,16 +119,11 @@ def convolution_log_tails(spec, t: float
     [0, 1] and split wherever either factor has a breakpoint or the
     support of ``spec`` ends. Log tails are -inf where the tail is 0.
     """
-    log_tail = spec.log_tail
-    kinks = list(spec.tail_breakpoints())
-    if np.isfinite(spec.t0):
-        kinks.append(spec.t0)
-    extra = []
-    for b in kinks:
-        if 0.0 < b < t:
-            extra += [b / t, 1.0 - b / t]
-    nodes, weights = gl_panel(_unit_panel_edges(tuple(extra)))
-    head = np.asarray(log_tail(t * nodes))
-    rest = np.asarray(log_tail(t * (1.0 - nodes)))
+    inner = kinks((spec,))
+    inner = inner[(inner > 0.0) & (inner < t)] / t
+    nodes, weights = gl_panel(np.unique(np.concatenate(
+        [[0.0], _LADDER, 1.0 - _LADDER[::-1], [1.0], inner, 1.0 - inner])))
+    head = np.asarray(spec.log_tail(t * nodes))
+    rest = np.asarray(spec.log_tail(t * (1.0 - nodes)))
     return (weights, np.where(np.isnan(head), -np.inf, head),
             np.where(np.isnan(rest), -np.inf, rest))

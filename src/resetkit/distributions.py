@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special as _sp
 
-from ._integrate import hybrid_grid, octave_quad_to_inf, split_quad
+from ._integrate import hybrid_grid, quad
 
 __all__ = [
     "DistributionSpec",
@@ -74,18 +74,24 @@ class TailCurve:
     ``values`` holds one probability per grid cell [grid[i], grid[i+1]),
     ``terminal`` the value on [grid[-1], inf). In ``log-linear`` mode the
     entries are knot values at the breakpoints instead (terminal doubling
-    as the last knot) and the curve interpolates geometrically.
+    as the last knot) and the curve interpolates geometrically. ``grid``
+    and ``values`` are kept as read-only float arrays (copies of what was
+    passed); curves are equal when their arrays are bitwise equal and their
+    other fields equal.
     """
 
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
+    grid: np.ndarray
+    values: np.ndarray
     terminal: float
     mode: str = "step"
     err_estimate: float = 0.0
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        g = np.array(self.grid, dtype=float)
+        v = np.array(self.values, dtype=float)
+        g.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "grid", g)
+        object.__setattr__(self, "values", v)
         if g.size < 1 or g[0] != 0.0:
             raise SpecValidationError("tail curve grid must start at 0")
         if g.size > 1 and np.any(np.diff(g) <= 0.0):
@@ -103,13 +109,23 @@ class TailCurve:
         if ladder[0] <= 0.0:
             raise ZeroAtOriginError("first tail value must be positive")
 
+    def _key(self) -> tuple:
+        return (self.grid.tobytes(), self.values.tobytes(), self.terminal,
+                self.mode, self.err_estimate)
+
+    def __eq__(self, other):
+        return isinstance(other, TailCurve) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @property
     def knot_values(self) -> np.ndarray:
-        return np.append(np.asarray(self.values, dtype=float), self.terminal)
+        return np.append(self.values, self.terminal)
 
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        g = np.asarray(self.grid, dtype=float)
+        g = self.grid
         ladder = self.knot_values
         idx = np.searchsorted(g, t_arr, side="right") - 1
         idx = np.clip(idx, 0, g.size - 1)
@@ -732,7 +748,7 @@ class Tabulated(DistributionSpec):
 
     def _isf0(self, u):
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        g = np.asarray(self.curve.grid, dtype=float)
+        g = self.curve.grid
         ladder = self.curve.knot_values
         idx = np.searchsorted(-ladder, -u_arr, side="left")
         if self.curve.mode == "step":
@@ -746,7 +762,7 @@ class Tabulated(DistributionSpec):
         t_arr = np.asarray(t, dtype=float)
         if self.curve.terminal > 0.0:
             return np.full(t_arr.shape, np.inf)
-        g = np.asarray(self.curve.grid, dtype=float)
+        g = self.curve.grid
         ladder = self.curve.knot_values
         cells = np.diff(g)
         if self.curve.mode == "step":
@@ -777,14 +793,14 @@ class Tabulated(DistributionSpec):
         if self.curve.terminal > 0.0:
             return np.inf
         ladder = self.curve.knot_values
-        g = np.asarray(self.curve.grid, dtype=float)
+        g = self.curve.grid
         pos = np.nonzero(ladder > 0.0)[0]
         if pos.size == 0:
             return 0.0
         return float(g[min(int(pos[-1]) + 1, g.size - 1)])
 
     def tail_breakpoints(self):
-        return tuple(float(x) for x in self.curve.grid[1:])
+        return tuple(self.curve.grid[1:].tolist())
 
     def jumps(self):
         scale = 1.0 - self.defect
@@ -805,7 +821,7 @@ class Tabulated(DistributionSpec):
         if self.curve.mode == "step":
             return np.zeros(np.asarray(t, dtype=float).shape)
         t_arr = np.asarray(t, dtype=float)
-        g = np.asarray(self.curve.grid, dtype=float)
+        g = self.curve.grid
         ladder = self.curve.knot_values
         idx = np.clip(np.searchsorted(g, t_arr, side="right") - 1, 0,
                       max(g.size - 2, 0))
@@ -965,11 +981,9 @@ def _power_moment(spec: DistributionSpec, p: float) -> float:
         return p * t_arr ** (p - 1.0) * np.asarray(spec.tail(t_arr))
 
     upper = _bulk_cutoff(spec)
-    pts = tuple(spec.tail_breakpoints()) \
-        + tuple(np.geomspace(max(upper * 1e-8, 1e-12), upper, 9))
-    head, _ = split_quad(integrand, 0.0, upper, points=pts)
-    rest, _ = octave_quad_to_inf(integrand, upper)
-    return head + rest
+    val, _ = quad(integrand, 0.0, np.inf, laws=(spec,),
+                  points=np.geomspace(max(upper * 1e-8, 1e-12), upper, 9))
+    return val
 
 
 def _bulk_cutoff(spec: DistributionSpec, eps: float = 1e-10) -> float:
@@ -997,16 +1011,15 @@ def g_moment(spec: DistributionSpec, g: MomentFunction) -> float:
     if g.kind == "indicator_above":
         return float(spec.tail(g.threshold))
     # tabulated piecewise-linear nondecreasing curve, constant beyond its grid
-    total = g.values[0]
-    for (a, b), (va, vb) in zip(zip(g.grid, g.grid[1:]),
-                                zip(g.values, g.values[1:])):
-        if b <= a or vb == va:
-            continue
-        slope = (vb - va) / (b - a)
-        pts = tuple(p for p in spec.tail_breakpoints() if a < p < b)
-        seg, _ = split_quad(lambda t: np.asarray(spec.tail(t)), a, b, points=pts)
-        total += slope * seg
-    return float(total)
+    grid = np.asarray(g.grid)
+    slopes = np.diff(g.values) / np.diff(grid)
+
+    def integrand(t):
+        cell = np.clip(np.searchsorted(grid, t) - 1, 0, slopes.size - 1)
+        return slopes[cell] * np.asarray(spec.tail(t))
+
+    val, _ = quad(integrand, grid[0], grid[-1], laws=(spec,), points=grid)
+    return g.values[0] + val
 
 
 def sample(spec: DistributionSpec, rng: np.random.Generator, size=None):
@@ -1043,8 +1056,8 @@ def as_tail_curve(spec: DistributionSpec, grid=None,
         grid = working_grid(spec)
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(spec.tail(grid))
-    return TailCurve(grid=tuple(grid), values=tuple(vals[:-1]),
-                     terminal=float(vals[-1]), mode=mode)
+    return TailCurve(grid=grid, values=vals[:-1], terminal=float(vals[-1]),
+                     mode=mode)
 
 
 # ----------------------------------------------------------------------
@@ -1076,7 +1089,7 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
         else:
             raise SpecValidationError(
                 "values must carry one entry per grid point (last = terminal)")
-        curve = TailCurve(grid=tuple(grid), values=tuple(cells),
+        curve = TailCurve(grid=grid, values=cells,
                           terminal=terminal, mode=mode)
         return Tabulated(curve=curve, **extra)
     cls = _REGISTRY.get(name)
@@ -1103,8 +1116,8 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
     if not spec.check_standing:
         doc["check_standing"] = False
     if isinstance(spec, Tabulated):
-        doc["grid"] = list(spec.curve.grid)
-        doc["values"] = list(spec.curve.values) + [spec.curve.terminal]
+        doc["grid"] = spec.curve.grid.tolist()
+        doc["values"] = spec.curve.knot_values.tolist()
         doc["interpolation"] = spec.curve.mode
         return doc
     if isinstance(spec, PiecewiseConstantTail):

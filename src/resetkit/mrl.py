@@ -166,7 +166,7 @@ def _segment_inv_integral(v_start: float, slope: float, width: float) -> float:
         return 0.0
     if abs(slope) < 1e-14:
         return width / v_start
-    return math.log((v_start + slope * width) / v_start) / slope
+    return math.log1p(slope * width / v_start) / slope
 
 
 def tail_from_mrl(curve: MrlCurve, r):
@@ -190,7 +190,7 @@ def _tail_from_tables(curve: MrlCurve, r_arr: np.ndarray) -> np.ndarray:
     m_here = np.clip(base_v + s * dt, 0.0, None)
     with np.errstate(divide="ignore", invalid="ignore"):
         inc = np.where(np.abs(s) < 1e-14, dt / base_v,
-                       np.log(np.maximum(m_here, 1e-300) / base_v) / np.where(s == 0.0, 1.0, s))
+                       np.log1p(s * dt / base_v) / np.where(s == 0.0, 1.0, s))
         out = (tb.m0 / np.maximum(m_here, 1e-300)) * np.exp(-(base_c + inc))
     out = np.where(r_arr >= tb.support_end, 0.0, out)
     out = np.where(m_here <= 0.0, 0.0, out)
@@ -347,6 +347,18 @@ class FromMrl(dist.DistributionSpec):
 
     def tail_breakpoints(self):
         return tuple(float(x) for x in self.curve.grid[1:])
+
+    def jumps(self):
+        tb = _tables(self.curve)
+        scale = 1.0 - self.defect
+        out = []
+        first = (1.0 - float(tb.knot_tails[0])) * scale  # m0 < m(0)
+        if first > 1e-15:
+            out.append((0.0, first))
+        # a terminal slope of -1 keeps the tail flat until m reaches 0
+        if np.isfinite(tb.support_end) and abs(1 + 1 / tb.slopes[-1]) < 1e-14:
+            out.append((tb.support_end, float(tb.knot_tails[-1]) * scale))
+        return tuple(out)
 
     def _density0(self, t):
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))

@@ -6,7 +6,8 @@ grid solves it stably; atoms of the reset law enter exactly. The weights of
 that recursion depend only on the lag, so the whole grid is one
 lower-triangular Toeplitz system, solved blockwise with FFT products in
 O(n log^2 n). Deterministic restart has a closed form, exponential restart
-closed-form means.
+closed-form means. Integrals against the laws (means, P(T <= R), the cell
+masses of the reset density) are tanh-sinh panels cut at their kinks.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._integrate import split_quad
+from ._integrate import cuts, kinks, panels, quad
 from .distributions import (DistributionSpec, SpecValidationError, TailCurve)
 
 __all__ = [
@@ -141,11 +142,7 @@ class ResetLaw:
         for loc, w in self.atoms():
             total += w * float(np.exp(m * np.asarray(log_tail(loc))))
         if self.has_density:
-            upper = self.horizon()
-            pts = _density_breakpoints(spec, self, upper) + tuple(
-                p for p, _ in self.atoms())
-            head, _ = split_quad(f, 0.0, upper, points=pts)
-            total += head
+            total += quad(f, 0.0, self.horizon(), laws=(spec, self.spec))[0]
         return total
 
 
@@ -190,15 +187,10 @@ def _single_reset_tail_scalar(spec: DistributionSpec, reset: ResetLaw,
             total += w * float(tl(loc)) * float(tl(t - loc))
     if reset.has_density:
         def f(s):
-            s_arr = np.asarray(s)
-            return np.asarray(tl(s_arr)) * np.asarray(tl(t - s_arr)) \
-                * np.asarray(reset.density(s_arr))
+            return tl(s) * tl(t - s) * reset.density(s)
         # kinks of tl(s) and of the reset density, then those of tl(t - s)
-        own = spec.tail_breakpoints() + ((spec.t0,) if np.isfinite(spec.t0)
-                                         else ())
-        pts = _density_breakpoints(spec, reset, t) + tuple(t - p for p in own)
-        head, _ = split_quad(f, 0.0, t, points=pts)
-        total += head
+        total += quad(f, 0.0, t, laws=(spec, reset.spec),
+                      points=t - kinks((spec,)))[0]
     return total
 
 
@@ -206,48 +198,30 @@ def _single_reset_tail_scalar(spec: DistributionSpec, reset: ResetLaw,
 # renewal solver
 
 
-def _density_breakpoints(spec: DistributionSpec, reset: ResetLaw,
-                         upper: float) -> tuple[float, ...]:
-    """Kinks and jumps of tail_T(s) * reset_density(s) inside (0, upper)."""
-    pts = set()
-    for law in (spec, reset.spec):
-        pts.update(law.tail_breakpoints())
-        if np.isfinite(law.t0):
-            pts.add(float(law.t0))
-    return tuple(p for p in pts if 0.0 < p < upper)
-
-
 def _midpoint_weights(spec: DistributionSpec, reset: ResetLaw, h: float,
-                      n: int, upper: float) -> np.ndarray:
+                      n: int) -> np.ndarray:
     """Cell masses of tail_T(s) * reset_density(s), scaled by the step.
 
-    Plain midpoint evaluation except where it degrades: cells straddling a
-    breakpoint of the integrand get their mass piece by piece (otherwise
-    the misassignment is O(h) and invisible to grid-halving comparison),
-    and the first cells are integrated adaptively because tails and
-    densities may have infinite derivatives at zero.
+    Plain midpoint evaluation except where it degrades: the cells holding
+    a kink of the integrand are integrated piece by piece (otherwise the
+    misassignment is O(h) and invisible to grid-halving comparison), and
+    so are the first two, because tails and densities may have infinite
+    derivatives at zero; all of them in one call.
     """
-    s = (np.arange(1, n + 1) - 0.5) * h
-
     def f(x):
         return np.asarray(spec.tail(x)) * np.asarray(reset.density(x))
 
-    gh = h * f(s)
-    head_cells = min(2, n)
-    for j in range(1, head_cells + 1):
-        val, _ = split_quad(f, (j - 1) * h, j * h,
-                            points=(np.geomspace(h * 1e-10, h, 7)
-                                    if j == 1 else ()))
-        gh[j - 1] = val
-    for b in _density_breakpoints(spec, reset, upper):
-        j = int(math.floor(b / h)) + 1  # cell ((j-1)h, jh] contains b
-        frac = b / h - (j - 1)
-        if j > n or j <= head_cells or frac <= 1e-9 or frac >= 1.0 - 1e-9:
-            continue
-        lo, hi = (j - 1) * h, j * h
-        left, _ = split_quad(f, lo, b)
-        right, _ = split_quad(f, b, hi)
-        gh[j - 1] = left + right
+    gh = h * f((np.arange(1, n + 1) - 0.5) * h)  # gh[c]: cell (c h, c h + h]
+    inner = kinks((spec, reset.spec))
+    inner = inner[(inner > 0.0) & (inner < n * h)]
+    cells = np.union1d(np.arange(min(2, n)),
+                       np.minimum(inner // h, n - 1).astype(int))
+    edges = cuts(0.0, n * h, np.r_[cells * h, (cells + 1) * h, inner])
+    owner = ((edges[:-1] + edges[1:]) // (2.0 * h)).astype(int)
+    keep = np.isin(owner, cells)
+    vals, _ = panels(f, edges[:-1][keep], edges[1:][keep])
+    gh[cells] = 0.0
+    np.add.at(gh, owner[keep], vals)
     return gh
 
 
@@ -264,18 +238,20 @@ def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
     moved to the source.
     """
     h = upper / n
+
+    def free_fn(x):
+        return np.asarray(spec.tail(x)) * np.asarray(reset.tail(x))
+
+    # the free part, then the solution; taken before the cell masses, so
+    # that the temporaries of the two evaluations never coexist
+    y = free_fn(np.arange(n + 1) * h)
     if reset.has_density:
-        gh = _midpoint_weights(spec, reset, h, n, upper)  # gh[i-1]: cell i
+        gh = _midpoint_weights(spec, reset, h, n)  # gh[i-1]: cell i
     else:
         gh = np.zeros(n)
     atoms = [(loc, w, float(spec.tail(loc))) for loc, w in reset.atoms()
              if loc <= upper + 1e-12]
     use_density = bool(np.any(gh != 0.0))
-
-    def free_fn(x):
-        return np.asarray(spec.tail(x)) * np.asarray(reset.tail(x))
-
-    y = free_fn(np.arange(n + 1) * h)  # the free part, then the solution
     free0 = y[0]
     w0 = sum(w for loc, w, _ in atoms if loc == 0.0)
     f0 = float(spec.tail(0.0))
@@ -289,9 +265,7 @@ def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
     # integral removes the degradation; the adjustment is the same at
     # every step.
     if use_density:
-        w_head0, _ = split_quad(free_fn, 0.0, h,
-                                points=np.geomspace(h * 1e-10, h, 7))
-        w_head1, _ = split_quad(free_fn, h, 2.0 * h)
+        (w_head0, w_head1), _ = panels(free_fn, [0.0, h], [h, 2.0 * h])
         corr1 = w_head0 / h - 0.5 * (free0 + y[1])
         corr2 = w_head1 / h - 0.5 * (y[1] + y[2]) if n >= 2 else 0.0
         y[1:] += gh * (0.5 * y[0] + corr1)
@@ -371,7 +345,7 @@ def _snap_grid(reset: ResetLaw, upper: float, n: int,
 
 def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
                       *, tol: float = 1e-6, n0: int = 8192,
-                      n_max: int = 131072) -> TailCurve:
+                      n_max: int = 262144) -> TailCurve:
     """Renewal-solve the restarted tail on [0, upper] with error control.
 
     The error is estimated by grid-halving comparison of the second-order
@@ -383,24 +357,23 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
     while True:
         fine = _renewal_fixed_point(spec, reset, upper_eff, n_eff)
         err = float(np.max(np.abs(fine[::2] - coarse))) / 3.0
+        coarse = fine
         if err <= tol or n_eff >= n_max:
             break
-        coarse = fine
         n_eff *= 2  # doubling the cell count keeps atoms grid-aligned
     if err > tol:
         raise GridTooCoarseError(
             f"renewal solve error estimate {err:.3g} exceeds tolerance {tol:g} "
             f"at n={n_eff}")
     grid = np.arange(n_eff + 1) * (upper_eff / n_eff)
-    vals = np.minimum.accumulate(np.clip(fine, 0.0, 1.0))
-    return TailCurve(grid=tuple(grid), values=tuple(vals[:-1]),
-                     terminal=float(vals[-1]), mode="log-linear",
-                     err_estimate=err)
+    vals = np.minimum.accumulate(np.clip(fine, 0.0, 1.0, out=fine), out=fine)
+    return TailCurve(grid=grid, values=vals[:-1], terminal=float(vals[-1]),
+                     mode="log-linear", err_estimate=err)
 
 
 def reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None, *,
                tol: float = 1e-6, n0: int = 8192,
-               n_max: int = 131072) -> TailCurve:
+               n_max: int = 262144) -> TailCurve:
     """Tail of the repeatedly-restarted law on the requested grid.
 
     Deterministic restart uses the exact closed form; other reset laws go
@@ -415,15 +388,13 @@ def reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None, *,
     if reset.kind == "deterministic":
         vals = np.asarray(deterministic_reset_tail(spec, reset.period, t_grid))
         vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
-        return TailCurve(grid=tuple(t_grid), values=tuple(vals[:-1]),
-                         terminal=float(vals[-1]), mode="log-linear",
-                         err_estimate=0.0)
+        return TailCurve(grid=t_grid, values=vals[:-1],
+                         terminal=float(vals[-1]), mode="log-linear")
     solved = solver_reset_tail(spec, reset, upper, tol=tol, n0=n0, n_max=n_max)
     vals = np.interp(t_grid, solved.grid, solved.knot_values)
     vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
-    return TailCurve(grid=tuple(t_grid), values=tuple(vals[:-1]),
-                     terminal=float(vals[-1]), mode="log-linear",
-                     err_estimate=solved.err_estimate)
+    return TailCurve(grid=t_grid, values=vals[:-1], terminal=float(vals[-1]),
+                     mode="log-linear", err_estimate=solved.err_estimate)
 
 
 def branching_reset_tail(spec: DistributionSpec, reset: ResetLaw, l: int,
@@ -444,7 +415,7 @@ def branching_reset_tail(spec: DistributionSpec, reset: ResetLaw, l: int,
     s_mid = (np.arange(1, n + 1) - 0.5) * h
     log_tail_mid = np.asarray(spec.log_tail(s_mid))
     tail_mid = np.exp(log_tail_mid)
-    base_mass = _midpoint_weights(spec, reset, h, n, upper) \
+    base_mass = _midpoint_weights(spec, reset, h, n) \
         if reset.has_density else np.zeros(n)
     with np.errstate(divide="ignore", invalid="ignore"):
         dens_mass = np.where(tail_mid > 0.0, base_mass / tail_mid, 0.0)
@@ -483,9 +454,8 @@ def branching_reset_tail(spec: DistributionSpec, reset: ResetLaw, l: int,
             g_j[t_grid >= loc - 1e-12] += (w * f_loc * shifted)[t_grid >= loc - 1e-12]
         g_next = g_j
     vals = np.minimum.accumulate(np.clip(g_next, 0.0, 1.0))
-    return TailCurve(grid=tuple(t_grid), values=tuple(vals[:-1]),
-                     terminal=float(vals[-1]), mode="log-linear",
-                     err_estimate=float(bound))
+    return TailCurve(grid=t_grid, values=vals[:-1], terminal=float(vals[-1]),
+                     mode="log-linear", err_estimate=float(bound))
 
 
 # ----------------------------------------------------------------------
@@ -494,9 +464,7 @@ def branching_reset_tail(spec: DistributionSpec, reset: ResetLaw, l: int,
 
 def _tail_integral(spec: DistributionSpec, a: float, b: float) -> float:
     """Integral of the tail over the finite window [a, b]."""
-    pts = tuple(p for p in spec.tail_breakpoints() if a < p < b)
-    val, _ = split_quad(lambda t: np.asarray(spec.tail(t)), a, b, points=pts)
-    return val
+    return quad(spec.tail, a, b, laws=(spec,))[0]
 
 
 def laplace_tail(spec: DistributionSpec, mu: float) -> float:
@@ -506,11 +474,8 @@ def laplace_tail(spec: DistributionSpec, mu: float) -> float:
     if isinstance(spec, dist.Exponential) and spec.defect == 0.0:
         return 1.0 / (spec.rate + mu)
     upper = 42.0 / mu  # integrand below 1e-18 past here regardless of the law
-    pts = tuple(p for p in spec.tail_breakpoints() if p < upper) \
-        + tuple(np.geomspace(upper * 1e-6, upper, 7))
-    val, _ = split_quad(lambda t: np.exp(-mu * np.asarray(t))
-                        * np.asarray(spec.tail(t)), 0.0, upper, points=pts)
-    return val
+    return quad(lambda t: np.exp(-mu * t) * spec.tail(t), 0.0, upper,
+                laws=(spec,), points=np.geomspace(upper * 1e-6, upper, 7))[0]
 
 
 def reset_mean(spec: DistributionSpec, reset: ResetLaw) -> float:
@@ -539,8 +504,6 @@ def _expected_minimum(spec: DistributionSpec, reset: ResetLaw) -> float:
         return laplace_tail(spec, reset.rate)
     if spec.mass_at_infinity > 0.0 and reset.mass_at_infinity > 0.0:
         return np.inf
-    def f(t):
-        return np.asarray(spec.tail(t)) * np.asarray(reset.tail(t))
     upper = 1.0
     for _ in range(120):
         # a bound whose tail factor is 0 is 0, even when its integral is inf
@@ -553,9 +516,9 @@ def _expected_minimum(spec: DistributionSpec, reset: ResetLaw) -> float:
         upper *= 2.0
         if upper > 1e18:
             return np.inf
-    pts = tuple(spec.tail_breakpoints()) + tuple(
-        p for p, _ in reset.atoms()) + tuple(np.geomspace(min(1e-6 * upper, 1.0), upper, 7))
-    val, _ = split_quad(f, 0.0, upper, points=tuple(p for p in pts if p < upper))
+    val, _ = quad(lambda t: spec.tail(t) * reset.tail(t), 0.0, upper,
+                  laws=(spec, reset.spec),
+                  points=np.geomspace(min(1e-6 * upper, 1.0), upper, 7))
     return val + rem  # rem is an upper bound on what is left; below tolerance
 
 
@@ -611,12 +574,10 @@ def _min_power_integral(spec: DistributionSpec, r: float, m: float) -> float:
     log_tail = spec.log_tail
 
     def f(u):
-        return np.exp(np.clip(m * np.asarray(log_tail(u)), -745.0, 0.0))
+        return np.exp(np.clip(m * log_tail(u), -745.0, 0.0))
 
-    pts = tuple(p for p in spec.tail_breakpoints() if p < r) \
-        + tuple(np.geomspace(r * 1e-12, r, 13))
-    val, _ = split_quad(f, 0.0, r, points=pts)
-    return val
+    return quad(f, 0.0, r, laws=(spec,),
+                points=np.geomspace(r * 1e-12, r, 13))[0]
 
 
 def branching_mean_deterministic(spec: DistributionSpec, r: float, l: int) -> float:
@@ -649,14 +610,10 @@ def _laplace_min_power(spec: DistributionSpec, mu: float, m: float) -> float:
     upper = 42.0 / mu
 
     def f(t):
-        t_arr = np.asarray(t)
-        return np.exp(np.clip(-mu * t_arr + m * np.asarray(log_tail(t_arr)),
-                              -745.0, 0.0))
+        return np.exp(np.clip(-mu * t + m * log_tail(t), -745.0, 0.0))
 
-    pts = tuple(p for p in spec.tail_breakpoints() if p < upper) \
-        + tuple(np.geomspace(upper * 1e-12, upper, 13))
-    val, _ = split_quad(f, 0.0, upper, points=pts)
-    return val
+    return quad(f, 0.0, upper, laws=(spec,),
+                points=np.geomspace(upper * 1e-12, upper, 13))[0]
 
 
 def branching_mean_exponential(spec: DistributionSpec, mu: float, l: int) -> float:

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from resetkit.distributions import DistributionSpec
-from resetkit._integrate import split_quad
+from quad_reference import split_quad
 from resetkit.reset_transform import ResetLaw, _midpoint_weights
 
 
@@ -25,7 +25,7 @@ def renewal_fixed_point_loop(spec: DistributionSpec, reset: ResetLaw,
     gh = np.empty(n + 1)
     gh[0] = 0.0
     if reset.has_density or reset.kind == "exponential":
-        gh[1:] = _midpoint_weights(spec, reset, h, n, upper)
+        gh[1:] = _midpoint_weights(spec, reset, h, n)
     else:
         gh[1:] = 0.0
     atoms = [(loc, w, float(spec.tail(loc))) for loc, w in reset.atoms()

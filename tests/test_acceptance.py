@@ -193,7 +193,7 @@ def test_criterion_4_mrl_roundtrip():
 
 def _integral_of_transformed_tail(spec, reset) -> float:
     """Independent quadrature of the restarted tail over [0, inf)."""
-    from resetkit._integrate import split_quad
+    from quad_reference import split_quad
 
     if reset.kind == "deterministic":
         # integrate the closed form period by period until it has decayed
@@ -343,7 +343,7 @@ def test_criterion_7_extremal_reduction():
             failures.append((name, "large-period curve limit", val, m0))
     _finish(7, "20 random reset laws per fixture stay inside [inf, sup]; "
                "curve limit within 1% of the bare mean", failures, started,
-            120.0)
+            30.0)
 
 
 def test_criterion_8_property_suite():

@@ -124,6 +124,18 @@ class TestTransform:
                          out.read_text().splitlines()[1:]])
         assert np.all(rows[:, 2] <= rows[:, 1] + 1e-6)
 
+    def test_default_call_exits_zero(self, spec_files, tmp_path):
+        # weibull(0.5) under exp:1 to its default horizon, 429, needs a grid
+        # of 262,144 cells; at the old cap of 131,072 it raised
+        # GridTooCoarseError
+        out = tmp_path / "t.csv"
+        assert run(["transform", "--spec", spec_files["weibull"],
+                    "--shape", "0.5", "--reset", "exp:1", "-o", str(out)]) == 0
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in
+                         out.read_text().splitlines()[1:]])
+        assert rows.shape == (513, 3)
+        assert np.all(np.diff(rows[:, 2]) <= 0.0)
+
     def test_json_output_roundtrips_as_spec(self, spec_files, tmp_path):
         out = tmp_path / "transformed.json"
         assert run(["transform", "--spec", spec_files["weibull"],

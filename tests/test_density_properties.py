@@ -1,11 +1,14 @@
 """Property tests of densities and tail integrals on random piecewise laws.
 
-Between consecutive tail breakpoints the tail is continuous, so on every
-such cell the density must integrate to the tail's drop, tail(a) -
-tail(b-). Checked for log-linear tabulated laws (whose zero knots make the
-tail fall linearly), piecewise-exponential laws and laws generated by a
-residual-mean curve. For log-linear tabulated laws ``mean_upper_rest``
-must equal split quadrature of the tail.
+Between consecutive tail breakpoints (and the support end) the tail is
+continuous, so on every such cell the density must integrate to the
+tail's drop, tail(a) - tail(b-), where tail(b-) is tail(b) plus the atom
+``jumps()`` lists at b. Checked for log-linear tabulated laws (whose zero
+knots make the tail fall linearly), piecewise-exponential laws and laws
+generated by a residual-mean curve. On every law, the atoms ``jumps()``
+lists, the density's integral and the mass at infinity must sum to 1. For
+log-linear tabulated laws ``mean_upper_rest`` must equal split quadrature
+of the tail.
 """
 import numpy as np
 import pytest
@@ -13,9 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resetkit import distributions as d
-from resetkit._integrate import split_quad
+from quad_reference import split_quad
 
-from law_strategies import from_mrl, piecewise_exp, tabulated, unit
+from law_strategies import (from_mrl, piecewise_constant, piecewise_exp,
+                            tabulated, unit)
 
 # a fixed, derandomized budget: the whole file runs in a few seconds
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -27,12 +31,31 @@ loglinear = tabulated(modes=("log-linear",))
 @PROPERTY
 @given(spec=st.one_of(loglinear, piecewise_exp(), from_mrl()))
 def test_density_integrates_to_the_tail_drop(spec):
-    edges = sorted({0.0, *spec.tail_breakpoints()})
+    # cut at the support end too: a terminal piece can be singular there
+    ends = (spec.t0,) if np.isfinite(spec.t0) else ()
+    edges = sorted({0.0, *spec.tail_breakpoints(), *ends})
     edges.append(edges[-1] + 3.0)
+    atoms = dict(spec.jumps())
     for a, b in zip(edges[:-1], edges[1:]):
         mass, _ = split_quad(spec.density, a, b)
-        drop = float(spec.tail(a)) - float(spec.tail(np.nextafter(b, a)))
+        # tail(b-) = tail(b) + the atom at b; just below a support end the
+        # tail can still be far from its limit, so no nextafter here
+        drop = float(spec.tail(a)) - float(spec.tail(b)) - atoms.get(b, 0.0)
         assert mass == pytest.approx(drop, abs=1e-10), (a, b)
+
+
+@PROPERTY
+@given(spec=st.one_of(piecewise_constant(), tabulated(), piecewise_exp(),
+                      from_mrl()))
+def test_jumps_list_every_drop_of_the_tail(spec):
+    # the atoms, the density and the mass at infinity hold all the mass
+    ends = (spec.t0,) if np.isfinite(spec.t0) else ()
+    edges = sorted({0.0, *spec.tail_breakpoints(), *ends}) + [np.inf]
+    mass = sum(split_quad(spec.density, a, b)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+    atoms = sum(w for _, w in spec.jumps())
+    assert atoms + mass + spec.mass_at_infinity == pytest.approx(1.0,
+                                                                 abs=1e-9)
 
 
 @PROPERTY

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ from scipy import special as sp
 
 from resetkit import distributions as d
 from resetkit import reset_transform as rt
-from resetkit._integrate import split_quad
 from resetkit.distributions import (DegenerateAtZeroError, MomentFunction,
                                     NonMonotoneError, TailCurve,
                                     ZeroAtOriginError)
@@ -14,6 +14,7 @@ from resetkit.distributions import (DegenerateAtZeroError, MomentFunction,
 from fixture_laws import (ALL_LAWS, FINITE_MEAN_LAWS, brute_tail_integral,
                           exp_law, levy, pe_mean_only, pw_finite, pw_sixth,
                           sps, weib)
+from quad_reference import split_quad
 
 
 class TestValidation:
@@ -265,6 +266,29 @@ class TestTailCurve:
         tab = d.Tabulated(curve=d.as_tail_curve(spec, grid, mode="step"))
         np.testing.assert_allclose(np.asarray(tab.tail(grid)),
                                    np.asarray(spec.tail(grid)), atol=1e-6)
+
+    def test_holds_read_only_float_arrays(self):
+        grid = np.array([0.0, 1.0, 2.0])
+        curve = TailCurve(grid=grid, values=[1, 0.5], terminal=0.25)
+        grid[1] = 1.5  # the curve keeps its own copy
+        assert curve.grid.tolist() == [0.0, 1.0, 2.0]
+        assert curve.values.dtype == float
+        with pytest.raises(ValueError):
+            curve.values[0] = 0.9
+        same = TailCurve(grid=(0.0, 1.0, 2.0), values=(1.0, 0.5),
+                         terminal=0.25)
+        assert curve == same and hash(curve) == hash(same)
+        assert curve != dataclasses.replace(same, terminal=0.2)
+        assert curve != dataclasses.replace(same, values=(1.0, 0.4))
+
+    def test_dict_round_trip(self):
+        curve = TailCurve(grid=(0.0, 0.5, 2.0), values=(0.9, 0.4),
+                          terminal=0.0, mode="log-linear")
+        doc = d.spec_to_dict(d.Tabulated(curve=curve))
+        assert doc["grid"] == [0.0, 0.5, 2.0]
+        assert doc["values"] == [0.9, 0.4, 0.0]
+        assert all(type(x) is float for x in doc["grid"] + doc["values"])
+        assert d.spec_from_dict(doc).curve == curve
 
     def test_loglinear_interpolates_geometrically(self):
         curve = TailCurve(grid=(0.0, 2.0), values=(1.0,), terminal=math.exp(-2.0),

@@ -1,0 +1,89 @@
+"""The quadrature layer: tanh-sinh panels cut at the kinks of given laws."""
+import math
+
+import numpy as np
+import pytest
+
+from resetkit import _integrate as ig
+from resetkit import distributions as d
+from resetkit import mrl
+from resetkit import reset_transform as rt
+
+from fixture_laws import ALL_LAWS, pw_finite, uniform02
+from quad_reference import split_quad
+
+
+def _from_mrl_reset():
+    # knots where the density jumps, and a piece of slope close to -1
+    return rt.ResetLaw.general(mrl.law_from_mrl(mrl.MrlCurve(
+        grid=(0.0, 0.4, 1.1, 1.6), values=(1.2, 1.3, 0.6, 1.1))))
+
+
+def _loglinear_reset():
+    grid = np.array([0.0, 0.3, 0.7, 1.2, 2.0, 3.1])
+    return rt.ResetLaw.general(d.Tabulated(curve=d.TailCurve(
+        grid=grid, values=(1.0, 0.8, 0.35, 0.3, 0.1), terminal=0.0,
+        mode="log-linear")))
+
+
+RESETS = {
+    "exp1": lambda: rt.ResetLaw.exponential(1.0),
+    "uniform02": lambda: rt.ResetLaw.general(uniform02()),
+    "from_mrl": _from_mrl_reset,
+    "loglinear": _loglinear_reset,
+}
+
+
+def test_panels_in_one_call_with_an_infinite_upper_limit():
+    vals, errs = ig.panels(lambda x: np.exp(-x), [0.0, 1.0], [1.0, np.inf])
+    np.testing.assert_allclose(vals, [1.0 - math.exp(-1.0), math.exp(-1.0)],
+                               rtol=1e-14)
+    assert np.all(errs < 1e-13)
+
+
+def test_quad_takes_an_endpoint_singularity():
+    val, err = ig.quad(lambda x: 0.5 / np.sqrt(x), 0.0, 4.0)
+    assert val == pytest.approx(2.0, rel=1e-13)
+    assert err < 1e-12
+
+
+def test_kinks_are_breakpoints_and_support_ends():
+    assert ig.kinks((pw_finite(), uniform02())).tolist() == [1.0, 1.5, 2.0]
+    # a defect moves t0 to inf; the base law's support end is still a kink
+    defective = mrl.FromMrl(curve=uniform02().curve, defect=0.25)
+    assert defective.t0 == np.inf
+    assert ig.kinks((defective,)).tolist() == [1.0, 2.0]
+
+
+def test_one_ulp_panel_is_merged():
+    # a cut one ulp past another made a one-ulp panel, where tanh-sinh
+    # returns NaN (and reset_mean then returned inf)
+    near = (0.4, np.nextafter(0.4, 1.0))
+    assert ig.cuts(0.0, 1.0, near).tolist() == [0.0, 0.4, 1.0]
+    val, err = ig.quad(lambda x: x, 0.0, 1.0, points=near)
+    assert val == pytest.approx(0.5, rel=1e-14)
+    assert np.isfinite(err)
+    end = (np.nextafter(1.0, 0.0),)
+    assert ig.cuts(0.0, 1.0, end).tolist() == [0.0, 1.0]
+
+
+@pytest.mark.parametrize("reset_name", sorted(RESETS))
+@pytest.mark.parametrize("law", sorted(ALL_LAWS))
+def test_error_stays_within_tolerance(law, reset_name):
+    # a kink inside a panel stalls tanh-sinh: its error estimate then
+    # exceeds the tolerance, so this fails when quad misses a kink
+    spec, reset = ALL_LAWS[law](), RESETS[reset_name]()
+    upper = reset.horizon()
+    for fn in (lambda s: spec.tail(s) * reset.density(s),
+               lambda s: spec.tail(s) * reset.tail(s)):
+        val, err = ig.quad(fn, 0.0, upper, laws=(spec, reset.spec))
+        assert err <= 1e-12 * max(1.0, abs(val))
+        pts = ig.kinks((spec, reset.spec))
+        want, _ = split_quad(lambda s: float(fn(s)), 0.0, upper, pts)
+        assert val == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def test_gauss_legendre_cumulative():
+    knots = np.array([0.0, 0.5, 1.0, 3.0])
+    got = ig.gauss_legendre_cumulative(np.exp, knots)
+    np.testing.assert_allclose(got, np.exp(knots) - 1.0, rtol=1e-14)

@@ -169,6 +169,41 @@ class TestLawFromMrl:
         np.testing.assert_allclose(np.asarray(law.isf(us)), -v0 * np.log(us),
                                    rtol=1e-8)
 
+    def test_tail_on_nearly_flat_piece(self):
+        # log(m / m_knot) / slope cancels at slope 1e-9 (it was a relative
+        # 8.5e-8 off); log1p(slope dt / m_knot) / slope keeps the digits
+        law = mrl.law_from_mrl(mrl.MrlCurve(grid=(0.0, 1.0),
+                                            values=(2.0, 2.0 + 1e-9)))
+        for u in (0.9, 0.7, 0.65):
+            assert float(law.tail(law.isf(u))) / u - 1.0 == \
+                pytest.approx(0.0, abs=1e-12)
+        # m(t) = 2 + s t: tail(t) = (1 + s t / 2) ** -(1 + 1 / s)
+        s = 1e-9
+        assert float(law.tail(0.5)) == pytest.approx(
+            math.exp(-(1.0 + 1.0 / s) * math.log1p(0.25 * s)), rel=1e-13)
+
+    def test_jumps_atom_at_zero(self):
+        # m0 < m(0): the tail starts at m0 / m(0), an atom at 0
+        law = mrl.law_from_mrl(mrl.MrlCurve(grid=(0.0, 1.0),
+                                            values=(1.0, 0.5), m0=0.5))
+        assert law.jumps() == ((0.0, 0.5),)
+        assert float(law.tail(0.0)) == 0.5
+        defective = mrl.FromMrl(curve=law.curve, defect=0.2)
+        ((loc, mass),) = defective.jumps()
+        assert loc == 0.0 and mass == pytest.approx(0.4, rel=1e-14)
+
+    def test_jumps_atom_at_the_end_of_a_minus_one_slope(self):
+        # m(t) = 2 - t: the tail stays at its value at 1 and drops to 0 at 2
+        law = mrl.law_from_mrl(mrl.MrlCurve(grid=(0.0, 1.0),
+                                            values=(1.5, 1.0),
+                                            terminal="linear",
+                                            terminal_slope=-1.0))
+        ((loc, mass),) = law.jumps()
+        assert loc == 2.0
+        assert mass == pytest.approx(float(law.tail(1.5)), rel=1e-14)
+        assert float(law.tail(2.0)) == 0.0
+        assert uniform02().jumps() == ()
+
     def test_json_round_trip(self):
         law = uniform02()
         doc = d.spec_to_dict(law)
