@@ -18,13 +18,14 @@ _ATOL = 1e-14
 _MERGE = 1e-13  # relative gap below which cuts merge: one-ulp panels give NaN
 
 
-def panels(fn, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def panels(fn, lo, hi, args=()) -> tuple[np.ndarray, np.ndarray]:
     """Integrals of ``fn`` over the panels [lo[i], hi[i]] and their errors.
 
-    ``fn`` must accept arrays of any shape; ``hi`` may be inf.
+    ``fn(x, *args)`` must accept arrays of any shape; ``hi`` may be inf.
+    ``args`` broadcast against the panels, and so do the results.
     """
     res = tanhsinh(fn, np.asarray(lo, float), np.asarray(hi, float),
-                   rtol=_RTOL, atol=_ATOL)
+                   args=args, rtol=_RTOL, atol=_ATOL)
     return res.integral, res.error
 
 
@@ -49,12 +50,14 @@ def cuts(a: float, b: float, points) -> np.ndarray:
     return edges
 
 
-def quad(fn, a: float, b: float, laws=(), points=()) -> tuple[float, float]:
+def quad(fn, a: float, b: float, laws=(), points=(), args=()):
     """Integral of ``fn`` over [a, b] and its error estimate, with panels cut
-    at every kink of ``laws`` and at ``points``; ``b`` may be inf."""
+    at every kink of ``laws`` and at ``points``; ``b`` may be inf. ``args``
+    broadcast against the panels (the last axis), as in ``panels``."""
     edges = cuts(a, b, np.concatenate([kinks(laws), np.ravel(points)]))
-    vals, errs = panels(fn, edges[:-1], edges[1:])
-    return float(np.sum(vals)), float(np.sum(errs))
+    vals, errs = panels(fn, edges[:-1], edges[1:], args=args)
+    vals, errs = np.sum(vals, axis=-1), np.sum(errs, axis=-1)
+    return (vals, errs) if args else (float(vals), float(errs))
 
 
 def hybrid_grid(upper: float, n: int = 4096, lower: float | None = None,

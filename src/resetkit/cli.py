@@ -178,13 +178,9 @@ def cmd_transform(args) -> int:
     if args.single:
         transformed = np.asarray(rt.single_reset_tail(spec, reset, grid))
         err = 0.0
-    elif args.branching > 1:
-        curve = rt.branching_reset_tail(spec, reset, args.branching, upper,
-                                        n=max(args.points, 4096))
-        transformed = np.asarray(curve(grid))
-        err = curve.err_estimate
     else:
-        curve = rt.reset_tail(spec, reset, grid, tol=args.tol)
+        curve = rt.reset_tail(spec, reset, grid, l=args.branching,
+                              tol=args.tol)
         transformed = curve.knot_values
         err = curve.err_estimate
     original = np.asarray(spec.tail(grid))
@@ -360,7 +356,7 @@ def main(argv=None) -> int:
     except (dist.SpecValidationError, rt.InvalidPeriodError) as exc:
         sys.stderr.write(f"resetkit: invalid spec: {exc}\n")
         return EXIT_DATA
-    except ValueError as exc:
+    except (ValueError, rt.GridTooCoarseError, rt.SeriesNotConvergingError) as exc:
         sys.stderr.write(f"resetkit: data error: {exc}\n")
         return EXIT_DATA
     except BrokenPipeError:

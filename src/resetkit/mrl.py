@@ -138,12 +138,15 @@ class _CurveTables:
 def _tables(curve: MrlCurve) -> _CurveTables:
     g = np.asarray(curve.grid, dtype=float)
     v = np.asarray(curve.values, dtype=float)
-    seg_slopes = np.diff(v) / np.diff(g) if g.size > 1 else np.empty(0)
-    slopes = np.append(seg_slopes, curve.end_slope)
+    raw = np.diff(v) / np.diff(g) if g.size > 1 else np.empty(0)
+    # validation admits slopes down to -1 - 1e-6, under which the tail would
+    # rise (tail ~ m ** -(1 + 1/slope)): such pieces are flat instead, so
+    # m0 / m * exp(-cum) holds its value across them
+    slopes = np.maximum(np.append(raw, curve.end_slope), -1.0)
     cum = np.zeros(g.size)
     for i in range(g.size - 1):
-        cum[i + 1] = cum[i] + _segment_inv_integral(v[i], seg_slopes[i],
-                                                    g[i + 1] - g[i])
+        cum[i + 1] = cum[i] + (math.log(v[i] / v[i + 1]) if raw[i] < -1.0 else
+                               _segment_inv_integral(v[i], raw[i], g[i + 1] - g[i]))
     m0 = curve.mean
     with np.errstate(divide="ignore"):
         knot_tails = (m0 / v) * np.exp(-cum)
@@ -306,10 +309,10 @@ class FromMrl(dist.DistributionSpec):
             out[flat] = g0[flat] + v0[flat] * dist._libm(
                 math.log, top[flat] / u_arr[flat])
             q = 1.0 + 1.0 / s
-        # slope -1: the tail is flat on the piece and drops to 0 where m
-        # does, at g0 + v0 (only the terminal piece can hold such a u)
+        # slope -1 (or clamped to it): the tail is flat, then drops to 0 at
+        # the support end (only the terminal piece holds such a u)
         jump = rest & ~flat & (np.abs(q) < 1e-14)
-        out[jump] = g0[jump] + v0[jump]
+        out[jump] = tb.support_end
         power = rest & ~flat & ~jump
         amp = tb.amp[k]
         exact = power & (amp > 0.0) & (amp < np.inf)

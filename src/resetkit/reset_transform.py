@@ -2,15 +2,16 @@
 
 The repeatedly-restarted law solves a renewal identity that references only
 earlier times, so a forward midpoint/trapezoid discretization on a uniform
-grid solves it stably; atoms of the reset law enter exactly. The weights of
-that recursion depend only on the lag, so the whole grid is one
-lower-triangular Toeplitz system, solved blockwise with FFT products in
-O(n log^2 n). Deterministic restart has a closed form, exponential restart
-closed-form means. Integrals against the laws (means, P(T <= R), the cell
-masses of the reset density) are tanh-sinh panels cut at their kinks.
+grid solves it stably; atoms of the reset law enter exactly. Its weights
+depend only on the lag: one lower-triangular Toeplitz system, solved with
+FFT products in O(n log^2 n); under l-fold branching each cycle has its own
+weights and the recursion runs backward. Deterministic restart has closed
+forms, exponential restart closed-form means. Integrals against the laws
+are tanh-sinh panels cut at their kinks.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +43,7 @@ __all__ = [
 _TRUNC = 1e-12
 _SERIES_CAP = 2000
 _TOEPLITZ_BLOCK = 128  # cells per diagonal block of the renewal solve
+_DEPTH_CAP = 60  # cycles the branching pass may need
 
 
 class InvalidPeriodError(ValueError):
@@ -53,7 +55,7 @@ class GridTooCoarseError(RuntimeError):
 
 
 class SeriesNotConvergingError(RuntimeError):
-    """The branching mean series failed to contract numerically."""
+    """A branching series or the branching pass failed to contract."""
 
 
 @dataclass(frozen=True)
@@ -131,19 +133,19 @@ class ResetLaw:
             return 45.0 / self.rate
         return dist.default_horizon(self.spec)
 
-    def expect_tail_power(self, spec: DistributionSpec, m: float = 1.0) -> float:
-        """E[tail_T(R)^m]: probability-like average against this reset law."""
-        log_tail = spec.log_tail
-        if self.kind == "deterministic":
-            return float(np.exp(m * np.asarray(log_tail(self.period))))
-        def f(s):
-            return np.exp(m * np.asarray(log_tail(s))) * np.asarray(self.density(s))
+    def expect_tail_power(self, spec: DistributionSpec, m=1.0):
+        """E[tail_T(R)^m] against this reset law; m may be an array of powers."""
+        m = np.asarray(m, dtype=float)
+
+        def f(s, m):
+            return np.exp(m * np.asarray(spec.log_tail(s))) * np.asarray(self.density(s))
         total = 0.0
         for loc, w in self.atoms():
-            total += w * float(np.exp(m * np.asarray(log_tail(loc))))
+            total += w * np.exp(m * np.asarray(spec.log_tail(loc)))
         if self.has_density:
-            total += quad(f, 0.0, self.horizon(), laws=(spec, self.spec))[0]
-        return total
+            total += quad(f, 0.0, self.horizon(), laws=(spec, self.spec),
+                          args=(m[..., None],))[0]
+        return total if m.ndim else float(total)
 
 
 def prob_completion_first(spec: DistributionSpec, reset: ResetLaw) -> float:
@@ -157,16 +159,7 @@ def prob_completion_first(spec: DistributionSpec, reset: ResetLaw) -> float:
 
 def deterministic_reset_tail(spec: DistributionSpec, r: float, t):
     """Tail under restart every r: tail(r)**k * tail(t - k r) on [kr, (k+1)r)."""
-    if not (r > 0.0 and math.isfinite(r)):
-        raise InvalidPeriodError(f"restart period must be in (0, inf), got {r!r}")
-    t_arr = np.asarray(t, dtype=float)
-    k = np.floor(t_arr / r)
-    log_fr = float(spec.log_tail(r))
-    rem = t_arr - k * r
-    with np.errstate(invalid="ignore"):
-        out = np.exp(k * log_fr + np.asarray(spec.log_tail(rem)))
-    out = np.where(np.isinf(t_arr), 0.0, out)
-    return out if out.shape else float(out)
+    return branching_deterministic_tail(spec, r, 1, t)
 
 
 def single_reset_tail(spec: DistributionSpec, reset: ResetLaw, t) -> float:
@@ -198,20 +191,16 @@ def _single_reset_tail_scalar(spec: DistributionSpec, reset: ResetLaw,
 # renewal solver
 
 
-def _midpoint_weights(spec: DistributionSpec, reset: ResetLaw, h: float,
-                      n: int) -> np.ndarray:
-    """Cell masses of tail_T(s) * reset_density(s), scaled by the step.
-
-    Plain midpoint evaluation except where it degrades: the cells holding
-    a kink of the integrand are integrated piece by piece (otherwise the
-    misassignment is O(h) and invisible to grid-halving comparison), and
-    so are the first two, because tails and densities may have infinite
-    derivatives at zero; all of them in one call.
-    """
-    def f(x):
-        return np.asarray(spec.tail(x)) * np.asarray(reset.density(x))
-
-    gh = h * f((np.arange(1, n + 1) - 0.5) * h)  # gh[c]: cell (c h, c h + h]
+def _cell_integrals(spec: DistributionSpec, reset: ResetLaw, h: float,
+                    n: int, powers, l: int):
+    """Tail and reset density at the cell midpoints, and exact integrals where
+    midpoint and trapezoid degrade (None without a density), per power m in
+    one call: tail**m * reset density over the pieces of the first two cells
+    (infinite slopes at 0) and of the cells a kink splits (an O(h) error grid
+    halving cannot see), and the continuation's free part tail**(l m) *
+    reset tail over its first cells: two for l = 1, as ever, else eight."""
+    if not reset.has_density:
+        return None, [None] * len(powers)
     inner = kinks((spec, reset.spec))
     inner = inner[(inner > 0.0) & (inner < n * h)]
     cells = np.union1d(np.arange(min(2, n)),
@@ -219,74 +208,117 @@ def _midpoint_weights(spec: DistributionSpec, reset: ResetLaw, h: float,
     edges = cuts(0.0, n * h, np.r_[cells * h, (cells + 1) * h, inner])
     owner = ((edges[:-1] + edges[1:]) // (2.0 * h)).astype(int)
     keep = np.isin(owner, cells)
-    vals, _ = panels(f, edges[:-1][keep], edges[1:][keep])
-    gh[cells] = 0.0
-    np.add.at(gh, owner[keep], vals)
-    return gh
+    k = int(np.count_nonzero(keep))
+    heads = np.arange(min(2 if l == 1 else 8, n)) * h
+    dens = np.arange(k + heads.size) < k
+
+    def f(x, m, dens):  # the free part where dens is False
+        return np.asarray(spec.tail(x)) ** m * np.where(
+            dens, reset.density(x), reset.tail(x))
+
+    m = np.asarray(powers, dtype=float)[:, None] * np.where(dens, 1.0, l)
+    vals, _ = panels(f, np.r_[edges[:-1][keep], heads],
+                     np.r_[edges[1:][keep], heads + h], args=(m, dens))
+    x = (np.arange(1, n + 1) - 0.5) * h
+    return ((np.asarray(spec.tail(x)), reset.density(x)),
+            [(cells, owner[keep], row[:k], row[k:]) for row in vals])
+
+
+def _lag_kernel(spec: DistributionSpec, reset: ResetLaw, h: float, m: float,
+                mid, exact, src: np.ndarray, y0: float,
+                free_next: np.ndarray) -> np.ndarray:
+    """Lag kernel of one renewal step in which m copies race.
+
+    Step i sets y[i] from ``src[i]`` and z[i - d] weighted by kern[d], z the
+    continuation: the mean mass of cells d and d + 1 of tail**m * reset
+    density (``mid`` and ``exact`` from ``_cell_integrals``) plus each
+    atom's taps. Added to ``src``: the terms in z[0] = ``y0``, and, as z can
+    have infinite slope at 0, the exact integral of its free part
+    (``free_next`` at the first nodes) over the first cells.
+    """
+    n = src.size - 1
+    if exact is None:
+        kern = np.zeros(n)
+    else:
+        cells, owner, pieces, heads = exact
+        kern = mid[0] ** m  # the cell masses first: kern[c], (c h, c h + h]
+        kern *= mid[1]
+        kern *= h
+        kern[cells] = 0.0
+        np.add.at(kern, owner, pieces)
+        corr = heads / h - 0.5 * (free_next[:-1] + free_next[1:])
+        src[1:] += kern * (0.5 * y0 + corr[0])
+        for c in range(1, corr.size):
+            src[c + 1:] += kern[:-c] * corr[c]
+    kern[1:] += kern[:-1]
+    kern *= 0.5
+    for loc, w in reset.atoms():
+        pos = loc / h
+        lag = math.ceil(pos - 1e-9)  # the atom's first node at or past it
+        if lag > n:
+            continue
+        theta = lag - pos if lag - pos > 1e-9 else 0.0  # cells before it
+        mass = w * float(spec.tail(loc)) ** m
+        if lag < n:
+            kern[lag] += mass * (1.0 - theta)
+        if theta:
+            kern[lag - 1] += mass * theta
+        src[lag] += mass * (1.0 - theta) * y0  # step lag reaches back to z[0]
+        if not theta and lag * h < loc:  # undo the free part's count of
+            # the atom at a node a rounding error short of it
+            src[lag] += float(spec.tail(lag * h)) ** m * (
+                float(reset.tail(loc)) - float(reset.tail(lag * h)))
+    return kern
 
 
 def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
                          upper: float, n: int) -> np.ndarray:
     """Forward solve of the restarted tail on the uniform grid i*upper/n.
 
-    Step i of the trapezoid recursion sets y[i] from free[i] and a sum over
-    y[0..i] whose weights depend only on the lag d: the density's weight is
-    the mean mass of cells d and d + 1 (cell 0 has none), and an atom adds
-    one tap on the grid or two between nodes, at the same lags for every
-    i. So the recursion is one lower-triangular Toeplitz system in
-    y[1..n], with the lag-0 weight on the diagonal and the terms in y[0]
-    moved to the source.
+    The continuation is the solution itself: one lower-triangular Toeplitz
+    system in y[1..n], the terms in y[0] in the source.
     """
     h = upper / n
-
-    def free_fn(x):
-        return np.asarray(spec.tail(x)) * np.asarray(reset.tail(x))
-
     # the free part, then the solution; taken before the cell masses, so
     # that the temporaries of the two evaluations never coexist
-    y = free_fn(np.arange(n + 1) * h)
-    if reset.has_density:
-        gh = _midpoint_weights(spec, reset, h, n)  # gh[i-1]: cell i
-    else:
-        gh = np.zeros(n)
-    atoms = [(loc, w, float(spec.tail(loc))) for loc, w in reset.atoms()
-             if loc <= upper + 1e-12]
-    use_density = bool(np.any(gh != 0.0))
-    free0 = y[0]
-    w0 = sum(w for loc, w, _ in atoms if loc == 0.0)
-    f0 = float(spec.tail(0.0))
-    if w0:
-        y[0] /= 1.0 - f0 * w0
-
-    # The solution can have infinite slope at 0 (inherited from the tail),
-    # where linear interpolation is O(sqrt(h)) off. Near x = 0 the solution
-    # equals its free part plus a smooth correction, so replacing the
-    # trapezoid of the free part over the first two cells by its exact
-    # integral removes the degradation; the adjustment is the same at
-    # every step.
-    if use_density:
-        (w_head0, w_head1), _ = panels(free_fn, [0.0, h], [h, 2.0 * h])
-        corr1 = w_head0 / h - 0.5 * (free0 + y[1])
-        corr2 = w_head1 / h - 0.5 * (y[1] + y[2]) if n >= 2 else 0.0
-        y[1:] += gh * (0.5 * y[0] + corr1)
-        y[2:] += gh[:-1] * corr2
-    kern = gh  # in place: kern[d], the weight of y[i - d] in step i
-    kern[1:] += kern[:-1]
-    kern *= 0.5
-    for loc, w, f_loc in atoms:
-        pos = loc / h
-        lag = math.ceil(pos - 1e-9)  # the atom's first node at or past it
-        theta = lag - pos if lag - pos > 1e-9 else 0.0  # cells before it
-        mass = w * f_loc
-        if lag < n:
-            kern[lag] += mass * (1.0 - theta)
-        if theta and lag <= n:
-            kern[lag - 1] += mass * theta
-        if 0 < lag <= n:  # step lag reaches back to y[0]
-            y[lag] += mass * (1.0 - theta) * y[0]
+    t = np.arange(n + 1) * h
+    y = np.asarray(spec.tail(t)) * np.asarray(reset.tail(t))
+    del t
+    mid, exact = _cell_integrals(spec, reset, h, n, [1.0], 1)
+    w0 = sum(w for loc, w in reset.atoms() if loc == 0.0)
+    kern = _lag_kernel(spec, reset, h, 1.0, mid, exact[0], y,
+                       y[0] / (1.0 - float(spec.tail(0.0)) * w0), y[:3])
+    del mid
     np.negative(kern, out=kern)  # the system's first column: 1 - kern[0],
     kern[0] += 1.0               # then -kern[d]
     _solve_lower_toeplitz(kern, y[1:])
+    return y
+
+
+def _branching_pass(spec: DistributionSpec, reset: ResetLaw, l: int,
+                    depth: int, upper: float, n: int) -> np.ndarray:
+    """Backward solve of the tail under l-fold branching on i*upper/n.
+
+    Cycle j races l**j copies: y_j = src_j + kern_j * y_{j+1}, one FFT product
+    each, from y_depth, the race of cycle ``depth`` alone, down to y_0. The
+    free part is exact over eight cells, as many copies steepen it at 0.
+    """
+    h = upper / n
+    t = np.arange(n + 1) * h
+    tail_t, reset_t = np.asarray(spec.tail(t)), np.asarray(reset.tail(t))
+    powers = float(l) ** np.arange(depth + 1)
+    mid, exact = _cell_integrals(spec, reset, h, n, powers[:-1], l)
+    y = tail_t ** powers[-1] * reset_t
+    head = y[:9].copy()  # the continuation's free part at its first nodes
+    for j in range(depth - 1, -1, -1):
+        src = tail_t ** powers[j] * reset_t
+        free = src[:9].copy()
+        kern = _lag_kernel(spec, reset, h, powers[j], mid, exact[j], src,
+                           y[0], head)
+        prod = np.fft.rfft(kern, 2 * n)
+        prod *= np.fft.rfft(y[1:], 2 * n)
+        src[1:] += np.fft.irfft(prod, 2 * n)[:n]
+        y, head = src, free
     return y
 
 
@@ -344,19 +376,32 @@ def _snap_grid(reset: ResetLaw, upper: float, n: int,
 
 
 def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
-                      *, tol: float = 1e-6, n0: int = 8192,
+                      *, l: int = 1, tol: float = 1e-6, n0: int = 8192,
                       n_max: int = 262144) -> TailCurve:
     """Renewal-solve the restarted tail on [0, upper] with error control.
 
-    The error is estimated by grid-halving comparison of the second-order
-    scheme; the grid doubles until the estimate is within tolerance.
-    """
+    Cycle j races l**j copies: forward for l = 1, else backward from the
+    first cycle reached with probability at most tol * 1e-3 (by the 60th).
+    The grid doubles until that probability plus the grid-halving estimate
+    of the second-order scheme's error is within tolerance."""
+    _check_branching(l)
+    solve, bound = functools.partial(_renewal_fixed_point, spec, reset), 0.0
+    if l > 1:
+        # clipped, as tail**m at m = l**59 magnifies a tail rounded past 1
+        reach = np.cumprod(np.clip(reset.expect_tail_power(
+            spec, float(l) ** np.arange(_DEPTH_CAP)), 0.0, 1.0))
+        depth = min(int(np.count_nonzero(reach > 1e-3 * tol)) + 1, _DEPTH_CAP)
+        bound = float(reach[depth - 1])
+        if not bound <= tol:
+            raise SeriesNotConvergingError(
+                f"cycle {depth} is reached with probability {bound:.3g} > {tol:g}")
+        solve = functools.partial(_branching_pass, spec, reset, l, depth)
     n = max(n0, 256)
     n_eff, upper_eff = _snap_grid(reset, upper, n, n_max)
-    coarse = _renewal_fixed_point(spec, reset, upper_eff, n_eff // 2)
+    coarse = solve(upper_eff, n_eff // 2)
     while True:
-        fine = _renewal_fixed_point(spec, reset, upper_eff, n_eff)
-        err = float(np.max(np.abs(fine[::2] - coarse))) / 3.0
+        fine = solve(upper_eff, n_eff)
+        err = float(np.max(np.abs(fine[::2] - coarse))) / 3.0 + bound
         coarse = fine
         if err <= tol or n_eff >= n_max:
             break
@@ -372,90 +417,33 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
 
 
 def reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None, *,
-               tol: float = 1e-6, n0: int = 8192,
+               l: int = 1, tol: float = 1e-6, n0: int = 8192,
                n_max: int = 262144) -> TailCurve:
-    """Tail of the repeatedly-restarted law on the requested grid.
-
-    Deterministic restart uses the exact closed form; other reset laws go
-    through the renewal solver and are interpolated onto the grid.
-    """
+    """Tail of the restarted law, each restart racing l times the copies:
+    the closed form under deterministic restart, else the renewal solver
+    interpolated onto the grid."""
     if t_grid is None:
         t_grid = dist.working_grid(spec)
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid[0] != 0.0:
         t_grid = np.concatenate([[0.0], t_grid])
-    upper = float(t_grid[-1])
     if reset.kind == "deterministic":
-        vals = np.asarray(deterministic_reset_tail(spec, reset.period, t_grid))
-        vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
-        return TailCurve(grid=t_grid, values=vals[:-1],
-                         terminal=float(vals[-1]), mode="log-linear")
-    solved = solver_reset_tail(spec, reset, upper, tol=tol, n0=n0, n_max=n_max)
-    vals = np.interp(t_grid, solved.grid, solved.knot_values)
+        vals, err = np.asarray(branching_deterministic_tail(
+            spec, reset.period, l, t_grid)), 0.0
+    else:
+        solved = solver_reset_tail(spec, reset, float(t_grid[-1]), l=l,
+                                   tol=tol, n0=n0, n_max=n_max)
+        vals = np.interp(t_grid, solved.grid, solved.knot_values)
+        err = solved.err_estimate
     vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
     return TailCurve(grid=t_grid, values=vals[:-1], terminal=float(vals[-1]),
-                     mode="log-linear", err_estimate=solved.err_estimate)
+                     mode="log-linear", err_estimate=err)
 
 
 def branching_reset_tail(spec: DistributionSpec, reset: ResetLaw, l: int,
-                         upper: float, *, n: int = 8192,
-                         depth_tol: float = 1e-9) -> TailCurve:
-    """Tail under restart with l-fold branching, by truncated renewal passes.
-
-    Cycle j+1 races l**j fresh copies, so the continuation law changes per
-    cycle; the solve runs backward from a depth where the probability of
-    ever reaching it is below ``depth_tol`` (reported as the error bound).
-    """
-    _check_branching(l)
-    if l == 1:
-        return solver_reset_tail(spec, reset, upper, tol=max(depth_tol, 1e-7))
-    h = upper / n
-    t_grid = np.arange(n + 1) * h
-    log_tail_grid = np.asarray(spec.log_tail(t_grid))
-    s_mid = (np.arange(1, n + 1) - 0.5) * h
-    log_tail_mid = np.asarray(spec.log_tail(s_mid))
-    tail_mid = np.exp(log_tail_mid)
-    base_mass = _midpoint_weights(spec, reset, h, n) \
-        if reset.has_density else np.zeros(n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dens_mass = np.where(tail_mid > 0.0, base_mass / tail_mid, 0.0)
-    r_tail = np.asarray(reset.tail(t_grid))
-    atoms = [(loc, w) for loc, w in reset.atoms() if loc <= upper + 1e-12]
-
-    # choose truncation depth from the product of continue-probabilities
-    depth = 1
-    bound = 1.0
-    while depth < 60:
-        bound *= reset.expect_tail_power(spec, float(l) ** (depth - 1))
-        if bound < depth_tol or bound == 0.0:
-            break
-        depth += 1
-
-    g_next = np.zeros(n + 1)
-    for j in range(depth - 1, -1, -1):
-        m = float(l) ** j
-        with np.errstate(over="ignore"):
-            m_tail_grid = np.exp(np.clip(m * log_tail_grid, -745.0, 0.0))
-            m_tail_mid = np.exp(np.clip(m * log_tail_mid, -745.0, 0.0))
-        g_j = m_tail_grid * r_tail
-        if np.any(dens_mass != 0.0):
-            avg = 0.5 * (g_next[:-1] + g_next[1:])
-            if j == 0:  # tail**0 is 1, also where the tail is 0
-                m_ratio = 1.0
-            else:
-                with np.errstate(over="ignore"):
-                    m_ratio = np.exp(np.clip((m - 1.0) * log_tail_mid,
-                                             -745.0, 0.0))
-            conv = np.convolve(dens_mass * m_ratio * tail_mid, avg)[:n]
-            g_j[1:] += conv
-        for loc, w in atoms:
-            f_loc = float(np.exp(np.clip(m * float(spec.log_tail(loc)), -745.0, 0.0)))
-            shifted = np.interp(np.clip(t_grid - loc, 0.0, None), t_grid, g_next)
-            g_j[t_grid >= loc - 1e-12] += (w * f_loc * shifted)[t_grid >= loc - 1e-12]
-        g_next = g_j
-    vals = np.minimum.accumulate(np.clip(g_next, 0.0, 1.0))
-    return TailCurve(grid=t_grid, values=vals[:-1], terminal=float(vals[-1]),
-                     mode="log-linear", err_estimate=float(bound))
+                         upper: float) -> TailCurve:
+    """Tail under restart with l-fold branching: ``solver_reset_tail``."""
+    return solver_reset_tail(spec, reset, upper, l=l)
 
 
 # ----------------------------------------------------------------------
@@ -549,22 +537,20 @@ def _check_branching(l: int) -> None:
 def branching_deterministic_tail(spec: DistributionSpec, r: float, l: int, t):
     """Tail under period-r restart with l-fold branching.
 
-    On [kr, (k+1)r) the survivors are tail(r)**((l**k - 1)/(l - 1)) many
-    completed cycles times the racing minimum tail(t - kr)**(l**k).
+    On [kr, (k+1)r) the survivors are tail(r)**((l**k - 1)/(l - 1)) (k for
+    l = 1) many completed cycles times the racing minimum tail(t - kr)**(l**k).
     """
     _check_branching(l)
     if not (r > 0.0 and math.isfinite(r)):
         raise InvalidPeriodError(f"restart period must be in (0, inf), got {r!r}")
-    if l == 1:
-        return deterministic_reset_tail(spec, r, t)
     t_arr = np.asarray(t, dtype=float)
     k = np.floor(t_arr / r)
     with np.errstate(over="ignore", invalid="ignore"):
         lk = np.power(float(l), k)
-        exponent = (lk - 1.0) / (l - 1.0)
-        log_fr = float(spec.log_tail(r))
-        rem_log = np.asarray(spec.log_tail(t_arr - k * r))
-        out = np.exp(np.clip(exponent * log_fr + lk * rem_log, -745.0, 0.0))
+        done = k if l == 1 else (lk - 1.0) / (l - 1.0)
+        # no completed cycle before r, also where tail(r) = 0
+        out = np.exp(np.where(done > 0.0, done * float(spec.log_tail(r)), 0.0)
+                     + lk * np.asarray(spec.log_tail(t_arr - k * r)))
     out = np.where(np.isinf(t_arr) | np.isinf(lk), 0.0, out)
     return out if out.shape else float(out)
 

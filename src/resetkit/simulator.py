@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import DistributionSpec
-from .reset_transform import ResetLaw
+from .reset_transform import ResetLaw, _check_branching
 
 __all__ = [
     "SimulationConfig",
@@ -160,8 +160,7 @@ def simulate_branching(spec: DistributionSpec, reset: ResetLaw, l: int,
     non-branching simulation; direct mode draws all m copies and is only
     suitable for small branching loads.
     """
-    if not (isinstance(l, (int, np.integer)) and l >= 1):
-        raise ValueError(f"branching factor must be an integer >= 1, got {l!r}")
+    _check_branching(l)
     max_cycles = config.max_cycles or _auto_max_cycles(spec, reset)
     n = config.replicates
     times = np.empty(n)

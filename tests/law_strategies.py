@@ -56,12 +56,12 @@ def tabulated(draw, modes=("step", "log-linear")):
 
 
 @st.composite
-def from_mrl(draw):
+def from_mrl(draw, slopes=(-1.0, -0.7, 0.0, 0.4, 2.0)):
     widths = draw(steps)
     grid = starts(widths) + (float(sum(widths)),)
     values = [draw(st.floats(0.2, 3.0))]
     for w in widths:
-        slope = draw(st.sampled_from([-1.0, -0.7, 0.0, 0.4, 2.0]))
+        slope = draw(st.sampled_from(slopes))
         values.append(max(values[-1] + slope * w, 0.05))
     curve = mrl.MrlCurve(grid=grid, values=tuple(values),
                          terminal=draw(st.sampled_from(["constant", "linear"])),

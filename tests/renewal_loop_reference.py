@@ -3,7 +3,8 @@
 ``reset_transform._renewal_fixed_point`` solves the same discretisation as
 one lower-triangular Toeplitz system; this loop builds each step's sum
 directly, costs O(n^2), and is what the fast solve is checked against.
-The body is unchanged from the loop the library used to run.
+The body is unchanged from the loop the library used to run; the cell
+masses are the library's, rebuilt here from its exact cell integrals.
 """
 from __future__ import annotations
 
@@ -13,7 +14,19 @@ import numpy as np
 
 from resetkit.distributions import DistributionSpec
 from quad_reference import split_quad
-from resetkit.reset_transform import ResetLaw, _midpoint_weights
+from resetkit.reset_transform import ResetLaw, _cell_integrals
+
+
+def cell_masses(spec: DistributionSpec, reset: ResetLaw, h: float, n: int,
+                m: float) -> np.ndarray:
+    """Masses of tail**m * reset density in the cells ((c - 1) h, c h],
+    c = 1..n: midpoint sums, except where the library integrates exactly."""
+    (tail_mid, dens_mid), ((cells, owner, pieces, _),) = _cell_integrals(
+        spec, reset, h, n, [m], 1)
+    gh = h * tail_mid ** m * np.asarray(dens_mid)
+    gh[cells] = 0.0
+    np.add.at(gh, owner, pieces)
+    return gh
 
 
 def renewal_fixed_point_loop(spec: DistributionSpec, reset: ResetLaw,
@@ -24,8 +37,8 @@ def renewal_fixed_point_loop(spec: DistributionSpec, reset: ResetLaw,
     free = np.asarray(spec.tail(t_grid)) * np.asarray(reset.tail(t_grid))
     gh = np.empty(n + 1)
     gh[0] = 0.0
-    if reset.has_density or reset.kind == "exponential":
-        gh[1:] = _midpoint_weights(spec, reset, h, n)
+    if reset.has_density:
+        gh[1:] = cell_masses(spec, reset, h, n, 1.0)
     else:
         gh[1:] = 0.0
     atoms = [(loc, w, float(spec.tail(loc))) for loc, w in reset.atoms()

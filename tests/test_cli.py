@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from resetkit import cli
+from resetkit import distributions as d
+from resetkit import reset_transform as rt
 
 
 @pytest.fixture
@@ -135,6 +137,53 @@ class TestTransform:
                          out.read_text().splitlines()[1:]])
         assert rows.shape == (513, 3)
         assert np.all(np.diff(rows[:, 2]) <= 0.0)
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_branching_deterministic_is_the_closed_form(self, spec_files,
+                                                        tmp_path, l):
+        # the first-order branching pass was 1.8e-3 (l = 2) and 1.5e-3
+        # (l = 3) off in the cells next to the restart epochs
+        out = tmp_path / "t.csv"
+        assert run(["transform", "--spec", spec_files["weibull"],
+                    "--shape", "0.5", "--reset", "det:1", "--branching", str(l),
+                    "--t-max", "10", "--points", "1025", "-o", str(out)]) == 0
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in
+                         out.read_text().splitlines()[1:]])
+        want = rt.branching_deterministic_tail(d.Weibull(shape=0.5), 1.0, l,
+                                               rows[:, 0])
+        assert np.max(np.abs(rows[:, 2] - want)) <= 1e-12
+
+    def test_default_horizon_branching_within_tolerance(self, spec_files,
+                                                        tmp_path):
+        # to the default horizon, 429, the first-order pass ran on 4,096
+        # cells and was 4.4e-3 off while reporting an error of 2e-12
+        out = tmp_path / "t.json"
+        assert run(["transform", "--spec", spec_files["weibull"],
+                    "--shape", "0.5", "--reset", "exp:1", "--branching", "2",
+                    "--format", "json", "-o", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["err_estimate"] <= 1e-6
+        grid = np.asarray(payload["grid"])
+        near = grid <= 10.0
+        ref = rt.branching_reset_tail(d.Weibull(shape=0.5),
+                                      rt.ResetLaw.exponential(1.0), 2, 10.0)
+        want = np.interp(grid[near], ref.grid, ref.knot_values)
+        got = np.asarray(payload["values"])[near]
+        assert np.max(np.abs(got - want)) <= \
+            payload["err_estimate"] + ref.err_estimate + 1e-6
+
+    def test_branching_that_does_not_stop_is_a_data_error(self, tmp_path,
+                                                           capsys):
+        # T is uniform on [1, 2] and R mostly falls before 1, so every cycle
+        # restarts with probability 0.993: cycle 60 is still reached
+        p = tmp_path / "u12.json"
+        p.write_text(json.dumps({"family": "from_mrl", "params": {
+            "grid": [0.0, 1.0], "values": [1.5, 0.5], "terminal": "linear",
+            "terminal_slope": -0.5}}))
+        assert run(["transform", "--spec", str(p), "--reset", "exp:5",
+                    "--branching", "2", "-o", str(tmp_path / "t.csv")]) == 65
+        err = capsys.readouterr().err
+        assert "data error: cycle 60 is reached with probability 0.6" in err
 
     def test_json_output_roundtrips_as_spec(self, spec_files, tmp_path):
         out = tmp_path / "transformed.json"

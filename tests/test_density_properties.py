@@ -71,3 +71,26 @@ def test_loglinear_mean_upper_rest_matches_quadrature(spec, fracs):
         want, _ = split_quad(lambda x: float(spec.tail(x)), float(t),
                              grid[-1], grid)
         assert value == pytest.approx(want, abs=1e-10), t
+
+
+# residual-mean slopes down to -1 - 1e-6 pass validation
+steep_from_mrl = from_mrl(slopes=(-1.0 - 9e-7, -1.0 - 5e-7, -1.0, -0.7, 0.4))
+
+
+@PROPERTY
+@given(spec=steep_from_mrl)
+def test_from_mrl_tail_never_rises(spec):
+    # below slope -1 the tail rose (tail ~ m ** -(1 + 1/slope)), the
+    # density went negative and jumps() missed the atom at the support end
+    knots = np.asarray(spec.curve.grid)
+    end = spec.t0 if np.isfinite(spec.t0) else knots[-1] + 3.0
+    ts = np.unique(np.concatenate([np.linspace(0.0, end, 2001), knots,
+                                   np.maximum(knots - 1e-9, 0.0)]))
+    assert np.all(np.diff(np.asarray(spec.tail(ts))) <= 1e-12)
+    assert np.all(np.asarray(spec.density(ts)) >= 0.0)
+    edges = sorted({0.0, *spec.tail_breakpoints(), end}) + [np.inf]
+    mass = sum(split_quad(spec.density, a, b)[0]
+               for a, b in zip(edges[:-1], edges[1:]))
+    atoms = sum(w for _, w in spec.jumps())
+    assert atoms + mass + spec.mass_at_infinity == pytest.approx(1.0,
+                                                                 abs=1e-9)

@@ -204,6 +204,32 @@ class TestLawFromMrl:
         assert float(law.tail(2.0)) == 0.0
         assert uniform02().jumps() == ()
 
+    def test_slope_just_below_minus_one_keeps_the_tail_flat(self):
+        # validation admits slopes down to -1 - 1e-6; at -1 - 5e-7 the tail
+        # rose from 0.367879 to 0.367886, the density was -3.7e-7 and
+        # jumps() listed no atom at the support end
+        law = mrl.law_from_mrl(mrl.MrlCurve(grid=(0.0, 1.0), values=(1.0, 1.0),
+                                            terminal="linear",
+                                            terminal_slope=-1.0 - 5e-7))
+        end = law.curve.support_end
+        ts = np.linspace(1.0, end, 101)[:-1]
+        np.testing.assert_allclose(np.asarray(law.tail(ts)), math.exp(-1.0),
+                                   rtol=1e-14)
+        assert np.all(np.asarray(law.density(ts[1:])) == 0.0)
+        ((loc, mass),) = law.jumps()
+        assert loc == end
+        assert mass == pytest.approx(math.exp(-1.0), rel=1e-14)
+        # the sampler draws the end atom where jumps() puts it
+        assert np.all(np.asarray(law.isf(np.array([0.3, 0.2, 1e-3]))) == loc)
+        # an inner piece that steep is flat and meets the next one
+        inner = mrl.law_from_mrl(mrl.MrlCurve(grid=(0.0, 1.0, 2.0),
+                                              values=(2.0, 1.0 - 5e-7, 0.5)))
+        ts = np.array([0.0, 0.5, 1.0 - 1e-9, 1.0, 1.5])
+        vals = np.asarray(inner.tail(ts))
+        assert np.all(vals[:3] == 1.0)
+        assert vals[3] == pytest.approx(1.0, abs=1e-15)
+        assert np.all(np.diff(vals) <= 1e-15)
+
     def test_json_round_trip(self):
         law = uniform02()
         doc = d.spec_to_dict(law)

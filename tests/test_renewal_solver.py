@@ -1,4 +1,5 @@
-"""The renewal solver's Toeplitz solve against the step-by-step loop."""
+"""The renewal solver's Toeplitz solve and branching pass against the
+step-by-step loops."""
 import math
 import tracemalloc
 
@@ -9,6 +10,7 @@ from scipy.linalg import solve_triangular, toeplitz
 from resetkit import reset_transform as rt
 
 from fixture_laws import ALL_LAWS, two_atom_reset, uniform02, weib
+from branching_loop_reference import branching_pass_loop
 from renewal_loop_reference import renewal_fixed_point_loop
 
 RESETS = {
@@ -18,6 +20,7 @@ RESETS = {
 }
 UPPER = 10.0
 N = 4096
+DEPTH = 6  # cycles of the branching pass
 
 
 @pytest.mark.parametrize("reset_name", sorted(RESETS))
@@ -42,6 +45,25 @@ def test_matches_loop_on_unsnapped_grid(law, reset_name):
     want = renewal_fixed_point_loop(spec, reset, UPPER, n)
     got = rt._renewal_fixed_point(spec, reset, UPPER, n)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("reset_name", sorted(RESETS))
+@pytest.mark.parametrize("law", sorted(ALL_LAWS))
+def test_branching_matches_loop_on_solver_grid(law, reset_name):
+    spec, reset = ALL_LAWS[law](), RESETS[reset_name]()
+    n, upper = rt._snap_grid(reset, UPPER, 512, 131072)
+    want = branching_pass_loop(spec, reset, 2, DEPTH, upper, n)
+    got = rt._branching_pass(spec, reset, 2, DEPTH, upper, n)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("law", sorted(ALL_LAWS))
+def test_branching_matches_loop_on_unsnapped_grid(law):
+    # 513 cells put the two-atom law's atoms between nodes (theta != 0)
+    spec, reset = ALL_LAWS[law](), two_atom_reset()
+    want = branching_pass_loop(spec, reset, 3, DEPTH, UPPER, 513)
+    got = rt._branching_pass(spec, reset, 3, DEPTH, UPPER, 513)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
 @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000, 2048])

@@ -97,6 +97,18 @@ class TestClosedForms:
         assert rt.deterministic_reset_tail(spec, 0.7, 0.0) == \
             pytest.approx(float(spec.tail(0.0)), rel=1e-12)
 
+    def test_deterministic_tails_where_the_law_ends_before_the_period(self):
+        # tail(r) = 0: before r the law's own tail, 0 after; it was
+        # 0 * -inf = NaN before r, and 5e-324 after it for l >= 2
+        spec = d.Tabulated(curve=d.TailCurve(grid=(0.0, 0.05), values=(0.05,),
+                                             terminal=0.0, mode="step"),
+                           check_standing=False)
+        ts = np.array([0.0, 0.01, 0.1, 0.3])
+        for l in (1, 2):
+            got = np.asarray(rt.branching_deterministic_tail(spec, 0.2, l, ts))
+            np.testing.assert_allclose(got, [0.05, 0.05, 0.0, 0.0], rtol=1e-15,
+                                       atol=0.0)
+
     def test_invalid_period(self):
         with pytest.raises(rt.InvalidPeriodError):
             rt.deterministic_reset_tail(exp_law(), -1.0, 1.0)
@@ -402,10 +414,22 @@ class TestBranching:
     def test_branching_solver_matches_closed_form(self):
         spec = weib(0.5)
         curve = rt.branching_reset_tail(spec, rt.ResetLaw.deterministic(1.0),
-                                        2, 8.0, n=4096)
+                                        2, 8.0)
         grid = np.asarray(curve.grid)
         closed = np.asarray(rt.branching_deterministic_tail(spec, 1.0, 2, grid))
         assert float(np.max(np.abs(curve.knot_values - closed))) < 1e-10
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_branching_solver_exact_under_one_atom_law(self, l):
+        # the solver's grid holds the atom, so the recursion is exact at
+        # the knots; the first-order pass interpolated the atom shifts and
+        # was 1e-3 off next to each restart epoch
+        spec = weib(0.5)
+        reset = rt.ResetLaw.general(d.PiecewiseConstantTail(
+            breakpoints=(0.0, 1.0), levels=(1.0, 0.0), check_standing=False))
+        curve = rt.branching_reset_tail(spec, reset, l, 10.0)
+        closed = rt.branching_deterministic_tail(spec, 1.0, l, curve.grid)
+        assert float(np.max(np.abs(curve.knot_values - closed))) <= 1e-12
 
     def test_branching_tail_past_finite_support(self):
         # at depth 0 the law's own tail enters to the power 0, which is 1

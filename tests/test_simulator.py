@@ -151,7 +151,7 @@ class TestOracleAgreement:
         res = sim.simulate_branching(spec, reset, 2,
                                      cfg(replicates=60_000,
                                          probe_times=probes))
-        curve = rt.branching_reset_tail(spec, reset, 2, 6.0, n=4096)
+        curve = rt.branching_reset_tail(spec, reset, 2, 6.0)
         for p, hat, se in zip(probes, res.tail_probs, res.tail_se):
             assert abs(hat - float(curve(p))) <= 4.0 * se + 1e-5
 
