@@ -117,8 +117,8 @@ def _verdicts(margins: np.ndarray, witnesses, eps: float,
 
 
 def default_tolerance(spec: DistributionSpec) -> float:
-    """1e-9 for closed-form families, looser for discretized curves."""
-    if isinstance(spec, dist.Tabulated):
+    """1e-9 for closed forms and step curves, looser for log-linear curves."""
+    if isinstance(spec, dist.Tabulated) and spec.curve.mode == "log-linear":
         return max(1e-6, 3.0 * spec.curve.err_estimate)
     return 1e-9
 

@@ -20,7 +20,6 @@ __all__ = [
     "Exponential",
     "Weibull",
     "ShiftedParetoSquare",
-    "PiecewiseConstantTail",
     "PiecewiseExpTail",
     "LevyFirstPassage",
     "Tabulated",
@@ -106,8 +105,6 @@ class TailCurve:
             raise SpecValidationError("tail values must lie in [0, 1]")
         if np.any(np.diff(ladder) > _ATOL):
             raise NonMonotoneError("tail values must be nonincreasing")
-        if ladder[0] <= 0.0:
-            raise ZeroAtOriginError("first tail value must be positive")
 
     def _key(self) -> tuple:
         return (self.grid.tobytes(), self.values.tobytes(), self.terminal,
@@ -502,100 +499,6 @@ class LevyFirstPassage(DistributionSpec):
 
 
 @dataclass(frozen=True, kw_only=True)
-class PiecewiseConstantTail(DistributionSpec):
-    """Pure-jump law: tail constant between breakpoints.
-
-    ``breakpoints`` must start at 0; ``levels[i]`` is the tail value on
-    [breakpoints[i], breakpoints[i+1]), the last level extending to infinity
-    (a positive last level is mass at infinity).
-    """
-
-    breakpoints: tuple[float, ...]
-    levels: tuple[float, ...]
-    family: str = field(default="piecewise_constant", init=False, repr=False)
-
-    def _validate_family(self):
-        b = np.asarray(self.breakpoints, dtype=float)
-        v = np.asarray(self.levels, dtype=float)
-        if b.size == 0 or b[0] != 0.0:
-            raise SpecValidationError("breakpoints must start at 0")
-        if np.any(np.diff(b) <= 0.0):
-            raise SpecValidationError("breakpoints must be strictly increasing")
-        if v.size != b.size:
-            raise SpecValidationError("need one level per breakpoint")
-        if np.any(v < 0.0) or np.any(v > 1.0):
-            raise SpecValidationError("levels must lie in [0, 1]")
-        if np.any(np.diff(v) > _ATOL):
-            raise NonMonotoneError("levels must be nonincreasing")
-
-    def _validate_standing(self):
-        if self.levels[0] <= 0.0:
-            raise ZeroAtOriginError("tail must be positive at 0")
-        if self.levels[0] >= 1.0:
-            end = self.breakpoints[1] if len(self.breakpoints) > 1 else np.inf
-            raise DegenerateAtZeroError(f"tail equals 1 up to t={end:g}")
-
-    def _tail0(self, t):
-        idx = np.searchsorted(self.breakpoints, np.asarray(t, dtype=float),
-                              side="right") - 1
-        return np.asarray(self.levels, dtype=float)[np.clip(idx, 0, len(self.levels) - 1)]
-
-    def _isf0(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        v = np.asarray(self.levels, dtype=float)
-        b = np.asarray(self.breakpoints, dtype=float)
-        idx = np.searchsorted(-v, -u_arr, side="left")
-        out = np.where(idx >= v.size, np.inf, b[np.minimum(idx, v.size - 1)])
-        return out
-
-    def _tail_rest0(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        v = np.asarray(self.levels, dtype=float)
-        b = np.asarray(self.breakpoints, dtype=float)
-        if v[-1] > 0.0:
-            return np.full(t_arr.shape, np.inf)
-        cell = v[:-1] * np.diff(b)
-        suffix = np.append(np.cumsum(cell[::-1])[::-1], 0.0)
-        idx = np.clip(np.searchsorted(b, t_arr, side="right") - 1, 0, v.size - 1)
-        nxt = np.minimum(idx + 1, v.size - 1)
-        partial = v[idx] * np.clip(b[nxt] - t_arr, 0.0, None)
-        return suffix[nxt] + partial
-
-    def _power_moment0(self, p):
-        if self.levels[-1] > 0.0:
-            return np.inf
-        total = 0.0
-        for i in range(len(self.levels) - 1):
-            total += self.levels[i] * (self.breakpoints[i + 1] ** p
-                                       - self.breakpoints[i] ** p)
-        return total
-
-    def _moment_sup_order(self):
-        return np.inf if self.levels[-1] == 0.0 else 0.0
-
-    def _terminal_limit(self):
-        return float(self.levels[-1])
-
-    def _support_end(self):
-        if self.levels[-1] > 0.0:
-            return np.inf
-        return float(self.breakpoints[-1])
-
-    def tail_breakpoints(self):
-        return tuple(float(x) for x in self.breakpoints[1:])
-
-    def jumps(self):
-        out = []
-        prev = 1.0
-        for b, v in zip(self.breakpoints, self.levels):
-            size = (prev - v) * (1.0 - self.defect)
-            if size > 1e-15:
-                out.append((float(b), float(size)))
-            prev = v
-        return tuple(out)
-
-
-@dataclass(frozen=True, kw_only=True)
 class PiecewiseExpTail(DistributionSpec):
     """Tail that is log-linear on each segment.
 
@@ -724,7 +627,7 @@ class PiecewiseExpTail(DistributionSpec):
 
 @dataclass(frozen=True, kw_only=True)
 class Tabulated(DistributionSpec):
-    """Law given by a discretized tail curve."""
+    """Law given by a discretized tail curve; in step mode, a pure-jump law."""
 
     curve: TailCurve
     family: str = field(default="tabulated", init=False, repr=False)
@@ -782,6 +685,13 @@ class Tabulated(DistributionSpec):
             partial = np.where(inside & (width > 0.0),
                                _geo_segment_integral(tv, hi_v, width), 0.0)
         return suffix[nxt] + partial
+
+    def _power_moment0(self, p):
+        if self.curve.mode != "step":
+            return None
+        g = self.curve.grid.tolist()
+        return sum(v * (b ** p - a ** p)
+                   for v, a, b in zip(self.curve.values.tolist(), g, g[1:]))
 
     def _moment_sup_order(self):
         return np.inf if self.curve.terminal == 0.0 else 0.0
@@ -901,7 +811,7 @@ def register_family(name: str, cls: type) -> None:
 
 
 for _cls in (Exponential, Weibull, ShiftedParetoSquare, LevyFirstPassage,
-             PiecewiseConstantTail, PiecewiseExpTail, Tabulated):
+             PiecewiseExpTail, Tabulated):
     register_family(_cls.__dataclass_fields__["family"].default, _cls)
 
 
@@ -1073,6 +983,12 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
         extra["defect"] = float(doc["mass_at_infinity"])
     if "check_standing" in doc:
         extra["check_standing"] = bool(doc["check_standing"])
+    if name == "piecewise_constant":  # a step curve spelt as levels
+        params = doc.get("params", {})
+        if not len(params["levels"]) == len(params["breakpoints"]) >= 1:
+            raise SpecValidationError("need one level per breakpoint")
+        name, doc = "tabulated", {"grid": params["breakpoints"],
+                                  "values": params["levels"]}
     if name == "tabulated":
         grid = [float(x) for x in doc["grid"]]
         values = [float(x) for x in doc["values"]]
@@ -1083,7 +999,7 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
         if "terminal" in doc:
             terminal = float(doc["terminal"])
             cells = values
-        elif len(values) == len(grid):
+        elif len(values) == len(grid) > 0:
             terminal = values[-1]
             cells = values[:-1]
         else:
@@ -1096,9 +1012,6 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
     if cls is None:
         raise SpecValidationError(f"unknown family {name!r}")
     params = dict(doc.get("params", {}))
-    if name == "piecewise_constant":
-        return cls(breakpoints=tuple(float(x) for x in params["breakpoints"]),
-                   levels=tuple(float(x) for x in params["levels"]), **extra)
     if name == "piecewise_exp":
         segs = tuple((float(a), float(b), float(c))
                      for a, b, c in params["segments"])
@@ -1119,10 +1032,6 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
         doc["grid"] = spec.curve.grid.tolist()
         doc["values"] = spec.curve.knot_values.tolist()
         doc["interpolation"] = spec.curve.mode
-        return doc
-    if isinstance(spec, PiecewiseConstantTail):
-        doc["params"] = {"breakpoints": list(spec.breakpoints),
-                         "levels": list(spec.levels)}
         return doc
     if isinstance(spec, PiecewiseExpTail):
         doc["params"] = {"segments": [list(s) for s in spec.segments]}

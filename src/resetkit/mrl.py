@@ -195,6 +195,8 @@ def _tail_from_tables(curve: MrlCurve, r_arr: np.ndarray) -> np.ndarray:
         inc = np.where(np.abs(s) < 1e-14, dt / base_v,
                        np.log1p(s * dt / base_v) / np.where(s == 0.0, 1.0, s))
         out = (tb.m0 / np.maximum(m_here, 1e-300)) * np.exp(-(base_c + inc))
+    # slope -1: the tail is flat, m0 / m * exp(-cum) only up to rounding
+    out = np.where(s == -1.0, tb.knot_tails[idx], out)
     out = np.where(r_arr >= tb.support_end, 0.0, out)
     out = np.where(m_here <= 0.0, 0.0, out)
     return out

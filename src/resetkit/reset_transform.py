@@ -62,10 +62,10 @@ class SeriesNotConvergingError(RuntimeError):
 class ResetLaw:
     """Law of the restart epoch R, held as a distribution spec.
 
-    Deterministic restart is the one-atom law at its period and exponential
-    restart the exponential law; ``kind`` only selects the closed forms
-    those two admit. A valid reset law puts positive mass on (0, inf] and
-    on [0, inf).
+    Deterministic restart is the one-atom step curve at its period and
+    exponential restart the exponential law; ``kind`` only selects the
+    closed forms those two admit. A valid reset law puts positive mass on
+    (0, inf] and on [0, inf).
     """
 
     kind: str
@@ -75,8 +75,9 @@ class ResetLaw:
     def deterministic(cls, r: float) -> "ResetLaw":
         if not (r > 0.0 and math.isfinite(r)):
             raise InvalidPeriodError(f"restart period must be in (0, inf), got {r!r}")
-        return cls(kind="deterministic", spec=dist.PiecewiseConstantTail(
-            breakpoints=(0.0, float(r)), levels=(1.0, 0.0), check_standing=False))
+        return cls(kind="deterministic", spec=dist.Tabulated(
+            curve=TailCurve(grid=(0.0, r), values=(1.0,), terminal=0.0),
+            check_standing=False))
 
     @classmethod
     def exponential(cls, mu: float) -> "ResetLaw":
@@ -95,7 +96,9 @@ class ResetLaw:
     @property
     def period(self) -> float | None:
         """The restart period of deterministic restart, else None."""
-        return self.spec.breakpoints[1] if self.kind == "deterministic" else None
+        if self.kind == "deterministic":
+            return float(self.spec.curve.grid[1])
+        return None
 
     @property
     def rate(self) -> float | None:
@@ -580,12 +583,12 @@ def branching_mean_deterministic(spec: DistributionSpec, r: float, l: int) -> fl
     total = 0.0
     for k in range(_SERIES_CAP):
         lk = float(l) ** k
-        exponent = (lk - 1.0) / (l - 1.0)
-        envelope = math.exp(max(exponent * log_fr, -745.0)) * r
-        if envelope < _TRUNC * max(total, 1.0):
+        # no completed cycle before r, also where tail(r) = 0
+        weight = 1.0 if k == 0 else math.exp(
+            max((lk - 1.0) / (l - 1.0) * log_fr, -745.0))
+        if weight * r < _TRUNC * max(total, 1.0):
             return total
-        total += math.exp(max(exponent * log_fr, -745.0)) \
-            * _min_power_integral(spec, r, lk)
+        total += weight * _min_power_integral(spec, r, lk)
     raise SeriesNotConvergingError(
         f"branching series did not contract after {_SERIES_CAP} terms")
 

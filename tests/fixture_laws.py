@@ -24,16 +24,22 @@ def levy(level: float = 1.0) -> dist.LevyFirstPassage:
     return dist.LevyFirstPassage(level=level)
 
 
-def pw_sixth() -> dist.PiecewiseConstantTail:
+def step_law(breakpoints, levels, **kw) -> dist.Tabulated:
+    """Pure-jump law: ``levels[i]`` is the tail on [breakpoints[i],
+    breakpoints[i+1]), the last level extending to infinity."""
+    curve = dist.TailCurve(grid=breakpoints, values=levels[:-1],
+                           terminal=levels[-1])
+    return dist.Tabulated(curve=curve, **kw)
+
+
+def pw_sixth() -> dist.Tabulated:
     """Step tail 1/2, 1/4, 1/6 with the last sixth stuck at infinity."""
-    return dist.PiecewiseConstantTail(breakpoints=(0.0, 1.0, 1.5),
-                                      levels=(0.5, 0.25, 1.0 / 6.0))
+    return step_law((0.0, 1.0, 1.5), (0.5, 0.25, 1.0 / 6.0))
 
 
-def pw_finite() -> dist.PiecewiseConstantTail:
+def pw_finite() -> dist.Tabulated:
     """Finite-mean variant of the step tail (drops to zero at t=2)."""
-    return dist.PiecewiseConstantTail(breakpoints=(0.0, 1.0, 1.5, 2.0),
-                                      levels=(0.5, 0.25, 1.0 / 6.0, 0.0))
+    return step_law((0.0, 1.0, 1.5, 2.0), (0.5, 0.25, 1.0 / 6.0, 0.0))
 
 
 def pe_mean_only() -> dist.PiecewiseExpTail:
@@ -55,9 +61,7 @@ def uniform02() -> mrl.FromMrl:
 
 def two_atom_reset() -> rt.ResetLaw:
     """Reset at 0.5 or 1.5 with equal chances (needs relaxed standing)."""
-    spec = dist.PiecewiseConstantTail(breakpoints=(0.0, 0.5, 1.5),
-                                      levels=(1.0, 0.5, 0.0),
-                                      check_standing=False)
+    spec = step_law((0.0, 0.5, 1.5), (1.0, 0.5, 0.0), check_standing=False)
     return rt.ResetLaw.general(spec)
 
 

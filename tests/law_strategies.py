@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from resetkit import distributions as d
 from resetkit import mrl
 
+from fixture_laws import step_law
+
 steps = st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6)
 unit = st.floats(0.0, 1.0)
 
@@ -22,8 +24,7 @@ def piecewise_constant(draw):
     widths = draw(steps)
     levels = sorted(draw(st.lists(unit, min_size=len(widths),
                                   max_size=len(widths))), reverse=True)
-    return d.PiecewiseConstantTail(breakpoints=starts(widths),
-                                   levels=tuple(levels), check_standing=False)
+    return step_law(starts(widths), tuple(levels), check_standing=False)
 
 
 @st.composite

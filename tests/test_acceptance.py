@@ -19,7 +19,7 @@ from resetkit import simulator as sim
 from resetkit.cli import parse_reset
 
 from fixture_laws import (ALL_LAWS, exp_law, pe_mean_only, plateau,
-                          pw_sixth, sps, uniform02, weib)
+                          pw_sixth, sps, step_law, uniform02, weib)
 
 _SUITE_START = time.time()
 
@@ -303,9 +303,8 @@ def _random_reset_law(rng: np.random.Generator, scale: float) -> rt.ResetLaw:
         levels = np.concatenate([levels, [terminal]])
         levels[0] = float(rng.uniform(0.4, 1.0))
         levels = np.minimum.accumulate(levels)
-        spec = d.PiecewiseConstantTail(
-            breakpoints=tuple([0.0] + [float(b) for b in bps]),
-            levels=tuple(float(v) for v in levels), check_standing=False)
+        spec = step_law((0.0, *bps.tolist()), tuple(levels.tolist()),
+                        check_standing=False)
     else:
         # smooth: random positive residual-mean profile
         n = int(rng.integers(2, 6))

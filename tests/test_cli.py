@@ -91,6 +91,21 @@ class TestErrors:
             run(["classify"])
         assert info.value.code == 64
 
+    @pytest.mark.parametrize("doc", [
+        {"family": "piecewise_constant",
+         "params": {"breakpoints": [0.0, 1.0], "levels": []}},
+        {"family": "piecewise_constant",
+         "params": {"breakpoints": [0.0, 1.0], "levels": [0.5, 0.2, 0.0]}},
+        {"family": "piecewise_constant",
+         "params": {"breakpoints": [], "levels": []}},
+        {"family": "tabulated", "grid": [], "values": []}])
+    def test_step_curve_without_one_value_per_knot(self, tmp_path, doc):
+        # an empty curve has no last value to take as its terminal; taking
+        # it raised an IndexError, which escaped the CLI as a traceback
+        p = tmp_path / "step.json"
+        p.write_text(json.dumps(doc))
+        assert run(["classify", "--spec", str(p)]) == 65
+
     def test_bad_reset_descriptor(self, spec_files):
         assert run(["transform", "--spec", spec_files["exp1"],
                     "--reset", "poisson:1"]) == 65

@@ -8,7 +8,8 @@ knots make the tail fall linearly), piecewise-exponential laws and laws
 generated by a residual-mean curve. On every law, the atoms ``jumps()``
 lists, the density's integral and the mass at infinity must sum to 1. For
 log-linear tabulated laws ``mean_upper_rest`` must equal split quadrature
-of the tail.
+of the tail, and for step laws the closed-form mean must equal
+``mean_upper_rest`` at 0.
 """
 import numpy as np
 import pytest
@@ -71,6 +72,18 @@ def test_loglinear_mean_upper_rest_matches_quadrature(spec, fracs):
         want, _ = split_quad(lambda x: float(spec.tail(x)), float(t),
                              grid[-1], grid)
         assert value == pytest.approx(want, abs=1e-10), t
+
+
+@PROPERTY
+@given(spec=st.one_of(piecewise_constant(), tabulated(modes=("step",))))
+def test_step_mean_closed_form_matches_mean_upper_rest(spec):
+    # the closed-form sum over cells against the suffix sums of the tail
+    got = d.mean(spec)
+    if np.isfinite(got):
+        assert got == pytest.approx(float(d.mean_upper_rest(spec, 0.0)),
+                                    rel=1e-14)
+    else:
+        assert spec.mass_at_infinity > 0.0
 
 
 # residual-mean slopes down to -1 - 1e-6 pass validation

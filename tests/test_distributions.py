@@ -13,7 +13,7 @@ from resetkit.distributions import (DegenerateAtZeroError, MomentFunction,
 
 from fixture_laws import (ALL_LAWS, FINITE_MEAN_LAWS, brute_tail_integral,
                           exp_law, levy, pe_mean_only, pw_finite, pw_sixth,
-                          sps, weib)
+                          sps, step_law, weib)
 from quad_reference import split_quad
 
 
@@ -25,7 +25,7 @@ class TestValidation:
 
     def test_first_level_one_rejected(self):
         with pytest.raises(DegenerateAtZeroError):
-            d.PiecewiseConstantTail(breakpoints=(0.0, 1.0), levels=(1.0, 0.5))
+            step_law((0.0, 1.0), (1.0, 0.5))
 
     def test_half_quarter_sixth_accepted(self):
         spec = d.validate(pw_sixth())
@@ -34,12 +34,11 @@ class TestValidation:
 
     def test_non_monotone_rejected(self):
         with pytest.raises(NonMonotoneError):
-            d.PiecewiseConstantTail(breakpoints=(0.0, 1.0, 2.0),
-                                    levels=(0.5, 0.6, 0.1))
+            step_law((0.0, 1.0, 2.0), (0.5, 0.6, 0.1))
 
     def test_zero_at_origin_rejected(self):
         with pytest.raises(ZeroAtOriginError):
-            d.PiecewiseConstantTail(breakpoints=(0.0, 1.0), levels=(0.0, 0.0))
+            step_law((0.0, 1.0), (0.0, 0.0))
 
     def test_bad_parameters(self):
         with pytest.raises(d.SpecValidationError):
@@ -52,8 +51,7 @@ class TestValidation:
             d.Exponential(rate=1.0, defect=1.0)
 
     def test_reset_carrier_standing_relaxed(self):
-        spec = d.PiecewiseConstantTail(breakpoints=(0.0, 1.0), levels=(1.0, 0.0),
-                                       check_standing=False)
+        spec = step_law((0.0, 1.0), (1.0, 0.0), check_standing=False)
         assert spec.tail(0.5) == 1.0
 
     def test_upward_jump_between_exp_segments_rejected(self):
@@ -357,3 +355,32 @@ class TestJsonEnvelope:
     def test_unknown_family(self):
         with pytest.raises(d.SpecValidationError):
             d.spec_from_dict({"family": "cauchy", "params": {}})
+
+    def test_piecewise_constant_is_a_step_curve(self):
+        pw = {"family": "piecewise_constant", "check_standing": False,
+              "params": {"breakpoints": [0.0, 0.5, 1.5],
+                         "levels": [1.0, 0.5, 0.0]}}
+        tab = {"family": "tabulated", "check_standing": False,
+               "grid": [0.0, 0.5, 1.5], "values": [1.0, 0.5, 0.0],
+               "interpolation": "step"}
+        spec = d.spec_from_dict(pw)
+        assert spec == d.spec_from_dict(tab)
+        assert d.spec_to_dict(spec) == tab
+        assert d.spec_from_dict(d.spec_to_dict(spec)) == spec
+
+    def test_support_ends_where_the_step_tail_reaches_zero(self):
+        # repeated trailing zero levels: t0 was the last breakpoint, 2.0
+        spec = d.spec_from_dict({"family": "piecewise_constant", "params": {
+            "breakpoints": [0.0, 1.0, 2.0], "levels": [0.5, 0.0, 0.0]}})
+        assert spec.t0 == 1.0
+
+    @pytest.mark.parametrize("breakpoints, levels", [
+        ([], []), ([0.0, 1.0], []), ([0.0, 1.0], [0.5]),
+        ([0.0, 1.0], [0.5, 0.2, 0.0])])
+    def test_piecewise_constant_needs_one_level_per_breakpoint(
+            self, breakpoints, levels):
+        doc = {"family": "piecewise_constant",
+               "params": {"breakpoints": breakpoints, "levels": levels}}
+        with pytest.raises(d.SpecValidationError,
+                           match="need one level per breakpoint"):
+            d.spec_from_dict(doc)

@@ -5,6 +5,7 @@ import pytest
 
 from resetkit import distributions as d
 from resetkit import mrl
+from resetkit import reset_transform as rt
 
 from fixture_laws import (brute_tail_integral, exp_law, levy, pe_mean_only,
                           pw_finite, sps, uniform02, weib)
@@ -229,6 +230,18 @@ class TestLawFromMrl:
         assert np.all(vals[:3] == 1.0)
         assert vals[3] == pytest.approx(1.0, abs=1e-15)
         assert np.all(np.diff(vals) <= 1e-15)
+
+    def test_minus_one_slope_tail_is_exactly_flat(self):
+        # T uniform on [1, 2]: m0 / m * exp(-cum) read up to 4.4e-16 above 1
+        # on [0, 1), and E[tail(R) ** 2 ** 54] under exp:5 came out 5.19
+        law = mrl.law_from_mrl(mrl.MrlCurve(grid=(0.0, 1.0),
+                                            values=(1.5, 0.5),
+                                            terminal="linear",
+                                            terminal_slope=-0.5))
+        ts = np.linspace(0.0, 9.0, 900_001)
+        assert np.all(np.asarray(law.log_tail(ts)) <= 0.0)
+        got = rt.ResetLaw.exponential(5.0).expect_tail_power(law, 2.0 ** 54)
+        assert got == pytest.approx(-math.expm1(-5.0), abs=1e-12)
 
     def test_json_round_trip(self):
         law = uniform02()

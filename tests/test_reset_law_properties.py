@@ -13,7 +13,7 @@ from resetkit import distributions as d
 from resetkit import reset_transform as rt
 from resetkit import simulator as sim
 
-from fixture_laws import ALL_LAWS
+from fixture_laws import ALL_LAWS, step_law
 
 # a fixed, derandomized budget: the whole file runs in a few seconds
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -25,8 +25,8 @@ laws = st.one_of(
 
 
 def one_atom(r: float) -> rt.ResetLaw:
-    return rt.ResetLaw.general(d.PiecewiseConstantTail(
-        breakpoints=(0.0, r), levels=(1.0, 0.0), check_standing=False))
+    return rt.ResetLaw.general(step_law((0.0, r), (1.0, 0.0),
+                                        check_standing=False))
 
 
 @PROPERTY

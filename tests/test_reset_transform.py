@@ -10,7 +10,8 @@ from resetkit import mrl
 from resetkit import reset_transform as rt
 
 from fixture_laws import (brute_tail_integral, exp_law, levy, pe_mean_only,
-                          pw_sixth, sps, two_atom_reset, uniform02, weib)
+                          pw_sixth, sps, step_law, two_atom_reset, uniform02,
+                          weib)
 from quad_reference import split_quad
 
 # frozen oracle values, computed by independent adaptive quadrature
@@ -44,8 +45,7 @@ class TestResetLaw:
             rt.ResetLaw.exponential(-1.0)
 
     def test_general_needs_mass_above_zero(self):
-        dead = d.PiecewiseConstantTail(breakpoints=(0.0,), levels=(0.0,),
-                                       check_standing=False)
+        dead = step_law((0.0,), (0.0,), check_standing=False)
         with pytest.raises(d.SpecValidationError):
             rt.ResetLaw.general(dead)
 
@@ -108,6 +108,15 @@ class TestClosedForms:
             got = np.asarray(rt.branching_deterministic_tail(spec, 0.2, l, ts))
             np.testing.assert_allclose(got, [0.05, 0.05, 0.0, 0.0], rtol=1e-15,
                                        atol=0.0)
+
+    def test_deterministic_mean_where_the_law_ends_before_the_period(self):
+        # tail(r) = 0: the mean is the integral of the tail over [0, r]; for
+        # l >= 2 the first term's weight was exp(0 * -inf) = NaN and the
+        # series ran until l ** k overflowed
+        spec = step_law((0.0, 0.05), (0.05, 0.0), check_standing=False)
+        for l in (1, 2, 3):
+            assert rt.branching_mean_deterministic(spec, 0.2, l) == \
+                pytest.approx(0.0025, rel=1e-12)
 
     def test_invalid_period(self):
         with pytest.raises(rt.InvalidPeriodError):
@@ -187,9 +196,7 @@ class TestRenewalSolver:
 
     def test_deterministic_atom_matches_closed_form(self):
         spec = weib(2.0)
-        det_like = d.PiecewiseConstantTail(breakpoints=(0.0, 0.7),
-                                           levels=(1.0, 0.0),
-                                           check_standing=False)
+        det_like = step_law((0.0, 0.7), (1.0, 0.0), check_standing=False)
         curve = rt.solver_reset_tail(spec, rt.ResetLaw.general(det_like), 6.0,
                                      tol=1e-6)
         grid = np.asarray(curve.grid)
@@ -286,8 +293,8 @@ class TestMeans:
             pytest.approx(83.0 / 124.0, rel=1e-12)
 
     def test_general_one_atom_law_matches_deterministic(self):
-        atom = rt.ResetLaw.general(d.PiecewiseConstantTail(
-            breakpoints=(0.0, 1.0), levels=(1.0, 0.0), check_standing=False))
+        atom = rt.ResetLaw.general(step_law((0.0, 1.0), (1.0, 0.0),
+                                            check_standing=False))
         assert rt.reset_mean(levy(), atom) == \
             pytest.approx(LEVY_DET1_MEAN, rel=1e-9)
         for spec in (levy(), pw_sixth()):
@@ -343,8 +350,7 @@ class TestMeans:
     def test_defective_numerator_infinite(self):
         spec = d.Exponential(rate=1.0, defect=0.2)
         reset = rt.ResetLaw.general(
-            d.PiecewiseConstantTail(breakpoints=(0.0, 1.0), levels=(1.0, 0.1),
-                                    check_standing=False))
+            step_law((0.0, 1.0), (1.0, 0.1), check_standing=False))
         assert rt.reset_mean(spec, reset) == np.inf
 
     def test_laplace_tail(self):
@@ -425,8 +431,8 @@ class TestBranching:
         # the knots; the first-order pass interpolated the atom shifts and
         # was 1e-3 off next to each restart epoch
         spec = weib(0.5)
-        reset = rt.ResetLaw.general(d.PiecewiseConstantTail(
-            breakpoints=(0.0, 1.0), levels=(1.0, 0.0), check_standing=False))
+        reset = rt.ResetLaw.general(step_law((0.0, 1.0), (1.0, 0.0),
+                                             check_standing=False))
         curve = rt.branching_reset_tail(spec, reset, l, 10.0)
         closed = rt.branching_deterministic_tail(spec, 1.0, l, curve.grid)
         assert float(np.max(np.abs(curve.knot_values - closed))) <= 1e-12
@@ -451,8 +457,6 @@ class TestBranching:
 
     def test_series_guard_when_restart_cannot_finish(self):
         # a carrier whose tail is still 1 at the restart period
-        stuck = d.PiecewiseConstantTail(breakpoints=(0.0, 2.0),
-                                        levels=(1.0, 0.0),
-                                        check_standing=False)
+        stuck = step_law((0.0, 2.0), (1.0, 0.0), check_standing=False)
         with pytest.raises(rt.SeriesNotConvergingError):
             rt.branching_mean_deterministic(stuck, 1.0, 1)

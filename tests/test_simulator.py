@@ -8,7 +8,7 @@ from resetkit import distributions as d
 from resetkit import reset_transform as rt
 from resetkit import simulator as sim
 
-from fixture_laws import exp_law, two_atom_reset, uniform02, weib
+from fixture_laws import exp_law, step_law, two_atom_reset, uniform02, weib
 
 
 def cfg(**kw) -> sim.SimulationConfig:
@@ -211,9 +211,7 @@ class TestCensoringAndGuards:
     def test_infinite_outcomes_counted(self):
         # defective completion law against a defective reset law
         spec = d.Exponential(rate=1.0, defect=0.4)
-        carrier = d.PiecewiseConstantTail(breakpoints=(0.0, 1.0),
-                                          levels=(1.0, 0.005),
-                                          check_standing=False)
+        carrier = step_law((0.0, 1.0), (1.0, 0.005), check_standing=False)
         reset = rt.ResetLaw.general(carrier)
         res = sim.simulate_reset(spec, reset, cfg(replicates=30_000))
         assert res.n_infinite > 0
