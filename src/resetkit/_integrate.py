@@ -10,6 +10,8 @@ convolution integrals, which need values at thousands of knots.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.integrate import tanhsinh
 
@@ -96,37 +98,106 @@ def gauss_legendre_cumulative(fn, knots: np.ndarray, order: int = 12) -> np.ndar
     return np.concatenate([[0.0], np.cumsum(panel)])
 
 
-def gl_panel(edges: np.ndarray, order: int = 12) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on consecutive panels of ``edges``."""
+@functools.cache
+def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per order."""
     x, w = np.polynomial.legendre.leggauss(order)
-    lo = edges[:-1]
-    hi = edges[1:]
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def gl_panel(edges: np.ndarray, order: int = 12) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on consecutive panels of ``edges``.
+
+    Panels run along the last axis: a (rows x edges) array gives one row of
+    nodes and one of weights per row of edges.
+    """
+    x, w = _gl_rule(order)
+    lo = edges[..., :-1, None]
+    hi = edges[..., 1:, None]
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
-    return nodes, weights
+    shape = (*edges.shape[:-1], (edges.shape[-1] - 1) * order)
+    return (mid + half * x).reshape(shape), (half * w).reshape(shape)
 
 
 _LADDER = np.array([1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3,
                     1e-2, 3e-2, 0.1, 0.2, 0.35, 0.5])
+_GRADED = np.unique(np.concatenate([[0.0], _LADDER, 1.0 - _LADDER[::-1],
+                                    [1.0]]))
+_ORDER = 12  # Gauss-Legendre nodes per panel of the convolution integrals
+_BLOCK_NODES = 1 << 13  # nodes per block of t in convolution_sums
 
 
-def convolution_log_tails(spec, t: float
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def positive_points(t_grid) -> np.ndarray:
+    """The points t > 0 of ``t_grid``, as floats; ValueError if a point is
+    not finite."""
+    t_grid = np.ravel(np.asarray(t_grid, dtype=float))
+    if not np.all(np.isfinite(t_grid)):
+        bad = t_grid[~np.isfinite(t_grid)]
+        raise ValueError(f"grid points must be finite, got {bad.tolist()}")
+    return t_grid[t_grid > 0.0]
+
+
+def convolution_log_tails(spec, t: np.ndarray) -> tuple[np.ndarray, ...]:
     """Weights and log factors of int_0^1 tail(t v) tail(t (1 - v))**l dv.
 
-    Returns (weights, head, rest) with head = log tail(t v) and rest =
-    log tail(t (1 - v)) at the nodes, so that the integrand for any l is
-    exp(head + l * rest). The panels are graded towards both ends of
-    [0, 1] and split wherever either factor has a breakpoint or the
-    support of ``spec`` ends. Log tails are -inf where the tail is 0.
+    Returns (weights, head, rest, widths), one row per point of the finite,
+    positive ``t``: head = log tail(t v) and rest = log tail(t (1 - v)) at
+    the nodes, so that the integrand for any l is exp(head + l * rest).
+    Each row's panels are graded towards both ends of [0, 1] and split
+    wherever either factor has a breakpoint or the support of ``spec``
+    ends; row i holds ``widths[i]`` nodes, and the rest of the row is
+    zero-width panels at v = 1. Log tails are -inf where the tail is 0.
     """
-    inner = kinks((spec,))
-    inner = inner[(inner > 0.0) & (inner < t)] / t
-    nodes, weights = gl_panel(np.unique(np.concatenate(
-        [[0.0], _LADDER, 1.0 - _LADDER[::-1], [1.0], inner, 1.0 - inner])))
-    head = np.asarray(spec.log_tail(t * nodes))
-    rest = np.asarray(spec.log_tail(t * (1.0 - nodes)))
-    return (weights, np.where(np.isnan(head), -np.inf, head),
-            np.where(np.isnan(rest), -np.inf, rest))
+    pts = kinks((spec,))
+    pts = pts[pts > 0.0]
+    # kinks at or past t land on the edges 1 and 0, which every row has
+    inner = np.where(pts < t[:, None], pts / t[:, None], 1.0)
+    edges = np.concatenate([np.broadcast_to(_GRADED, (t.size, _GRADED.size)),
+                            inner, 1.0 - inner], axis=1)
+    edges.sort(axis=1)
+    repeat = edges[:, 1:]
+    repeat[repeat == edges[:, :-1]] = np.inf  # sorts repeated edges last
+    edges.sort(axis=1)
+    counts = np.count_nonzero(edges < np.inf, axis=1)
+    edges = edges[:, :counts.max()]
+    edges[edges == np.inf] = 1.0
+    nodes, weights = gl_panel(edges, _ORDER)
+    head = np.asarray(spec.log_tail((t[:, None] * nodes).ravel()))
+    rest = np.asarray(spec.log_tail((t[:, None] * (1.0 - nodes)).ravel()))
+    return (weights,
+            np.where(np.isnan(head), -np.inf, head).reshape(nodes.shape),
+            np.where(np.isnan(rest), -np.inf, rest).reshape(nodes.shape),
+            _ORDER * (counts - 1))
+
+
+def convolution_sums(spec, t: np.ndarray, ls, shift: np.ndarray,
+                     cap: float) -> np.ndarray:
+    """int_0^1 exp(log tail(t v) + l log tail(t (1 - v)) - shift) dv.
+
+    One row per l in ``ls``, one column per point of the finite, positive
+    ``t``; ``shift`` holds one value per point. The exponent is clipped to
+    [-745, ``cap``] before exp, and an exponent of +inf gives +inf. The
+    points go through ``convolution_log_tails`` in blocks of at most
+    ``_BLOCK_NODES`` nodes, so the working arrays stay small however many
+    kinks the law has; each sum is a dot product over its own row's nodes,
+    which gives the bits of a single point's panel set.
+    """
+    t = np.asarray(t, dtype=float)
+    panels_max = _GRADED.size - 1 + 2 * kinks((spec,)).size
+    step = max(1, _BLOCK_NODES // (_ORDER * panels_max))
+    out = np.empty((len(ls), t.size))
+    for lo in range(0, t.size, step):
+        block = slice(lo, lo + step)
+        weights, head, rest, widths = convolution_log_tails(spec, t[block])
+        for i, l in enumerate(ls):
+            expo = head + float(l) * rest
+            expo -= shift[block, None]
+            overflow = expo == np.inf
+            with np.errstate(over="ignore"):
+                np.exp(np.clip(expo, -745.0, cap, out=expo), out=expo)
+            expo[overflow] = np.inf
+            out[i, block] = [w[:n] @ v[:n]
+                             for w, v, n in zip(weights, expo, widths)]
+    return out

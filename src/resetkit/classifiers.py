@@ -19,8 +19,8 @@ import numpy as np
 from . import distributions as dist
 from . import mrl as mrl_mod
 from . import reset_transform as rt
-from ._integrate import (convolution_log_tails, gauss_legendre_cumulative,
-                         gl_panel)
+from ._integrate import (convolution_sums, gauss_legendre_cumulative,
+                         gl_panel, positive_points)
 from .distributions import DistributionSpec, MomentFunction
 
 __all__ = [
@@ -219,27 +219,15 @@ def _exp_reset_ratios(spec: DistributionSpec, t_grid: np.ndarray,
     One row per l in ``ls``, one column per t. Computed as an integral over
     v = u/t in log space so that deep tails neither underflow nor lose the
     sign of the comparison; the log tails at the nodes are evaluated once
-    per t and shared by every l.
+    for every t and shared by every l.
     """
-    out = np.empty((len(ls), len(t_grid)))
-    for j, t in enumerate(t_grid):
-        t = float(t)
-        lf_t = float(spec.log_tail(t))
-        weights, head, rest = convolution_log_tails(spec, t)
-        for i, l in enumerate(ls):
-            expo = head + float(l) * rest
-            if math.isinf(lf_t):
-                # past the support the condition is "the integral is zero"
-                with np.errstate(over="ignore"):
-                    raw = float(weights @ np.exp(np.clip(expo, -745.0, 700.0)))
-                out[i, j] = math.inf if raw > _FLOOR else 1.0
-                continue
-            expo = expo - lf_t
-            with np.errstate(over="ignore"):
-                vals = np.exp(np.clip(expo, -745.0, 700.0))
-            vals = np.where(np.isinf(expo) & (expo > 0), np.inf, vals)
-            out[i, j] = float(weights @ vals)
-    return out
+    t_grid = np.asarray(t_grid, dtype=float)
+    lf_t = np.asarray(spec.log_tail(t_grid))
+    past = np.isinf(lf_t)
+    ratios = convolution_sums(spec, t_grid, ls, np.where(past, 0.0, lf_t),
+                              700.0)
+    # past the support the condition is "the integral is zero"
+    return np.where(past, np.where(ratios > _FLOOR, math.inf, 1.0), ratios)
 
 
 def _exp_reset_verdicts(ratios: np.ndarray, t_grid: np.ndarray, eps: float,
@@ -259,14 +247,14 @@ def check_exp_reset_condition(spec: DistributionSpec, t_grid=None,
 
     For each grid t the average of tail(u) tail(t-u)**l over u in [0, t] is
     compared against tail(t): no_bigger requires <=, no_smaller >=,
-    invariant equality. For l >= 2 only no_bigger is returned.
+    invariant equality. For l >= 2 only no_bigger is returned. Raises
+    ValueError for a non-finite grid point.
     """
     eps = default_tolerance(spec) if eps is None else eps
     if t_grid is None:
         near, wide = _exp_condition_grids(spec)
         t_grid = wide if l >= 2 else near
-    t_grid = np.asarray(t_grid, dtype=float)
-    t_grid = t_grid[t_grid > 0.0]
+    t_grid = positive_points(t_grid)
     ratios = _exp_reset_ratios(spec, t_grid, (l,))[0]
     return _exp_reset_verdicts(ratios, t_grid, eps, l)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._integrate import convolution_log_tails
+from ._integrate import convolution_sums, positive_points
 from .distributions import DistributionSpec
 
 __all__ = ["ResidualReport", "lfold_invariance_residual"]
@@ -38,22 +38,15 @@ class ResidualReport:
         return "\n".join(lines) + "\n"
 
 
-def _residual_at(spec: DistributionSpec, t: float, l: int) -> float:
-    # int_0^t tail(u)**l tail(t-u) du, written with u -> t - u
-    weights, head, rest = convolution_log_tails(spec, t)
-    expo = head + float(l) * rest
-    integral = t * float(weights @ np.exp(np.clip(expo, -745.0, 0.0)))
-    return integral - t * float(spec.tail(t))
-
-
 def lfold_invariance_residual(spec: DistributionSpec, l: int,
                               t_grid=None) -> ResidualReport:
     """Residuals of the would-be invariance identity on the grid.
 
     Continuous laws with tail(0) = 1 are the only candidates; the probe
     still evaluates other laws so the caller can see how badly they miss.
+    Raises ValueError for a non-finite grid point or a grid with no t > 0.
     """
-    if not (isinstance(l, (int, np.integer)) and l >= 1):
+    if isinstance(l, bool) or not (isinstance(l, (int, np.integer)) and l >= 1):
         raise ValueError(f"branching factor must be an integer >= 1, got {l!r}")
     if t_grid is None:
         upper = dist.default_horizon(spec)
@@ -62,9 +55,12 @@ def lfold_invariance_residual(spec: DistributionSpec, l: int,
         t_grid = np.unique(np.concatenate([
             np.geomspace(upper * 1e-4, upper, 48),
             np.linspace(upper / 64.0, upper, 32)]))
-    t_grid = np.asarray(t_grid, dtype=float)
-    t_grid = t_grid[t_grid > 0.0]
-    res = np.array([_residual_at(spec, float(t), l) for t in t_grid])
-    return ResidualReport(l=int(l), t_grid=tuple(float(t) for t in t_grid),
-                          residuals=tuple(float(r) for r in res),
+    t_grid = positive_points(t_grid)
+    if not t_grid.size:
+        raise ValueError("grid has no point t > 0")
+    # int_0^t tail(u)**l tail(t-u) du, written with u -> t - u
+    sums = convolution_sums(spec, t_grid, (l,), np.zeros(t_grid.size), 0.0)[0]
+    res = t_grid * sums - t_grid * np.asarray(spec.tail(t_grid))
+    return ResidualReport(l=int(l), t_grid=tuple(t_grid.tolist()),
+                          residuals=tuple(res.tolist()),
                           sup_norm=float(np.max(np.abs(res))))

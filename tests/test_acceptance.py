@@ -69,7 +69,7 @@ def test_criterion_1_weibull_classification_table():
                                  "unexpected hold"))
     _finish(1, "Weibull table: no-bigger iff k<=1, no-smaller iff k>=1, "
                "invariant iff k=1, l-fold no-bigger iff k<=1", failures,
-            started, 10.0)
+            started, 5.0)
 
 
 def test_criterion_2_exponential_fixed_point(tmp_path):

@@ -105,6 +105,18 @@ class TestExpResetCondition:
         verdicts = cls.check_exp_reset_condition(exp_law(), l=2)
         assert set(verdicts) == {"no_bigger"}
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_grid_point_rejected(self, bad):
+        # inf was judged with witness (inf,); NaN was dropped silently
+        with pytest.raises(ValueError, match="finite"):
+            cls.check_exp_reset_condition(exp_law(), t_grid=[1.0, bad])
+
+    def test_grid_without_positive_point_is_undefined(self):
+        for l in (1, 2):
+            verdicts = cls.check_exp_reset_condition(exp_law(), t_grid=[0.0],
+                                                     l=l)
+            assert {v.status for v in verdicts.values()} == {"undefined"}
+
 
 class TestMeanConditions:
     def test_exponential_invariant(self):

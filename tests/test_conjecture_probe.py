@@ -37,6 +37,24 @@ class TestResidual:
         with pytest.raises(ValueError):
             cp.lfold_invariance_residual(exp_law(), 0)
 
+    @pytest.mark.parametrize("l", [True, False, np.True_])
+    def test_boolean_branching_factor_rejected(self, l):
+        # bool is an int subclass: True used to run as l = 1
+        with pytest.raises(ValueError, match="branching factor"):
+            cp.lfold_invariance_residual(exp_law(), l)
+
+    @pytest.mark.parametrize("grid", [[0.0], [], [-1.0, 0.0]])
+    def test_grid_without_positive_point_rejected(self, grid):
+        # used to raise numpy's bare zero-size reduction error
+        with pytest.raises(ValueError, match="no point t > 0"):
+            cp.lfold_invariance_residual(exp_law(), 2, t_grid=grid)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_grid_point_rejected(self, bad):
+        # inf gave a NaN residual and sup norm; NaN was dropped silently
+        with pytest.raises(ValueError, match="finite"):
+            cp.lfold_invariance_residual(exp_law(), 2, t_grid=[1.0, bad])
+
     def test_serializes(self):
         doc = cp.lfold_invariance_residual(exp_law(), 2).to_dict()
         assert doc["l"] == 2

@@ -87,3 +87,23 @@ def test_gauss_legendre_cumulative():
     knots = np.array([0.0, 0.5, 1.0, 3.0])
     got = ig.gauss_legendre_cumulative(np.exp, knots)
     np.testing.assert_allclose(got, np.exp(knots) - 1.0, rtol=1e-14)
+
+
+def test_gl_panel_builds_the_rule_once(monkeypatch):
+    edges = np.array([0.0, 0.25, 1.0, 3.5])
+    x, w = np.polynomial.legendre.leggauss(12)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    want_nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
+    want_weights = (half[:, None] * w[None, :]).ravel()
+    ig.gl_panel(edges)
+
+    def rebuilt(order):
+        raise AssertionError("gl_panel rebuilt the Gauss-Legendre rule")
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", rebuilt)
+    nodes, weights = ig.gl_panel(edges)
+    assert nodes.tobytes() == want_nodes.tobytes()
+    assert weights.tobytes() == want_weights.tobytes()
+    rows_nodes, rows_weights = ig.gl_panel(np.stack([edges, edges]))
+    assert rows_nodes.tobytes() == np.tile(want_nodes, 2).tobytes()
+    assert rows_weights.tobytes() == np.tile(want_weights, 2).tobytes()
