@@ -16,7 +16,6 @@ from .distributions import (  # noqa: F401
     Exponential,
     LevyFirstPassage,
     MomentFunction,
-    PiecewiseExpTail,
     ShiftedParetoSquare,
     Tabulated,
     TailCurve,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import special as _sp
@@ -20,7 +21,6 @@ __all__ = [
     "Exponential",
     "Weibull",
     "ShiftedParetoSquare",
-    "PiecewiseExpTail",
     "LevyFirstPassage",
     "Tabulated",
     "TailCurve",
@@ -47,6 +47,7 @@ __all__ = [
 ]
 
 _ATOL = 1e-12
+_TINY = 1e-300  # knot values at or below it count as zero
 
 
 class SpecValidationError(ValueError):
@@ -73,7 +74,9 @@ class TailCurve:
     ``values`` holds one probability per grid cell [grid[i], grid[i+1]),
     ``terminal`` the value on [grid[-1], inf). In ``log-linear`` mode the
     entries are knot values at the breakpoints instead (terminal doubling
-    as the last knot) and the curve interpolates geometrically. ``grid``
+    as the last knot) and the curve interpolates geometrically. There a
+    knot after 0 may be given twice, its left limit first, for a jump, and
+    past the last knot the curve falls as exp(-terminal_rate * t). ``grid``
     and ``values`` are kept as read-only float arrays (copies of what was
     passed); curves are equal when their arrays are bitwise equal and their
     other fields equal.
@@ -84,6 +87,7 @@ class TailCurve:
     terminal: float
     mode: str = "step"
     err_estimate: float = 0.0
+    terminal_rate: float = 0.0
 
     def __post_init__(self):
         g = np.array(self.grid, dtype=float)
@@ -91,24 +95,32 @@ class TailCurve:
         g.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-        if g.size < 1 or g[0] != 0.0:
-            raise SpecValidationError("tail curve grid must start at 0")
-        if g.size > 1 and np.any(np.diff(g) <= 0.0):
-            raise SpecValidationError("tail curve grid must be strictly increasing")
+        if self.mode not in ("step", "log-linear"):
+            raise SpecValidationError(f"unknown interpolation mode {self.mode!r}")
+        if g.size < 1 or g[0] != 0.0 or not np.all(np.isfinite(g)):
+            raise SpecValidationError("tail curve grid must be finite and start at 0")
+        repeat = np.diff(g) == 0.0  # a log-linear jump: a knot after 0 twice
+        if np.any(np.diff(g) < 0.0) or np.any(
+                repeat & np.append(True, repeat[:-1] | (self.mode == "step"))):
+            raise SpecValidationError(
+                "tail curve grid must be strictly increasing (in log-linear "
+                "mode a knot after 0 may be given twice)")
         if v.size != g.size - 1:
             raise SpecValidationError(
                 "need one value per grid cell (len(values) == len(grid) - 1)")
-        if self.mode not in ("step", "log-linear"):
-            raise SpecValidationError(f"unknown interpolation mode {self.mode!r}")
+        if not 0.0 <= self.terminal_rate < np.inf:
+            raise SpecValidationError("terminal rate must be finite and nonnegative")
+        if self.terminal_rate and self.mode == "step":
+            raise SpecValidationError("a terminal rate needs log-linear mode")
         ladder = np.append(v, self.terminal)
-        if np.any(ladder < -_ATOL) or np.any(ladder > 1.0 + _ATOL):
+        if not np.all((ladder >= -_ATOL) & (ladder <= 1.0 + _ATOL)):
             raise SpecValidationError("tail values must lie in [0, 1]")
         if np.any(np.diff(ladder) > _ATOL):
             raise NonMonotoneError("tail values must be nonincreasing")
 
     def _key(self) -> tuple:
         return (self.grid.tobytes(), self.values.tobytes(), self.terminal,
-                self.mode, self.err_estimate)
+                self.mode, self.err_estimate, self.terminal_rate)
 
     def __eq__(self, other):
         return isinstance(other, TailCurve) and self._key() == other._key()
@@ -120,37 +132,65 @@ class TailCurve:
     def knot_values(self) -> np.ndarray:
         return np.append(self.values, self.terminal)
 
+    @cached_property
+    def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per knot: its value's log floored at 1e-300, whether the piece
+        from it falls linearly (a cell with a zero end, a zero terminal)
+        and the log slope of that piece."""
+        small = self.knot_values <= _TINY
+        logs = np.log(np.maximum(self.knot_values, _TINY))
+        with np.errstate(divide="ignore", invalid="ignore"):  # repeated knots
+            slopes = np.append(np.diff(logs) / np.diff(self.grid), -self.terminal_rate)
+        return logs, small | np.append(small[1:], False), slopes
+
+    def _cell(self, t: np.ndarray) -> np.ndarray:
+        """Index of the last knot at or before each t (0 before the grid)."""
+        return np.maximum(np.searchsorted(self.grid, t, side="right") - 1, 0)
+
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
         g = self.grid
-        ladder = self.knot_values
-        idx = np.searchsorted(g, t_arr, side="right") - 1
-        idx = np.clip(idx, 0, g.size - 1)
+        idx = self._cell(t_arr)
+        last = g.size - 1
         if self.mode == "step":
-            out = ladder[idx]
-        else:
-            out = _loglinear_eval(g, ladder, t_arr, idx)
+            out = self.knot_values[idx]
+        else:  # exp((1 - theta) log lo + theta log hi) between knots
+            logs, linear, _ = self._knots
+            lo = np.minimum(idx, last - 1)  # a zero-width or -1st cell is never read
+            hi = lo + 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                theta = np.minimum(np.maximum(
+                    (t_arr - g[lo]) / (g[hi] - g[lo]), 0.0), 1.0)
+            out = (1.0 - theta) * logs[lo] + theta * logs[hi]
+            if self.terminal_rate:  # the log falls at the rate past the last knot
+                out = np.where(idx < last, out, logs[last] - self.terminal_rate
+                               * np.maximum(t_arr - g[last], 0.0))
+            out = np.exp(out)
+            # linear cells (an end at zero) and a constant terminal, exactly
+            exact = linear[idx] if self.terminal_rate else linear[idx] | (idx == last)
+            if exact.any():
+                ladder = self.knot_values
+                out = np.where(exact, np.where(
+                    idx < last, (1.0 - theta) * ladder[lo] + theta * ladder[hi],
+                    ladder[last]), out)
         out = np.where(np.isinf(t_arr), 0.0, out)
         return out if out.shape else float(out)
 
-
-def _loglinear_eval(g: np.ndarray, ladder: np.ndarray, t: np.ndarray,
-                    idx: np.ndarray) -> np.ndarray:
-    last = g.size - 1
-    if last < 1:
-        return np.full(t.shape, ladder[-1])
-    seg = np.minimum(idx, last - 1)
-    lo_t, hi_t = g[seg], g[seg + 1]
-    lo_v, hi_v = ladder[seg], ladder[seg + 1]
-    theta = np.clip((t - lo_t) / (hi_t - lo_t), 0.0, 1.0)
-    tiny = 1e-300
-    geo_ok = (lo_v > tiny) & (hi_v > tiny)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        geo = np.exp((1.0 - theta) * np.log(np.maximum(lo_v, tiny))
-                     + theta * np.log(np.maximum(hi_v, tiny)))
-    lin = (1.0 - theta) * lo_v + theta * hi_v
-    # fall back to linear interpolation when an endpoint is (numerically) zero
-    return np.where(idx < last, np.where(geo_ok, geo, lin), ladder[-1])
+    def log_tail(self, t):
+        """log of the curve, in log space between log-linear knots and past
+        the last one, where the tail itself underflows."""
+        t_arr = np.asarray(t, dtype=float)
+        idx = self._cell(t_arr)
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = inf
+            if self.mode == "step":
+                out = np.log(self.knot_values[idx])
+            else:
+                logs, linear, slopes = self._knots
+                out = logs[idx] + slopes[idx] * np.maximum(t_arr - self.grid[idx], 0.0)
+                if linear[idx].any():
+                    out = np.where(linear[idx], np.log(self(t_arr)), out)
+        out = np.where(np.isinf(t_arr), -np.inf, out)
+        return out if out.shape else float(out)
 
 
 class MomentFunction:
@@ -499,135 +539,10 @@ class LevyFirstPassage(DistributionSpec):
 
 
 @dataclass(frozen=True, kw_only=True)
-class PiecewiseExpTail(DistributionSpec):
-    """Tail that is log-linear on each segment.
-
-    ``segments`` is a tuple of (start, offset, rate): on [start, next_start)
-    the tail equals exp(-(offset + rate * (t - start))); the last segment
-    extends to infinity. Downward jumps between segments are allowed.
-    """
-
-    segments: tuple[tuple[float, float, float], ...]
-    family: str = field(default="piecewise_exp", init=False, repr=False)
-
-    def _validate_family(self):
-        if not self.segments:
-            raise SpecValidationError("need at least one segment")
-        starts = [s[0] for s in self.segments]
-        if starts[0] != 0.0:
-            raise SpecValidationError("first segment must start at 0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise SpecValidationError("segment starts must be strictly increasing")
-        for _, off, rate in self.segments:
-            if off < 0.0 or rate < 0.0:
-                raise NonMonotoneError("segment offsets and rates must be nonnegative")
-        for (s0, a0, b0), (s1, a1, _) in zip(self.segments, self.segments[1:]):
-            if a1 < a0 + b0 * (s1 - s0) - 1e-9:
-                raise NonMonotoneError("tail must not jump upward between segments")
-
-    def _validate_standing(self):
-        _, a0, b0 = self.segments[0]
-        if a0 == 0.0 and b0 == 0.0:
-            end = self.segments[1][0] if len(self.segments) > 1 else np.inf
-            raise DegenerateAtZeroError(f"tail equals 1 up to t={end:g}")
-
-    def _starts(self):
-        return np.asarray([s[0] for s in self.segments], dtype=float)
-
-    def _log_tail0(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        starts = self._starts()
-        offs = np.asarray([s[1] for s in self.segments])
-        rates = np.asarray([s[2] for s in self.segments])
-        idx = np.clip(np.searchsorted(starts, t_arr, side="right") - 1, 0,
-                      starts.size - 1)
-        return -(offs[idx] + rates[idx] * (t_arr - starts[idx]))
-
-    def _tail0(self, t):
-        return np.exp(self._log_tail0(t))
-
-    def _isf0(self, u):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        segs = self.segments
-        n = len(segs)
-        top = math.exp(-segs[0][1])
-        out = np.full(u_arr.shape, np.inf)
-        out[u_arr <= 0.0] = self._support_end()
-        out[u_arr >= top] = 0.0
-        inner = (u_arr > 0.0) & (u_arr < top)
-        tau = -_libm(math.log, u_arr[inner])
-        res = np.full(tau.shape, np.inf)
-        left = np.ones(tau.shape, dtype=bool)
-        # first segment whose start or interior reaches the level tau
-        for i, (s, a, b) in enumerate(segs):
-            at_start = left & (tau <= a)
-            res[at_start] = s
-            left &= ~at_start
-            end = segs[i + 1][0] if i + 1 < n else math.inf
-            if math.isfinite(end):
-                end_val = a + b * (end - s)
-            else:
-                end_val = math.inf if b > 0.0 else a
-            within = left & (tau < end_val)
-            res[within] = s + (tau[within] - a) / b
-            left &= ~within
-        out[inner] = res
-        return out if np.asarray(u).shape else out[0]
-
-    def _tail_rest0(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if self.segments[-1][2] == 0.0:
-            return np.full(t_arr.shape, np.inf)
-        flat = np.zeros(t_arr.shape)
-        n = len(self.segments)
-        for i, (s, a, b) in enumerate(self.segments):
-            end = self.segments[i + 1][0] if i + 1 < n else np.inf
-            lo = np.maximum(t_arr, s)
-            width = np.clip(end - lo, 0.0, None)
-            v_lo = np.exp(-(a + b * (lo - s)))
-            if b > 0.0:
-                v_hi = np.exp(-(a + b * (np.minimum(end, lo + width) - s))) \
-                    if math.isfinite(end) else 0.0
-                flat = flat + np.where(width > 0.0, (v_lo - v_hi) / b, 0.0)
-            else:
-                flat = flat + v_lo * width
-        return flat
-
-    def _moment_sup_order(self):
-        return np.inf if self.segments[-1][2] > 0.0 else 0.0
-
-    def _terminal_limit(self):
-        _, a, b = self.segments[-1]
-        return 0.0 if b > 0.0 else math.exp(-a)
-
-    def tail_breakpoints(self):
-        return tuple(float(s[0]) for s in self.segments[1:])
-
-    def jumps(self):
-        out = []
-        v_prev = 1.0
-        n = len(self.segments)
-        for i, (s, a, b) in enumerate(self.segments):
-            v_here = math.exp(-a)
-            size = (v_prev - v_here) * (1.0 - self.defect)
-            if size > 1e-15:
-                out.append((float(s), size))
-            end = self.segments[i + 1][0] if i + 1 < n else np.inf
-            v_prev = math.exp(-(a + b * (end - s))) if math.isfinite(end) else 0.0
-        return tuple(out)
-
-    def _density0(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        starts = self._starts()
-        rates = np.asarray([s[2] for s in self.segments])
-        idx = np.clip(np.searchsorted(starts, t_arr, side="right") - 1, 0,
-                      starts.size - 1)
-        return rates[idx] * self._tail0(t_arr)
-
-
-@dataclass(frozen=True, kw_only=True)
 class Tabulated(DistributionSpec):
-    """Law given by a discretized tail curve; in step mode, a pure-jump law."""
+    """Law given by a discretized tail curve: in step mode a pure-jump law,
+    in log-linear mode one that is exponential between knots and jumps
+    only at 0 and at repeated knots."""
 
     curve: TailCurve
     family: str = field(default="tabulated", init=False, repr=False)
@@ -640,50 +555,52 @@ class Tabulated(DistributionSpec):
         ladder = self.curve.knot_values
         if ladder[0] <= 0.0:
             raise ZeroAtOriginError("tail must be positive at 0")
-        if self.curve.mode == "step":
-            if ladder[0] >= 1.0:
-                raise DegenerateAtZeroError("tail equals 1 on the first cell")
-        elif ladder[0] >= 1.0 and ladder.size > 1 and ladder[1] >= 1.0:
-            raise DegenerateAtZeroError("tail equals 1 on the first segment")
+        flat = ladder[1] >= 1.0 if ladder.size > 1 else not self.curve.terminal_rate
+        if ladder[0] >= 1.0 and (self.curve.mode == "step" or flat):
+            raise DegenerateAtZeroError("tail equals 1 on the first cell")
 
     def _tail0(self, t):
         return np.asarray(self.curve(np.asarray(t, dtype=float)))
 
+    def _log_tail0(self, t):
+        return np.asarray(self.curve.log_tail(t))
+
     def _isf0(self, u):
         u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-        g = self.curve.grid
-        ladder = self.curve.knot_values
+        g, ladder = self.curve.grid, self.curve.knot_values
         idx = np.searchsorted(-ladder, -u_arr, side="left")
         if self.curve.mode == "step":
             out = np.where(idx >= ladder.size, np.inf,
                            g[np.minimum(idx, g.size - 1)])
         else:
-            out = _isf_loglinear(u_arr, idx, g, ladder)
+            out = _isf_loglinear(u_arr, idx, g, ladder, self.curve.terminal_rate)
         return out if np.asarray(u).shape else float(out.ravel()[0])
 
     def _tail_rest0(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if self.curve.terminal > 0.0:
+        if self._terminal_limit() > 0.0:
             return np.full(t_arr.shape, np.inf)
-        g = self.curve.grid
-        ladder = self.curve.knot_values
+        g, ladder = self.curve.grid, self.curve.knot_values
+        rate = self.curve.terminal_rate
         cells = np.diff(g)
         if self.curve.mode == "step":
             cell_int = ladder[:-1] * cells
         else:
             cell_int = _geo_segment_integral(ladder[:-1], ladder[1:], cells)
-        suffix = np.append(np.cumsum(cell_int[::-1])[::-1], 0.0)
-        idx = np.clip(np.searchsorted(g, t_arr, side="right") - 1, 0, g.size - 1)
+        suffix = np.append(np.cumsum(cell_int[::-1])[::-1], 0.0) \
+            + (ladder[-1] / rate if rate else 0.0)
+        idx = self.curve._cell(t_arr)
         nxt = np.minimum(idx + 1, g.size - 1)
         inside = idx < g.size - 1
         tv = np.asarray(self._tail0(t_arr))
+        width = np.clip(g[nxt] - t_arr, 0.0, None)
         if self.curve.mode == "step":
-            partial = np.where(inside, tv * np.clip(g[nxt] - t_arr, 0.0, None), 0.0)
+            partial = np.where(inside, tv * width, 0.0)
         else:
-            hi_v = ladder[nxt]
-            width = np.clip(g[nxt] - t_arr, 0.0, None)
             partial = np.where(inside & (width > 0.0),
-                               _geo_segment_integral(tv, hi_v, width), 0.0)
+                               _geo_segment_integral(tv, ladder[nxt], width), 0.0)
+        if rate:  # past the last knot the tail falls at the terminal rate
+            return np.where(inside, suffix[nxt] + partial, tv / rate)
         return suffix[nxt] + partial
 
     def _power_moment0(self, p):
@@ -693,77 +610,67 @@ class Tabulated(DistributionSpec):
         return sum(v * (b ** p - a ** p)
                    for v, a, b in zip(self.curve.values.tolist(), g, g[1:]))
 
-    def _moment_sup_order(self):
-        return np.inf if self.curve.terminal == 0.0 else 0.0
-
     def _terminal_limit(self):
-        return float(self.curve.terminal)
+        return 0.0 if self.curve.terminal_rate else float(self.curve.terminal)
 
     def _support_end(self):
         if self.curve.terminal > 0.0:
             return np.inf
-        ladder = self.curve.knot_values
-        g = self.curve.grid
+        g, ladder = self.curve.grid, self.curve.knot_values
         pos = np.nonzero(ladder > 0.0)[0]
         if pos.size == 0:
             return 0.0
         return float(g[min(int(pos[-1]) + 1, g.size - 1)])
 
     def tail_breakpoints(self):
-        return tuple(self.curve.grid[1:].tolist())
+        return tuple(np.unique(self.curve.grid[1:]).tolist())
 
     def jumps(self):
-        scale = 1.0 - self.defect
-        ladder = self.curve.knot_values
-        if self.curve.mode != "step":
-            first = (1.0 - float(ladder[0])) * scale
-            return ((0.0, first),) if first > 1e-15 else ()
-        out = []
-        prev = 1.0
-        for b, v in zip(self.curve.grid, ladder):
-            size = (prev - v) * scale
-            if size > 1e-15:
-                out.append((float(b), float(size)))
-            prev = v
-        return tuple(out)
+        g, ladder = self.curve.grid, self.curve.knot_values
+        left = np.append(1.0, ladder[:-1])  # the tail just before each knot
+        if self.curve.mode != "step":  # continuous but at a repeated knot
+            left[1:] = np.where(g[1:] == g[:-1], left[1:], ladder[1:])
+        sizes = (left - ladder) * (1.0 - self.defect)
+        return tuple((b, size) for b, size in zip(g.tolist(), sizes.tolist())
+                     if size > 1e-15)
 
     def _density0(self, t):
-        if self.curve.mode == "step":
-            return np.zeros(np.asarray(t, dtype=float).shape)
         t_arr = np.asarray(t, dtype=float)
-        g = self.curve.grid
-        ladder = self.curve.knot_values
-        idx = np.clip(np.searchsorted(g, t_arr, side="right") - 1, 0,
-                      max(g.size - 2, 0))
-        lo_v, hi_v = ladder[idx], ladder[np.minimum(idx + 1, g.size - 1)]
-        width = np.maximum(g[np.minimum(idx + 1, g.size - 1)] - g[idx], 1e-300)
-        rate = -(np.log(np.maximum(hi_v, 1e-300))
-                 - np.log(np.maximum(lo_v, 1e-300))) / width
+        if self.curve.mode == "step":
+            return np.zeros(t_arr.shape)
+        g, ladder = self.curve.grid, self.curve.knot_values
+        _, linear, slopes = self.curve._knots
+        idx = self.curve._cell(t_arr)
+        nxt = np.minimum(idx + 1, g.size - 1)
         # the tail falls linearly over a cell with a (numerically) zero end
-        out = np.where((lo_v > 1e-300) & (hi_v > 1e-300),
-                       rate * np.asarray(self._tail0(t_arr)),
-                       (lo_v - hi_v) / width)
-        return np.where((t_arr < 0.0) | (t_arr >= g[-1]), 0.0, out)
+        out = np.where(linear[idx] & (idx < g.size - 1),
+                       (ladder[idx] - ladder[nxt]) / np.maximum(g[nxt] - g[idx], _TINY),
+                       -slopes[idx] * np.asarray(self._tail0(t_arr)))
+        return np.where(t_arr < 0.0, 0.0, out)
 
 
 def _isf_loglinear(u: np.ndarray, idx: np.ndarray, g: np.ndarray,
-                   ladder: np.ndarray) -> np.ndarray:
-    """Inverse of the log-linear interpolant; ``idx`` locates u in the ladder."""
-    j = np.clip(idx, 1, ladder.size - 1)
-    lo_v, hi_v, lo_t, hi_t = ladder[j - 1], ladder[j], g[j - 1], g[j]
-    out = lo_t.copy()
-    live = ~((u >= ladder[0]) | (u < ladder[-1]) | (idx >= ladder.size)
-             | (lo_v <= u) | (lo_v == hi_v))
-    uu, lv, hv = u[live], lo_v[live], hi_v[live]
-    theta = (lv - uu) / (lv - hv)
-    geo = hv > 1e-300
+                   ladder: np.ndarray, rate: float) -> np.ndarray:
+    """Inverse of the log-linear interpolant; ``idx`` locates u in the ladder.
+
+    Every u is carried through the cell formula; the ones it does not
+    apply to are overwritten, so each keeps the bits of a one-u loop.
+    """
+    j = np.minimum(np.maximum(idx, 1), ladder.size - 1)
+    lo_v, hi_v = ladder[j - 1], ladder[j]
+    log_u = _libm(math.log, np.where(u > 0.0, u, 1.0))
     log_ladder = _libm(math.log, np.where(ladder > 0.0, ladder, 1.0))
-    lj = j[live][geo]
-    theta[geo] = (_libm(math.log, uu[geo]) - log_ladder[lj - 1]) \
-        / (log_ladder[lj] - log_ladder[lj - 1])
-    out[live] = lo_t[live] + np.clip(theta, 0.0, 1.0) * (hi_t[live] - lo_t[live])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = np.where(hi_v > 1e-300, (log_u - log_ladder[j - 1])
+                         / (log_ladder[j] - log_ladder[j - 1]),
+                         (lo_v - u) / (lo_v - hi_v))
+    out = np.where((lo_v <= u) | (lo_v == hi_v), g[j - 1], g[j - 1]
+                   + np.minimum(np.maximum(theta, 0.0), 1.0) * (g[j] - g[j - 1]))
     out[idx >= ladder.size] = g[-1]  # only a NaN u lands past the ladder
-    out[u < ladder[-1]] = np.inf
+    below = u < ladder[-1]
+    # past the last knot: the terminal piece, or nothing
+    out[below] = g[-1] + (log_ladder[-1] - log_u[below]) / rate if rate else np.inf
+    out[below & (u <= 0.0)] = np.inf
     out[u >= ladder[0]] = 0.0
     return out
 
@@ -785,19 +692,15 @@ def _libm(fn, *args) -> np.ndarray:
 
 
 def _geo_segment_integral(lo_v, hi_v, width):
-    """Integral over one cell of the geometric interpolant from lo_v to hi_v."""
-    lo_v = np.asarray(lo_v, dtype=float)
-    hi_v = np.asarray(hi_v, dtype=float)
-    width = np.asarray(width, dtype=float)
-    tiny = 1e-300
+    """Integral over each cell (arrays) of the geometric interpolant from
+    lo_v to hi_v."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(np.maximum(hi_v, tiny)) - np.log(np.maximum(lo_v, tiny))
-        rate = -ratio / np.maximum(width, tiny)
-        geo = (lo_v - hi_v) / np.maximum(rate, tiny)
+        ratio = np.log(np.maximum(hi_v, _TINY)) - np.log(np.maximum(lo_v, _TINY))
+        rate = -ratio / np.maximum(width, _TINY)
+        geo = (lo_v - hi_v) / np.maximum(rate, _TINY)
     flatish = np.abs(ratio) < 1e-12
     lin = 0.5 * (lo_v + hi_v) * width
-    out = np.where(flatish | (lo_v <= tiny) | (hi_v <= tiny), lin, geo)
-    return out if out.shape else float(out)
+    return np.where(flatish | (lo_v <= _TINY) | (hi_v <= _TINY), lin, geo)
 
 
 # ----------------------------------------------------------------------
@@ -811,7 +714,7 @@ def register_family(name: str, cls: type) -> None:
 
 
 for _cls in (Exponential, Weibull, ShiftedParetoSquare, LevyFirstPassage,
-             PiecewiseExpTail, Tabulated):
+             Tabulated):
     register_family(_cls.__dataclass_fields__["family"].default, _cls)
 
 
@@ -1008,17 +911,48 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
         curve = TailCurve(grid=grid, values=cells,
                           terminal=terminal, mode=mode)
         return Tabulated(curve=curve, **extra)
+    if name == "piecewise_exp":  # a log-linear curve spelt as segments
+        return Tabulated(curve=_segments_curve(doc["params"]["segments"]),
+                         **extra)
     cls = _REGISTRY.get(name)
     if cls is None:
         raise SpecValidationError(f"unknown family {name!r}")
     params = dict(doc.get("params", {}))
-    if name == "piecewise_exp":
-        segs = tuple((float(a), float(b), float(c))
-                     for a, b, c in params["segments"])
-        return cls(segments=segs, **extra)
     if hasattr(cls, "from_params"):
         return cls.from_params(params, **extra)
     return cls(**{k: float(v) for k, v in params.items()}, **extra)
+
+
+def _segments_curve(segments) -> TailCurve:
+    """The log-linear curve of ``piecewise_exp`` segments (start, offset,
+    rate), each the tail exp(-(offset + rate * (t - start))) up to the next
+    start; a start where the tail jumps is a repeated knot."""
+    seg = np.asarray(segments, dtype=float)
+    if seg.ndim != 2 or seg.shape[1] != 3 or not seg.size:
+        raise SpecValidationError("need (start, offset, rate) segments")
+    starts, offsets, rates = seg.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = np.exp(-offsets)
+        left = np.exp(-(offsets[:-1] + rates[:-1] * np.diff(starts)))
+    grid = np.repeat(starts, 2)[1:]  # s0, s1, s1, s2, s2, ...
+    ladder = np.repeat(value, 2)[1:]
+    ladder[1::2] = left
+    keep = np.ones(grid.size, dtype=bool)
+    keep[1::2] = left != value[1:]
+    return TailCurve(grid=grid[keep], values=ladder[keep][:-1],
+                     terminal=float(ladder[-1]), mode="log-linear",
+                     terminal_rate=float(rates[-1]))
+
+
+def _curve_segments(curve: TailCurve) -> list[list[float]]:
+    """Inverse of _segments_curve: a segment starts at each knot that is
+    not the left limit of a jump."""
+    g = curve.grid
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log(curve.knot_values)
+        rates = np.append(-np.diff(logs) / np.diff(g), curve.terminal_rate)
+    start = np.append(g[1:] != g[:-1], True)
+    return np.stack([g, 0.0 - logs, rates], axis=1)[start].tolist()
 
 
 def spec_to_dict(spec: DistributionSpec) -> dict:
@@ -1028,13 +962,14 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
         doc["mass_at_infinity"] = spec.defect
     if not spec.check_standing:
         doc["check_standing"] = False
+    if isinstance(spec, Tabulated) and spec.curve.terminal_rate:
+        doc["family"] = "piecewise_exp"
+        doc["params"] = {"segments": _curve_segments(spec.curve)}
+        return doc
     if isinstance(spec, Tabulated):
         doc["grid"] = spec.curve.grid.tolist()
         doc["values"] = spec.curve.knot_values.tolist()
         doc["interpolation"] = spec.curve.mode
-        return doc
-    if isinstance(spec, PiecewiseExpTail):
-        doc["params"] = {"segments": [list(s) for s in spec.segments]}
         return doc
     if isinstance(spec, Exponential):
         doc["params"] = {"rate": spec.rate}

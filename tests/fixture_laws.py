@@ -42,15 +42,25 @@ def pw_finite() -> dist.Tabulated:
     return step_law((0.0, 1.0, 1.5, 2.0), (0.5, 0.25, 1.0 / 6.0, 0.0))
 
 
-def pe_mean_only() -> dist.PiecewiseExpTail:
+def pe_law(segments, defect: float = 0.0,
+           check_standing: bool = True) -> dist.Tabulated:
+    """Piecewise-exponential law, read from its ``piecewise_exp`` spelling:
+    segment (start, offset, rate) is the tail exp(-(offset + rate * (t -
+    start))) up to the next start, the last segment extending to infinity."""
+    return dist.spec_from_dict({"family": "piecewise_exp",
+                                "params": {"segments": segments},
+                                "mass_at_infinity": defect,
+                                "check_standing": check_standing})
+
+
+def pe_mean_only() -> dist.Tabulated:
     """exp(-t-0.1) before t=1, exp(-t-0.25) after: helped in mean only."""
-    return dist.PiecewiseExpTail(segments=((0.0, 0.1, 1.0), (1.0, 1.25, 1.0)))
+    return pe_law(((0.0, 0.1, 1.0), (1.0, 1.25, 1.0)))
 
 
-def plateau() -> dist.PiecewiseExpTail:
+def plateau() -> dist.Tabulated:
     """exp(-t) outside [1,2], flat exp(-2) on the plateau."""
-    return dist.PiecewiseExpTail(segments=((0.0, 0.0, 1.0), (1.0, 2.0, 0.0),
-                                           (2.0, 2.0, 1.0)))
+    return pe_law(((0.0, 0.0, 1.0), (1.0, 2.0, 0.0), (2.0, 2.0, 1.0)))
 
 
 def uniform02() -> mrl.FromMrl:

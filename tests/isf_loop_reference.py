@@ -1,14 +1,16 @@
 """Per-element inverse tails, kept as the reference for the array ``isf``.
 
-``PiecewiseExpTail``, log-linear ``Tabulated`` and ``FromMrl`` laws invert
-their tails on whole arrays; these functions invert one u at a time with
-Python floats and the ``math`` module, as the library used to, and the
-array code must return their bits exactly. One line differs from the old
-loop: under a terminal residual-mean slope of -1 it returned the near end
-of the piece, where the tail is still above u. The Weibull one is the
-scalar numpy expression the library evaluates for a single u. Each takes
-the spec and a float u in [0, 1] and returns the base law's inverse (no
-defect).
+Log-linear ``Tabulated`` laws (piecewise-exponential ones among them, with
+a terminal rate) and ``FromMrl`` laws invert their tails on whole arrays;
+these functions invert one u at a time with Python floats and the ``math``
+module, as the library used to, and the array code must return their bits
+exactly. One line differs from the old loop: under a terminal
+residual-mean slope of -1 it returned the near end of the piece, where the
+tail is still above u. The Weibull one is the scalar numpy expression the
+library evaluates for a single u. Each takes the spec and a float u in
+[0, 1] and returns the base law's inverse (no defect). The loop that
+inverted the old segment form of piecewise-exponential laws is kept in
+``piecewise_exp_reference``.
 """
 from __future__ import annotations
 
@@ -19,34 +21,16 @@ import numpy as np
 from resetkit.mrl import _tables
 
 
-def piecewise_exp_isf(spec, u: float) -> float:
-    segs = spec.segments
-    n = len(segs)
-    if u >= math.exp(-segs[0][1]):
-        return 0.0
-    if u <= 0.0:
-        return spec._support_end()
-    tau = -math.log(u)
-    for i, (s, a, b) in enumerate(segs):
-        if tau <= a:
-            return s
-        end = segs[i + 1][0] if i + 1 < n else math.inf
-        if math.isfinite(end):
-            end_val = a + b * (end - s)
-        else:
-            end_val = math.inf if b > 0.0 else a
-        if tau < end_val:
-            return s + (tau - a) / b
-    return math.inf
-
-
 def loglinear_isf(spec, u: float) -> float:
     g = np.asarray(spec.curve.grid, dtype=float)
     ladder = spec.curve.knot_values
     if u >= ladder[0]:
         return 0.0
     if u < ladder[-1]:
-        return math.inf
+        rate = spec.curve.terminal_rate
+        if u <= 0.0 or not rate:
+            return math.inf
+        return float(g[-1]) + (math.log(ladder[-1]) - math.log(u)) / rate
     j = int(np.searchsorted(-ladder, -u, side="left"))
     if j <= 0:
         return 0.0

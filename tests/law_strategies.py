@@ -1,7 +1,10 @@
 """Hypothesis strategies for random piecewise laws shared by the property tests.
 
-Piecewise-constant, piecewise-exponential, tabulated (step and log-linear,
-with zero knots) and residual-mean-generated laws on up to six cells.
+Piecewise-constant laws (step curves), piecewise-exponential laws
+(log-linear curves with jumps at repeated knots and an exponential
+terminal piece, read from their ``piecewise_exp`` segments), tabulated
+laws (step and log-linear, with zero knots) and residual-mean-generated
+laws, on up to six cells.
 """
 import numpy as np
 from hypothesis import strategies as st
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from resetkit import distributions as d
 from resetkit import mrl
 
-from fixture_laws import step_law
+from fixture_laws import pe_law, step_law
 
 steps = st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6)
 unit = st.floats(0.0, 1.0)
@@ -28,7 +31,8 @@ def piecewise_constant(draw):
 
 
 @st.composite
-def piecewise_exp(draw):
+def pe_segments(draw):
+    """(start, offset, rate) segments with rates 0 to 4 and downward jumps."""
     widths = draw(steps)
     segs, offset = [], draw(st.floats(0.0, 2.0))
     for s, w in zip(starts(widths), widths):
@@ -37,9 +41,14 @@ def piecewise_exp(draw):
         offset += rate * w + draw(st.sampled_from([0.0, 0.0, 0.5]))
     if draw(st.booleans()):
         segs[-1] = segs[-1][:2] + (1.5,)
+    return tuple(segs)
+
+
+@st.composite
+def piecewise_exp(draw):
+    segs = draw(pe_segments())
     defect = draw(st.sampled_from([0.0, 0.0, 0.2]))
-    return d.PiecewiseExpTail(segments=tuple(segs), defect=defect,
-                              check_standing=False)
+    return pe_law(segs, defect=defect, check_standing=False)
 
 
 @st.composite

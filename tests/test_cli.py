@@ -7,6 +7,8 @@ from resetkit import cli
 from resetkit import distributions as d
 from resetkit import reset_transform as rt
 
+NAN, INF = float("nan"), float("inf")
+
 
 @pytest.fixture
 def spec_files(tmp_path):
@@ -103,6 +105,43 @@ class TestErrors:
         # an empty curve has no last value to take as its terminal; taking
         # it raised an IndexError, which escaped the CLI as a traceback
         p = tmp_path / "step.json"
+        p.write_text(json.dumps(doc))
+        assert run(["classify", "--spec", str(p)]) == 65
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "tabulated", "grid": [0, 1], "values": [NAN, 0.2]},
+        {"family": "tabulated", "grid": [0, NAN], "values": [0.5, 0.2]},
+        {"family": "tabulated", "grid": [0, INF], "values": [0.5, 0.2]},
+        {"family": "tabulated", "grid": [0, 1], "values": [0.5, NAN],
+         "interpolation": "log-linear"},
+        {"family": "piecewise_exp", "params": {"segments": [[0, 0.1, NAN]]}},
+        {"family": "piecewise_exp", "params": {"segments": [[0, NAN, 1]]}}])
+    def test_non_finite_curve_data(self, tmp_path, doc):
+        # classify exited 0 on these, with verdicts for a meaningless law
+        p = tmp_path / "nan.json"
+        p.write_text(json.dumps(doc))
+        assert run(["classify", "--spec", str(p)]) == 65
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "tabulated", "grid": [0], "values": [1],
+         "interpolation": "log-linear"},
+        {"family": "piecewise_exp", "params": {"segments": [[0, 0, 0]]}}])
+    def test_tail_one_forever(self, tmp_path, doc):
+        # the log-linear spelling exited 0 with an infinite mean
+        p = tmp_path / "one.json"
+        p.write_text(json.dumps(doc))
+        assert run(["classify", "--spec", str(p)]) == 65
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "piecewise_exp"},
+        {"family": "piecewise_exp", "params": {"segments": []}},
+        {"family": "piecewise_exp", "params": {"segments": [[0, 0.1]]}},
+        {"family": "piecewise_exp",
+         "params": {"segments": [[0, 0.1, 1], [1, 0.5]]}},
+        {"family": "piecewise_exp",
+         "params": {"segments": [[0, 0.5, 1], [1, 0.1, 1]]}}])
+    def test_malformed_piecewise_exp(self, tmp_path, doc):
+        p = tmp_path / "pe.json"
         p.write_text(json.dumps(doc))
         assert run(["classify", "--spec", str(p)]) == 65
 

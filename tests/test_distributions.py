@@ -12,8 +12,8 @@ from resetkit.distributions import (DegenerateAtZeroError, MomentFunction,
                                     ZeroAtOriginError)
 
 from fixture_laws import (ALL_LAWS, FINITE_MEAN_LAWS, brute_tail_integral,
-                          exp_law, levy, pe_mean_only, pw_finite, pw_sixth,
-                          sps, step_law, weib)
+                          exp_law, levy, pe_law, pe_mean_only, pw_finite,
+                          pw_sixth, sps, step_law, weib)
 from quad_reference import split_quad
 
 
@@ -56,7 +56,25 @@ class TestValidation:
 
     def test_upward_jump_between_exp_segments_rejected(self):
         with pytest.raises(NonMonotoneError):
-            d.PiecewiseExpTail(segments=((0.0, 0.5, 1.0), (1.0, 0.1, 1.0)))
+            pe_law(((0.0, 0.5, 1.0), (1.0, 0.1, 1.0)))
+
+    @pytest.mark.parametrize("doc", [
+        {"family": "tabulated", "grid": [0.0], "values": [1.0],
+         "interpolation": "log-linear"},
+        {"family": "piecewise_exp", "params": {"segments": [[0.0, 0.0, 0.0]]}},
+        {"family": "piecewise_exp",
+         "params": {"segments": [[0.0, 0.0, 0.0], [1.0, 0.5, 1.0]]}}])
+    def test_loglinear_tail_one_from_zero_rejected(self, doc):
+        # a one-knot log-linear curve at 1 is 1 forever: its mean was inf
+        with pytest.raises(DegenerateAtZeroError):
+            d.spec_from_dict(doc)
+
+    def test_one_knot_at_one_with_a_terminal_rate_is_exponential(self):
+        curve = TailCurve(grid=(0.0,), values=(), terminal=1.0,
+                          mode="log-linear", terminal_rate=2.0)
+        t = np.array([0.0, 0.3, 4.0])
+        np.testing.assert_allclose(d.Tabulated(curve=curve).tail(t),
+                                   np.exp(-2.0 * t), rtol=1e-15)
 
 
 class TestTail:
@@ -248,6 +266,60 @@ class TestTailCurve:
         with pytest.raises(NonMonotoneError):
             TailCurve(grid=(0.0, 1.0), values=(0.5,), terminal=0.9)
 
+    @pytest.mark.parametrize("grid, values, terminal", [
+        ((0.0, 1.0), (math.nan,), 0.2), ((0.0, 1.0), (0.5,), math.nan),
+        ((0.0, math.nan), (0.5,), 0.2), ((0.0, math.inf), (0.5,), 0.2),
+        ((0.0, 1.0, -math.inf), (0.5, 0.4), 0.2)])
+    @pytest.mark.parametrize("mode", ["step", "log-linear"])
+    def test_rejects_non_finite_data(self, grid, values, terminal, mode):
+        # NaN compared false with every bound, so such curves were accepted
+        with pytest.raises(d.SpecValidationError):
+            TailCurve(grid=grid, values=values, terminal=terminal, mode=mode)
+
+    @pytest.mark.parametrize("rate", [math.nan, -0.5, math.inf])
+    def test_rejects_a_bad_terminal_rate(self, rate):
+        with pytest.raises(d.SpecValidationError):
+            TailCurve(grid=(0.0, 1.0), values=(0.5,), terminal=0.2,
+                      mode="log-linear", terminal_rate=rate)
+
+    def test_terminal_rate_needs_log_linear_mode(self):
+        with pytest.raises(d.SpecValidationError, match="log-linear"):
+            TailCurve(grid=(0.0, 1.0), values=(0.5,), terminal=0.2,
+                      terminal_rate=1.0)
+
+    @pytest.mark.parametrize("grid, mode", [
+        ((0.0, 1.0, 1.0, 1.0), "log-linear"), ((0.0, 1.0, 1.0, 2.0), "step"),
+        ((0.0, 0.0, 1.0, 2.0), "log-linear"), ((0.0, 2.0, 1.0, 3.0), "log-linear")])
+    def test_a_knot_repeats_once_after_zero_in_log_linear_mode_only(
+            self, grid, mode):
+        with pytest.raises(d.SpecValidationError, match="strictly increasing"):
+            TailCurve(grid=grid, values=(0.9, 0.5, 0.4), terminal=0.2,
+                      mode=mode)
+
+    def test_a_repeated_knot_is_a_jump(self):
+        curve = TailCurve(grid=(0.0, 1.0, 1.0, 2.0, 2.0),
+                          values=(0.9, 0.5, 0.4, 0.3), terminal=0.1,
+                          mode="log-linear", terminal_rate=0.5)
+        spec = d.Tabulated(curve=curve)
+        assert spec.tail(np.nextafter(1.0, 0.0)) == pytest.approx(0.5, rel=1e-15)
+        assert spec.tail(1.0) == 0.4
+        assert spec.tail(2.0) == pytest.approx(0.1, rel=1e-15)
+        assert spec.tail(1.5) == pytest.approx(math.sqrt(0.4 * 0.3), rel=1e-15)
+        assert spec.tail(4.0) == pytest.approx(0.1 * math.exp(-1.0), rel=1e-15)
+        assert spec.log_tail(3000.0) == pytest.approx(math.log(0.1) - 1499.0,
+                                                      rel=1e-15)
+        sizes = dict(spec.jumps())
+        assert list(sizes) == [0.0, 1.0, 2.0]
+        assert [sizes[b] for b in sizes] == pytest.approx([0.1, 0.1, 0.2],
+                                                          rel=1e-14)
+        assert spec.tail_breakpoints() == (1.0, 2.0)
+        assert spec.isf(0.45) == 1.0 and spec.isf(0.2) == 2.0
+        assert spec.isf(0.1 * math.exp(-1.0)) == pytest.approx(4.0, rel=1e-15)
+        assert spec.mass_at_infinity == 0.0 and spec.t0 == np.inf
+        rest = (0.9 - 0.5) / math.log(0.9 / 0.5) \
+            + (0.4 - 0.3) / math.log(0.4 / 0.3) + 0.1 / 0.5
+        assert d.mean(spec) == pytest.approx(rest, rel=1e-14)
+
     def test_loglinear_tabulation_agrees_on_grid(self):
         spec = weib(1.3)
         grid = np.linspace(0.0, 6.0, 200)
@@ -373,6 +445,49 @@ class TestJsonEnvelope:
         spec = d.spec_from_dict({"family": "piecewise_constant", "params": {
             "breakpoints": [0.0, 1.0, 2.0], "levels": [0.5, 0.0, 0.0]}})
         assert spec.t0 == 1.0
+
+    def test_piecewise_exp_is_a_log_linear_curve(self):
+        spec = pe_mean_only()
+        assert spec.family == "tabulated"
+        assert spec.curve.mode == "log-linear"
+        assert spec.curve.grid.tolist() == [0.0, 1.0, 1.0]
+        assert spec.curve.knot_values.tolist() == [
+            math.exp(-0.1), math.exp(-1.1), math.exp(-1.25)]
+        assert spec.curve.terminal_rate == 1.0
+        assert spec.tail_breakpoints() == (1.0,)
+
+    @pytest.mark.parametrize("segments", [
+        ((0.0, 0.1, 1.0), (1.0, 1.25, 1.0)),
+        ((0.0, 0.0, 1.0), (1.0, 2.0, 0.0), (2.0, 2.0, 1.0)),
+        ((0.0, 0.0, 0.001), (0.95, 0.00095, 1.05), (1.05, 0.10595, 0.0),
+         (90.0, 0.10595, 0.2))])
+    def test_piecewise_exp_round_trip(self, segments):
+        spec = pe_law(segments)
+        doc = d.spec_to_dict(spec)
+        assert doc["family"] == "piecewise_exp"
+        assert [s[0] for s in doc["params"]["segments"]] == [
+            s[0] for s in segments]
+        assert d.spec_from_dict(doc) == spec
+
+    def test_a_curve_without_a_terminal_rate_stays_tabulated(self):
+        curve = TailCurve(grid=(0.0, 1.0, 1.0), values=(0.9, 0.5),
+                          terminal=0.4, mode="log-linear")
+        doc = d.spec_to_dict(d.Tabulated(curve=curve))
+        assert doc["family"] == "tabulated"
+        assert d.spec_from_dict(doc).curve == curve
+
+    @pytest.mark.parametrize("params", [
+        {}, {"segments": []}, {"segments": [[0.0, 0.1]]},
+        {"segments": [[0.0, 0.1, 1.0], [1.0, 0.5]]},
+        {"segments": [[0.0, 0.5, 1.0], [1.0, 0.1, 1.0]]},
+        {"segments": [[0.0, 0.1, math.nan]]},
+        {"segments": [[0.0, math.nan, 1.0]]},
+        {"segments": [[0.0, 0.1, 1.0], [math.inf, 0.5, 1.0]]},
+        {"segments": [[0.0, 0.1, 1.0], [2.0, 2.5, 1.0], [1.0, 3.0, 1.0]]}])
+    def test_malformed_piecewise_exp(self, params):
+        # SpecValidationError is a ValueError; a ragged list raises numpy's
+        with pytest.raises((ValueError, KeyError)):
+            d.spec_from_dict({"family": "piecewise_exp", "params": params})
 
     @pytest.mark.parametrize("breakpoints, levels", [
         ([], []), ([0.0, 1.0], []), ([0.0, 1.0], [0.5]),

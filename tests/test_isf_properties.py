@@ -57,8 +57,6 @@ def test_isf_is_a_generalised_inverse(spec, us):
 
 
 def reference_for(spec):
-    if isinstance(spec, d.PiecewiseExpTail):
-        return ref.piecewise_exp_isf
     if isinstance(spec, d.Tabulated) and spec.curve.mode == "log-linear":
         return ref.loglinear_isf
     if isinstance(spec, mrl.FromMrl):

@@ -8,7 +8,8 @@ from resetkit import distributions as d
 from resetkit import reset_transform as rt
 from resetkit import simulator as sim
 
-from fixture_laws import exp_law, step_law, two_atom_reset, uniform02, weib
+from fixture_laws import (exp_law, pe_law, step_law, two_atom_reset, uniform02,
+                          weib)
 
 
 def cfg(**kw) -> sim.SimulationConfig:
@@ -88,7 +89,7 @@ class TestOracleAgreement:
         assert abs(res.mean - analytic) < 4.0 * res.mean_se
 
     def test_tail_at_zero_is_preserved(self):
-        spec = d.PiecewiseExpTail(segments=((0.0, 0.1, 1.0), (1.0, 1.25, 1.0)))
+        spec = pe_law(((0.0, 0.1, 1.0), (1.0, 1.25, 1.0)))
         res = sim.simulate_reset(spec, rt.ResetLaw.exponential(1.0),
                                  cfg(probe_times=(0.0, 0.5)))
         th = float(spec.tail(0.0))
