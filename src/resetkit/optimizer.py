@@ -232,9 +232,10 @@ def best_exponential_rate(spec: DistributionSpec,
         return rt.exp_reset_mean(spec, math.exp(log_mu))
 
     xs = np.linspace(math.log(lo), math.log(hi), _RATE_SCAN)
-    fs = [f(x) for x in xs]
+    # the whole scan in one call; math.exp, as f takes it (np.exp can differ)
+    fs = rt.exp_reset_mean(spec, np.array([math.exp(x) for x in xs]))
     i = int(np.argmin(fs))
-    x, fx = float(xs[i]), fs[i]
+    x, fx = float(xs[i]), float(fs[i])
     if 0 < i < xs.size - 1:
         from scipy.optimize import minimize_scalar
         res = minimize_scalar(f, bounds=(xs[i - 1], xs[i + 1]),

@@ -458,15 +458,35 @@ def _tail_integral(spec: DistributionSpec, a: float, b: float) -> float:
     return quad(spec.tail, a, b, laws=(spec,))[0]
 
 
-def laplace_tail(spec: DistributionSpec, mu: float) -> float:
-    """Weighted tail transform: integral of exp(-mu t) * tail(t) over [0, inf)."""
-    if not mu > 0.0:
+def laplace_tail(spec: DistributionSpec, mu):
+    """Weighted tail transform: integral of exp(-mu t) * tail(t) over [0, inf).
+
+    ``mu`` is one rate or an array of rates, all integrated in one
+    ``panels`` call: each rate's panels are cut as for that rate alone (the
+    kinks of ``spec`` and 7 log-spaced points up to 42 / mu, past which the
+    integrand is below 1e-18 whatever the law), padded with zero-width
+    panels at 42 / mu, and summed over its own panels, so every value keeps
+    the bits of a call with its rate alone.
+    """
+    rates = np.asarray(mu, dtype=float)
+    if not np.all(rates > 0.0):
         raise ValueError("transform rate must be positive")
     if isinstance(spec, dist.Exponential) and spec.defect == 0.0:
-        return 1.0 / (spec.rate + mu)
-    upper = 42.0 / mu  # integrand below 1e-18 past here regardless of the law
-    return quad(lambda t: np.exp(-mu * t) * spec.tail(t), 0.0, upper,
-                laws=(spec,), points=np.geomspace(upper * 1e-6, upper, 7))[0]
+        out = 1.0 / (spec.rate + rates)
+    else:
+        uppers = 42.0 / rates.ravel()
+        pts = kinks((spec,))
+        edges = [cuts(0.0, upper, np.concatenate(
+            [pts, np.geomspace(upper * 1e-6, upper, 7)])) for upper in uppers]
+        width = max(e.size for e in edges)
+        padded = np.array([np.pad(e, (0, width - e.size), mode="edge")
+                           for e in edges])
+        vals, _ = panels(lambda t, m: np.exp(-m * t) * spec.tail(t),
+                         padded[:, :-1], padded[:, 1:],
+                         args=(rates.reshape(-1, 1),))
+        out = np.array([np.sum(v[:e.size - 1]) for v, e in zip(vals, edges)]
+                       ).reshape(rates.shape)
+    return out if out.ndim else float(out)
 
 
 def reset_mean(spec: DistributionSpec, reset: ResetLaw) -> float:
@@ -519,13 +539,15 @@ def _bound_term(tail_value, rest) -> float:
     return 0.0 if tail_value == 0.0 else tail_value * float(rest)
 
 
-def exp_reset_mean(spec: DistributionSpec, mu: float) -> float:
-    """Mean under restart at constant rate mu, via the Laplace transform."""
+def exp_reset_mean(spec: DistributionSpec, mu):
+    """Mean under restart at constant rate mu, via the Laplace transform;
+    ``mu`` is one rate or an array of rates, as in ``laplace_tail``."""
     lt = laplace_tail(spec, mu)
-    lap = 1.0 - mu * lt  # E[exp(-mu T)]
-    if lap <= 0.0:
+    lap = 1.0 - np.asarray(mu, dtype=float) * lt  # E[exp(-mu T)]
+    if np.any(lap <= 0.0):
         raise SpecValidationError("degenerate transform; law has no mass")
-    return lt / lap
+    out = lt / lap
+    return out if np.ndim(out) else float(out)
 
 
 # ----------------------------------------------------------------------

@@ -1,0 +1,35 @@
+"""The constant-rate restart mean one rate at a time, kept as a reference.
+
+``reset_transform.laplace_tail`` and ``exp_reset_mean`` take an array of
+rates and integrate them all in one ``panels`` call, as the optimizer's
+rate scan does; these functions are the scalar bodies they replaced, one
+``quad`` call per rate, and what the batched code is checked against, bit
+for bit.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from resetkit import distributions as dist
+from resetkit._integrate import quad
+from resetkit.distributions import SpecValidationError
+
+
+def laplace_tail(spec, mu: float) -> float:
+    """Integral of exp(-mu t) * tail(t) over [0, inf)."""
+    if not mu > 0.0:
+        raise ValueError("transform rate must be positive")
+    if isinstance(spec, dist.Exponential) and spec.defect == 0.0:
+        return 1.0 / (spec.rate + mu)
+    upper = 42.0 / mu  # integrand below 1e-18 past here regardless of the law
+    return quad(lambda t: np.exp(-mu * t) * spec.tail(t), 0.0, upper,
+                laws=(spec,), points=np.geomspace(upper * 1e-6, upper, 7))[0]
+
+
+def exp_reset_mean(spec, mu: float) -> float:
+    """Mean under restart at constant rate mu."""
+    lt = laplace_tail(spec, mu)
+    lap = 1.0 - mu * lt
+    if lap <= 0.0:
+        raise SpecValidationError("degenerate transform; law has no mass")
+    return lt / lap

@@ -1,14 +1,19 @@
-"""Split adaptive quadrature with scipy.integrate.quad, kept as a reference.
+"""Quadrature references from scipy.integrate, kept for the tests.
 
-The library integrates with vectorised tanh-sinh panels
-(``resetkit._integrate.quad``); tests check it, and build their own
-references, with this independent rule instead.
+The library integrates with its own vectorised tanh-sinh panels
+(``resetkit._integrate.quad`` and ``panels``). Tests check its values, and
+build their own references, with ``split_quad``, an independent adaptive
+rule; ``tanhsinh_panels`` is scipy's tanh-sinh rule, which ``panels``
+ports and must match bit for bit.
 """
 from __future__ import annotations
 
 import warnings
 
-from scipy.integrate import IntegrationWarning, quad
+import numpy as np
+from scipy.integrate import IntegrationWarning, quad, tanhsinh
+
+from resetkit._integrate import _ATOL, _RTOL
 
 
 def split_quad(fn, a: float, b: float, points=(), epsabs: float = 1e-12,
@@ -28,3 +33,11 @@ def split_quad(fn, a: float, b: float, points=(), epsabs: float = 1e-12,
             total += v
             err += e
     return total, err
+
+
+def tanhsinh_panels(fn, lo, hi, args=()) -> tuple[np.ndarray, np.ndarray]:
+    """``scipy.integrate.tanhsinh`` over the panels [lo, hi] at the library's
+    tolerances: (integrals, errors), as ``_integrate.panels`` returns them."""
+    res = tanhsinh(fn, np.asarray(lo, float), np.asarray(hi, float),
+                   args=args, rtol=_RTOL, atol=_ATOL)
+    return res.integral, res.error

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import resetkit
 from resetkit import cli
 from resetkit import distributions as d
 from resetkit import reset_transform as rt
@@ -318,3 +323,28 @@ class TestOptimize:
         lines = out.read_text().splitlines()
         assert lines[0] == "r,deterministic_reset_mean"
         assert len(lines) > 100
+
+
+def test_import_loads_no_scipy_integrate_or_optimize(tmp_path):
+    # the quadrature is in-house, so a fresh interpreter importing the CLI
+    # pays for neither; optimize still refines an interior best rate
+    # through its lazy import (the bimodal law of test_optimizer, mu ~ 0.97)
+    spec = tmp_path / "bimodal.json"
+    spec.write_text(json.dumps({"family": "piecewise_exp", "params": {
+        "segments": [[0, 0, 0.001], [0.95, 0.00095, 1.05],
+                     [1.05, 0.10595, 0], [90, 0.10595, 0.2]]}}))
+    out = tmp_path / "o.json"
+    script = (
+        "import sys, resetkit.cli\n"
+        "before = sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
+        " if m in sys.modules)\n"
+        f"code = resetkit.cli.main(['optimize', '--spec', {str(spec)!r}, "
+        f"'-o', {str(out)!r}])\n"
+        "print(before, code, 'scipy.optimize' in sys.modules)\n")
+    src = str(Path(resetkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["[]", "0", "True"]
+    assert json.loads(out.read_text())["exponential_improves"] is True

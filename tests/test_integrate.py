@@ -3,14 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resetkit import _integrate as ig
 from resetkit import distributions as d
 from resetkit import mrl
 from resetkit import reset_transform as rt
 
-from fixture_laws import ALL_LAWS, pw_finite, uniform02
-from quad_reference import split_quad
+from fixture_laws import ALL_LAWS, pw_finite, uniform02, weib
+from law_strategies import from_mrl, piecewise_constant, piecewise_exp, tabulated
+from quad_reference import split_quad, tanhsinh_panels
 
 
 def _from_mrl_reset():
@@ -107,3 +110,90 @@ def test_gl_panel_builds_the_rule_once(monkeypatch):
     rows_nodes, rows_weights = ig.gl_panel(np.stack([edges, edges]))
     assert rows_nodes.tobytes() == np.tile(want_nodes, 2).tobytes()
     assert rows_weights.tobytes() == np.tile(want_weights, 2).tobytes()
+
+
+def same_bits_as_scipy(fn, lo, hi, args=()):
+    """``panels`` over [lo, hi]; asserts its integrals and errors are those
+    of ``scipy.integrate.tanhsinh``, bit for bit and in the same shape."""
+    got = ig.panels(fn, lo, hi, args=args)
+    want = tanhsinh_panels(fn, lo, hi, args=args)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+    return got
+
+
+def test_panels_match_scipy_on_finite_and_infinite_panels():
+    vals, _ = same_bits_as_scipy(lambda x: np.exp(-x), [0.0, 1.0], [1.0, np.inf])
+    np.testing.assert_allclose(vals, [1.0 - math.exp(-1.0), math.exp(-1.0)],
+                               rtol=1e-14)
+
+
+def test_panels_match_scipy_on_an_endpoint_singularity():
+    vals, _ = same_bits_as_scipy(lambda x: 0.5 / np.sqrt(x), [0.0], [4.0])
+    assert vals[0] == pytest.approx(2.0, rel=1e-13)
+
+
+def test_zero_width_panels_give_zero_with_error_zero():
+    lo = [0.0, 1.0, 1.0, 2.0, np.inf]
+    hi = [1.0, 1.0, 2.0, np.inf, np.inf]
+    vals, errs = same_bits_as_scipy(lambda x: np.exp(-x), lo, hi)
+    assert vals[1] == vals[4] == errs[1] == errs[4] == 0.0
+    assert np.all(vals[[0, 2, 3]] > 0.0)
+
+
+def test_panels_match_scipy_with_args_as_the_renewal_solver_passes_them():
+    # _cell_integrals: one row of powers per panel, and a mask choosing the
+    # reset density (True) or the free part's reset tail (False)
+    spec, reset, l = weib(0.5), rt.ResetLaw.general(uniform02()), 2
+    lo = np.array([0.0, 0.05, 0.3, 1.0, 0.0, 0.1])
+    hi = np.array([0.05, 0.1, 1.0, 1.5, 0.1, 0.2])
+    dens = np.arange(lo.size) < 4
+    m = np.array([1.0, 2.0, 4.0])[:, None] * np.where(dens, 1.0, l)
+
+    def f(x, m, dens):
+        return np.asarray(spec.tail(x)) ** m * np.where(
+            dens, reset.density(x), reset.tail(x))
+
+    vals, _ = same_bits_as_scipy(f, lo, hi, args=(m, dens))
+    assert vals.shape == (3, lo.size)
+
+
+def test_panels_match_scipy_with_args_as_expect_tail_power_passes_them():
+    spec, reset = pw_finite(), rt.ResetLaw.general(uniform02())
+    edges = ig.cuts(0.0, reset.horizon(), ig.kinks((spec, reset.spec)))
+    m = np.array([0.5, 1.0, 3.0])
+
+    def f(s, m):
+        return np.exp(m * np.asarray(spec.log_tail(s))) * reset.density(s)
+
+    vals, _ = same_bits_as_scipy(f, edges[:-1], edges[1:], args=(m[..., None],))
+    assert vals.shape == (m.size, edges.size - 1)
+
+
+def test_panel_holding_a_jump_runs_every_level():
+    calls = []
+
+    def step(x):
+        calls.append(x.shape)
+        return np.where(x < 0.3, 1.0, 2.0)
+
+    vals, errs = same_bits_as_scipy(step, [0.0], [1.0])
+    # panels (called first) evaluates once per level from 2 to 10: the 66
+    # nodes of levels 0-2, then the new nodes of each level, 2 * 4096 at 10
+    assert calls[:len(ig._LEVELS)] == [(1, 66)] + [(1, 2 * 8 * 2**(k - 1))
+                                                   for k in ig._LEVELS[1:]]
+    assert errs[0] > ig._RTOL * abs(vals[0])
+
+
+panel_laws = st.one_of(piecewise_constant(), piecewise_exp(), tabulated(),
+                       from_mrl())
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=30)
+@given(spec=panel_laws,
+       cuts=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=8),
+       to_inf=st.booleans())
+def test_panels_match_scipy_on_random_tails(spec, cuts, to_inf):
+    edges = np.sort(np.r_[0.0, cuts, np.inf if to_inf else []])
+    same_bits_as_scipy(spec.tail, edges[:-1], edges[1:])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,9 @@ from resetkit import distributions as d
 from resetkit import optimizer as opt
 from resetkit import reset_transform as rt
 
-from fixture_laws import (exp_law, levy, pe_mean_only, plateau, pw_finite,
-                          sps, uniform02, weib)
+import laplace_loop_reference as loop
+from fixture_laws import (ALL_LAWS, exp_law, levy, pe_mean_only, plateau,
+                          pw_finite, sps, uniform02, weib)
 
 # 10% of the mass near t = 1, 90% near t = 100; bare mean 85.55
 BIMODAL = {"family": "piecewise_exp",
@@ -157,3 +160,37 @@ class TestGoldenSection:
     def test_bad_bracket(self):
         with pytest.raises(ValueError):
             opt.best_exponential_rate(exp_law(), (2.0, 1.0))
+
+
+class TestRateScan:
+    """The optimizer's rate scan is one ``exp_reset_mean`` call over an array
+    of rates; every value keeps the bits of the one-rate-at-a-time loop."""
+
+    @pytest.mark.parametrize("law", sorted(ALL_LAWS))
+    def test_array_of_rates_matches_the_loop_bit_for_bit(self, law):
+        spec = ALL_LAWS[law]()
+        scale = d.characteristic_scale(spec)
+        xs = np.linspace(math.log(1e-3 / scale), math.log(1e3 / scale),
+                         opt._RATE_SCAN)
+        rates = np.array([math.exp(x) for x in xs])
+        want_lt = np.array([loop.laplace_tail(spec, mu) for mu in rates])
+        want = np.array([loop.exp_reset_mean(spec, mu) for mu in rates])
+        assert rt.laplace_tail(spec, rates).tobytes() == want_lt.tobytes()
+        assert rt.exp_reset_mean(spec, rates).tobytes() == want.tobytes()
+
+    def test_scalar_rate_gives_a_float_and_arrays_keep_their_shape(self):
+        for spec in (exp_law(), weib(0.5)):
+            rates = np.array([[0.5, 1.0, 2.0], [3.0, 4.0, 5.0]])
+            got = rt.exp_reset_mean(spec, rates)
+            assert got.shape == rates.shape
+            one = rt.exp_reset_mean(spec, 4.0)
+            assert type(one) is float
+            assert one == got[1, 1]
+            assert type(rt.laplace_tail(spec, 4.0)) is float
+
+    def test_any_rate_not_positive_is_rejected(self):
+        for spec in (exp_law(), weib(0.5)):
+            with pytest.raises(ValueError):
+                rt.laplace_tail(spec, np.array([1.0, 0.0, 2.0]))
+            with pytest.raises(ValueError):
+                rt.exp_reset_mean(spec, np.array([1.0, np.nan]))
