@@ -8,6 +8,7 @@ censoring (partial report written), 64 usage, 65 bad data, 74 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -110,7 +111,7 @@ def _collect_overrides(args) -> dict:
 def _config_echo(args, extra: dict | None = None) -> dict:
     # the output path is not semantic configuration; keeping it out makes
     # equal runs byte-identical regardless of where they are written
-    skip = {"func", "output"}
+    skip = {"output"}
     echo = {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
     echo["version"] = __version__
@@ -285,7 +286,10 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call;
+    ``main`` looks the handler of each subcommand up when it runs."""
     parser = _Parser(prog="resetkit",
                      description="restart transforms, ordering classification "
                                  "and Monte Carlo cross-validation for "
@@ -296,15 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run every ordering check on a law")
     _add_spec_args(p)
-    p.add_argument("--mu-grid", type=_float_list, default=[0.1, 0.5, 1.0, 5.0])
-    p.add_argument("--lfolds", type=_int_list, default=[2, 3])
+    p.add_argument("--mu-grid", type=_float_list, default=(0.1, 0.5, 1.0, 5.0))
+    p.add_argument("--lfolds", type=_int_list, default=(2, 3))
     p.add_argument("--eps", type=float, default=None,
                    help="tolerance override")
     p.add_argument("--strict", action="store_true",
                    help="exit 2 when any verdict is inconclusive")
     p.add_argument("--format", choices=("json", "csv", "human"),
                    default="json")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("transform", help="emit the restarted tail curve")
     _add_spec_args(p)
@@ -317,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=513)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("simulate", help="Monte Carlo restart experiment")
     _add_spec_args(p)
@@ -333,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "results depend on --seed alone")
     p.add_argument("--branching-mode", choices=("min-law", "direct"),
                    default="min-law")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="extremal restart means and search")
     _add_spec_args(p)
@@ -341,15 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="LO,HI")
     p.add_argument("--format", choices=("json", "csv", "human"),
                    default="json")
-    p.set_defaults(func=cmd_optimize)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except DataError as exc:
         sys.stderr.write(f"resetkit: data error: {exc}\n")
         return EXIT_DATA

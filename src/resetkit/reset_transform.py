@@ -3,11 +3,12 @@
 The repeatedly-restarted law solves a renewal identity that references only
 earlier times, so a forward midpoint/trapezoid discretization on a uniform
 grid solves it stably; atoms of the reset law enter exactly. Its weights
-depend only on the lag: one lower-triangular Toeplitz system, solved with
-FFT products in O(n log^2 n); under l-fold branching each cycle has its own
-weights and the recursion runs backward. Deterministic restart has closed
-forms, exponential restart closed-form means. Integrals against the laws
-are tanh-sinh panels cut at their kinks.
+depend only on the lag: one lower-triangular Toeplitz system, solved in
+O(n log n) by inverting its kernel as a power series (Newton's iteration,
+Kung 1974) and applying the inverse with FFT products; under l-fold
+branching each cycle has its own weights and the recursion runs backward.
+Deterministic restart has closed forms, exponential restart closed-form
+means. Integrals against the laws are tanh-sinh panels cut at their kinks.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ __all__ = [
 
 _TRUNC = 1e-12
 _SERIES_CAP = 2000
-_TOEPLITZ_BLOCK = 128  # cells per diagonal block of the renewal solve
+_TOEPLITZ_BLOCK = 128  # cells of the renewal solve's direct Newton seed
 _DEPTH_CAP = 60  # cycles the branching pass may need
 
 
@@ -328,33 +329,61 @@ def _branching_pass(spec: DistributionSpec, reset: ResetLaw, l: int,
 def _solve_lower_toeplitz(a: np.ndarray, c: np.ndarray) -> None:
     """Overwrite c with z solving sum_{d<=k} a[d] z[k-d] = c[k], k < len(c).
 
-    Blocked divide and conquer (Hairer, Lubich & Schlichte, SIAM J. Sci.
-    Stat. Comput. 6, 1985) in O(n log^2 n): every diagonal block is a
-    triangular solve with the same matrix, and as soon as the left half of
-    a span of 2m cells is solved, its effect on the right half is
-    subtracted by one FFT middle product of size 2m (the wrap-around of the
-    circular convolution misses the cells kept). ``a`` needs len(c) entries.
+    The inverse of a lower-triangular Toeplitz matrix is lower-triangular
+    Toeplitz, its first column g the power-series reciprocal of ``a``.
+    Newton's iteration (Kung, Numer. Math. 22, 1974) doubles g from a
+    direct solve of the first block: g_2k = g_k - g_k (a g_k - 1) mod x^2k,
+    one middle product and one product, each of FFT size 2k. g is taken to
+    h = ceil(n/2) cells and applied to the two halves of c in turn, the
+    first half's effect on the second subtracted between them, so every
+    FFT is of size at most 2h: O(n log n) in all. ``a`` needs len(c)
+    entries. The FFT products are accurate to rounding while g stays
+    bounded, as it does for a renewal kernel (a[0] >= sum(-a[1:]) >= 0);
+    where g grows geometrically they lose accuracy.
     """
     from scipy.linalg import solve_triangular, toeplitz
 
     n = c.size
     b = min(_TOEPLITZ_BLOCK, n)
     tri = toeplitz(a[:b], np.zeros(b))
-    for lo in range(0, n, b):
-        hi = min(lo + b, n)
-        c[lo:hi] = solve_triangular(tri[:hi - lo, :hi - lo], c[lo:hi],
-                                    lower=True, check_finite=False)
-        if hi == n:
-            break
-        # spans of 2m cells start at multiples of 2m, so [hi - m, hi) is a
-        # left half for the largest such m
-        m = b
-        while hi % (2 * m) == 0:
-            m *= 2
-        prod = np.fft.rfft(c[hi - m:hi], 2 * m)
-        prod *= np.fft.rfft(a[:2 * m], 2 * m)
-        r = min(m, n - hi)
-        c[hi:hi + r] -= np.fft.irfft(prod, 2 * m)[m:m + r]
+    if n == b:
+        c[:] = solve_triangular(tri, c, lower=True, check_finite=False)
+        return
+    h = (n + 1) // 2
+    g = np.empty(h)
+    g[:b] = solve_triangular(tri, np.eye(b, 1)[:, 0], lower=True,
+                             check_finite=False)[:h]
+    k = b
+    while k < h:
+        # coefficients k..2k-1 of a g_k: the cyclic product of size 2k
+        # wraps only onto the first k, which are known to be 1, 0, ...
+        m = min(2 * k, h)
+        g_hat = np.fft.rfft(g[:k], 2 * k)
+        prod = np.fft.rfft(a[:2 * k], 2 * k)
+        prod *= g_hat
+        err = np.fft.irfft(prod, 2 * k)[k:m]
+        np.fft.rfft(err, 2 * k, out=prod)
+        del err  # each temporary goes before the next of its size
+        prod *= g_hat
+        np.negative(np.fft.irfft(prod, 2 * k)[:m - k], out=g[k:m])
+        k *= 2
+    # z[:h] = g c[:h]; c[h:] less the first half's share (the wrap-around
+    # of the cyclic product lands below h, outside the cells kept); z[h:] =
+    # g c[h:]. Three g_hattra of size 2h in all, each real product written
+    # over the spare one, viewed as 2h + 2 floats.
+    g_hat = np.fft.rfft(g, 2 * h)
+    del g
+    prod = np.fft.rfft(c[:h], 2 * h)
+    spare = np.empty_like(prod)
+    real = spare.view(float)[:2 * h]
+    prod *= g_hat
+    c[:h] = np.fft.irfft(prod, 2 * h, out=real)[:h]
+    np.fft.rfft(a[:n], 2 * h, out=prod)
+    prod *= np.fft.rfft(c[:h], 2 * h, out=spare)
+    c[h:] -= np.fft.irfft(prod, 2 * h, out=real)[h:n]
+    np.fft.rfft(c[h:], 2 * h, out=prod)
+    prod *= g_hat
+    c[h:] = np.fft.irfft(prod, 2 * h, out=real)[:n - h]
 
 
 def _snap_grid(reset: ResetLaw, upper: float, n: int,

@@ -327,8 +327,9 @@ class TestOptimize:
 
 def test_import_loads_no_scipy_integrate_or_optimize(tmp_path):
     # the quadrature is in-house, so a fresh interpreter importing the CLI
-    # pays for neither; optimize still refines an interior best rate
-    # through its lazy import (the bimodal law of test_optimizer, mu ~ 0.97)
+    # pays for neither, nor for the parser, built on the first call;
+    # optimize still refines an interior best rate through its lazy import
+    # (the bimodal law of test_optimizer, mu ~ 0.97)
     spec = tmp_path / "bimodal.json"
     spec.write_text(json.dumps({"family": "piecewise_exp", "params": {
         "segments": [[0, 0, 0.001], [0.95, 0.00095, 1.05],
@@ -338,13 +339,77 @@ def test_import_loads_no_scipy_integrate_or_optimize(tmp_path):
         "import sys, resetkit.cli\n"
         "before = sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
         " if m in sys.modules)\n"
+        "built = resetkit.cli.build_parser.cache_info().currsize\n"
         f"code = resetkit.cli.main(['optimize', '--spec', {str(spec)!r}, "
         f"'-o', {str(out)!r}])\n"
-        "print(before, code, 'scipy.optimize' in sys.modules)\n")
+        "print(before, built, code, 'scipy.optimize' in sys.modules)\n")
     src = str(Path(resetkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True)
-    assert done.stdout.split() == ["[]", "0", "True"]
+    assert done.stdout.split() == ["[]", "0", "0", "True"]
     assert json.loads(out.read_text())["exponential_improves"] is True
+
+
+class TestParserReuse:
+    """One parser serves every call in a process."""
+
+    def calls(self, spec_files):
+        weibull, exp1 = spec_files["weibull"], spec_files["exp1"]
+        transform = ["transform", "--spec", weibull, "--reset", "exp:1",
+                     "--single", "--t-max", "2", "--points", "5"]
+        classify = ["classify", "--spec", exp1, "--format", "json"]
+        simulate = ["simulate", "--spec", exp1, "--reset", "exp:2",
+                    "--replicates", "2000", "--seed", "5"]
+        return [transform + ["--set", "shape=0.5"],
+                transform,
+                classify + ["--set", "rate=2", "--mu-grid", "0.5,2",
+                            "--lfolds", "4"],
+                classify,
+                simulate + ["--probes", "0.1,0.4"],
+                simulate,
+                transform + ["--format", "json", "--shape", "3"],
+                ["optimize", "--spec", weibull, "--format", "csv"],
+                transform]
+
+    def test_each_call_prints_what_a_lone_call_prints(self, spec_files,
+                                                      capsys):
+        lone = []
+        for argv in self.calls(spec_files):
+            cli.build_parser.cache_clear()
+            lone.append((run(argv), capsys.readouterr()))
+            assert lone[-1][0] == 0, lone[-1]
+        cli.build_parser.cache_clear()
+        for _ in range(2):
+            for argv, want in zip(self.calls(spec_files), lone):
+                assert (run(argv), capsys.readouterr()) == want, argv
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_defaults_and_overrides_do_not_carry_over(self, spec_files):
+        parser = cli.build_parser()
+        spec = spec_files["exp1"]
+        first = parser.parse_args(["classify", "--spec", spec,
+                                   "--set", "rate=2"])
+        assert first.set == ["rate=2"]
+        for value in (first.set, first.mu_grid, first.lfolds):
+            if isinstance(value, list):  # as a handler might
+                value.append(9)
+        second = parser.parse_args(["classify", "--spec", spec])
+        assert second.set is None
+        assert list(second.mu_grid) == [0.1, 0.5, 1.0, 5.0]
+        assert list(second.lfolds) == [2, 3]
+        third = parser.parse_args(["classify", "--spec", spec,
+                                   "--set", "level=1"])
+        assert third.set == ["level=1"]
+
+    def test_handler_is_looked_up_per_call(self, spec_files, monkeypatch):
+        # a rebound handler (as a tracer installs) is seen by a parser
+        # built before it was rebound
+        cli.build_parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_optimize",
+                            lambda args: seen.append(args.spec) or 0)
+        assert run(["optimize", "--spec", spec_files["exp1"]]) == 0
+        assert seen == [spec_files["exp1"]]
+

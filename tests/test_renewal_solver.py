@@ -1,17 +1,22 @@
 """The renewal solver's Toeplitz solve and branching pass against the
-step-by-step loops."""
+step-by-step loops, and the Toeplitz solve against the blocked solve it
+replaced and the dense solve."""
+import collections
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular, toeplitz
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from resetkit import reset_transform as rt
 
 from fixture_laws import ALL_LAWS, two_atom_reset, uniform02, weib
 from branching_loop_reference import branching_pass_loop
 from renewal_loop_reference import renewal_fixed_point_loop
+from toeplitz_blocked_reference import _solve_lower_toeplitz as blocked_solve
 
 RESETS = {
     "exp1": lambda: rt.ResetLaw.exponential(1.0),
@@ -66,20 +71,85 @@ def test_branching_matches_loop_on_unsnapped_grid(law):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
-@pytest.mark.parametrize("n", [1, 127, 128, 129, 1000, 2048])
+def dense_solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The dense triangular solve, row by row, without the n x n matrix."""
+    z = np.empty_like(c)
+    for k in range(c.size):
+        z[k] = (c[k] - a[k:0:-1] @ z[:k]) / a[0]
+    return z
+
+
+def check_toeplitz_solve(a: np.ndarray, c: np.ndarray) -> None:
+    got = c.copy()
+    rt._solve_lower_toeplitz(a, got)
+    want = c.copy()
+    blocked_solve(a, want)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(got, dense_solve(a, c), rtol=0.0, atol=1e-13)
+
+
+# sizes about the 128-cell Newton seed, its doublings and a snapped grid
+@pytest.mark.parametrize("n", [1, 127, 128, 129, 255, 256, 257, 1000, 2048,
+                               4097, 8200])
 def test_toeplitz_solve_matches_dense(n):
     rng = np.random.default_rng(n)
     a = np.concatenate([[1.0], -rng.uniform(0.0, 1.0 / n, n - 1)])
-    c = rng.uniform(-1.0, 1.0, n)
-    want = solve_triangular(toeplitz(a, np.zeros(n)), c, lower=True)
-    got = c.copy()
-    rt._solve_lower_toeplitz(a, got)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    check_toeplitz_solve(a, rng.uniform(-1.0, 1.0, n))
+
+
+@st.composite
+def renewal_kernels(draw):
+    """First columns of renewal systems: a[0] in (0.5, 1], -a[1:] >= 0 and
+    sum(-a[1:]) <= a[0], as when the cell masses add up to at most 1 (the
+    reciprocal series then stays bounded). The masses are spread over every
+    lag, a few lags or one."""
+    n = draw(st.integers(1, 1100))
+    a0 = draw(st.floats(0.5, 1.0, exclude_min=True))
+    share = draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    masses = rng.exponential(size=n - 1)
+    masses *= rng.random(n - 1) < draw(st.sampled_from([1.0, 0.05, 1e-9]))
+    if n > 1 and not masses.any():
+        masses[rng.integers(n - 1)] = 1.0
+    total = masses.sum()
+    if total > 0.0:
+        masses *= share * a0 / total
+    return np.concatenate([[a0], -masses]), rng.uniform(-1.0, 1.0, n)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(system=renewal_kernels())
+def test_toeplitz_solve_matches_blocked_and_dense_on_renewal_kernels(system):
+    check_toeplitz_solve(*system)
+
+
+def test_toeplitz_solve_makes_log_n_calls(monkeypatch):
+    # Newton's iteration doubles the inverse: O(log n) FFT calls and one
+    # triangular solve, where one call per 128-cell block would take 1,024
+    counts = collections.Counter()
+
+    def counting(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner, name in ((np.fft, "rfft"), (np.fft, "irfft"),
+                        (scipy.linalg, "solve_triangular")):
+        counting(owner, name)
+    n = 131072
+    rng = np.random.default_rng(n)
+    a = np.concatenate([[1.0], -rng.uniform(0.0, 1.0 / n, n - 1)])
+    rt._solve_lower_toeplitz(a, rng.uniform(-1.0, 1.0, n))
+    assert counts["rfft"] + counts["irfft"] <= 8 * math.log2(n)
+    assert counts["solve_triangular"] == 1
 
 
 def test_largest_grid_memory():
     # the solve works in place: at n_max its peak allocation stays within
-    # ten float arrays of the grid's size
+    # six float arrays of the grid's size
     n = 131072
     tracemalloc.start()
     try:
@@ -88,4 +158,4 @@ def test_largest_grid_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 10 * 8 * (n + 1)
+    assert peak <= 6 * 8 * (n + 1)
