@@ -20,7 +20,7 @@ from . import distributions as dist
 from . import mrl as mrl_mod
 from . import reset_transform as rt
 from ._integrate import (convolution_sums, gauss_legendre_cumulative,
-                         gl_panel, positive_points)
+                         gl_panel, kinks, positive_points)
 from .distributions import DistributionSpec, MomentFunction
 
 __all__ = [
@@ -341,11 +341,11 @@ def check_exp_mean_condition(spec: DistributionSpec, mu_grid=None,
     if not np.isfinite(m0):
         return _undefined_mean(eps), {float(mu): math.nan for mu in mu_grid}
     margins: dict[float, float] = {}
+    pts = kinks((spec,))
     for mu in mu_grid:
         upper = 42.0 / mu
         edges = np.unique(np.concatenate([
-            [0.0], np.geomspace(upper * 1e-9, upper, 40),
-            np.asarray([b for b in spec.tail_breakpoints() if b < upper]),
+            [0.0], np.geomspace(upper * 1e-9, upper, 40), pts[pts < upper],
             [upper]]))
         nodes, weights = gl_panel(edges)
         rest = np.asarray(dist.mean_upper_rest(spec, nodes))

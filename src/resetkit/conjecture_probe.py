@@ -14,6 +14,7 @@ import numpy as np
 from . import distributions as dist
 from ._integrate import convolution_sums, positive_points
 from .distributions import DistributionSpec
+from .reset_transform import _check_branching
 
 __all__ = ["ResidualReport", "lfold_invariance_residual"]
 
@@ -46,8 +47,7 @@ def lfold_invariance_residual(spec: DistributionSpec, l: int,
     still evaluates other laws so the caller can see how badly they miss.
     Raises ValueError for a non-finite grid point or a grid with no t > 0.
     """
-    if isinstance(l, bool) or not (isinstance(l, (int, np.integer)) and l >= 1):
-        raise ValueError(f"branching factor must be an integer >= 1, got {l!r}")
+    _check_branching(l)
     if t_grid is None:
         upper = dist.default_horizon(spec)
         if np.isfinite(spec.t0):

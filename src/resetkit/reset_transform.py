@@ -8,7 +8,8 @@ O(n log n) by inverting its kernel as a power series (Newton's iteration,
 Kung 1974) and applying the inverse with FFT products; under l-fold
 branching each cycle has its own weights and the recursion runs backward.
 Deterministic restart has closed forms, exponential restart closed-form
-means. Integrals against the laws are tanh-sinh panels cut at their kinks.
+means; a branching mean is one series over the cycles, as deep as the
+solver goes. Integrals against the laws are tanh-sinh panels cut at kinks.
 """
 from __future__ import annotations
 
@@ -42,7 +43,6 @@ __all__ = [
 ]
 
 _TRUNC = 1e-12
-_SERIES_CAP = 2000
 _TOEPLITZ_BLOCK = 128  # cells of the renewal solve's direct Newton seed
 _DEPTH_CAP = 60  # cycles the branching pass may need
 
@@ -407,6 +407,19 @@ def _snap_grid(reset: ResetLaw, upper: float, n: int,
     return steps, steps * h
 
 
+def _cycle_reach(spec: DistributionSpec, reset: ResetLaw, l: int,
+                 tol: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """Depth D of the l-fold race, q[j] = E[tail_T(R)**(l**j)], the chance
+    that cycle j ends in a restart, and reach[j] = q[0] ... q[j], j <= 60:
+    cycle D is the first reached with probability <= 1e-3 tol, or the 60th."""
+    # clipped, as tail**m at m = l**59 magnifies a tail rounded past 1
+    q = np.clip(reset.expect_tail_power(
+        spec, float(l) ** np.arange(_DEPTH_CAP + 1)), 0.0, 1.0)
+    reach = np.cumprod(q)
+    depth = min(int(np.count_nonzero(reach > 1e-3 * tol)) + 1, _DEPTH_CAP)
+    return depth, q, reach
+
+
 def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
                       *, l: int = 1, tol: float = 1e-6, n0: int = 8192,
                       n_max: int = 262144) -> TailCurve:
@@ -419,10 +432,7 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
     _check_branching(l)
     solve, bound = functools.partial(_renewal_fixed_point, spec, reset), 0.0
     if l > 1:
-        # clipped, as tail**m at m = l**59 magnifies a tail rounded past 1
-        reach = np.cumprod(np.clip(reset.expect_tail_power(
-            spec, float(l) ** np.arange(_DEPTH_CAP)), 0.0, 1.0))
-        depth = min(int(np.count_nonzero(reach > 1e-3 * tol)) + 1, _DEPTH_CAP)
+        depth, _, reach = _cycle_reach(spec, reset, l, tol)
         bound = float(reach[depth - 1])
         if not bound <= tol:
             raise SeriesNotConvergingError(
@@ -524,6 +534,8 @@ def reset_mean(spec: DistributionSpec, reset: ResetLaw) -> float:
     Always finite for proper reset laws with integrable minimum; +inf when
     the numerator diverges (defective completion with defective reset).
     """
+    if reset.kind == "exponential":
+        return exp_reset_mean(spec, reset.rate)
     if reset.kind == "deterministic":
         p_stop = float(np.asarray(dist.cdf(spec, reset.period)))
     else:
@@ -540,8 +552,6 @@ def reset_mean(spec: DistributionSpec, reset: ResetLaw) -> float:
 def _expected_minimum(spec: DistributionSpec, reset: ResetLaw) -> float:
     if reset.kind == "deterministic":
         return _tail_integral(spec, 0.0, reset.period)
-    if reset.kind == "exponential":
-        return laplace_tail(spec, reset.rate)
     if spec.mass_at_infinity > 0.0 and reset.mass_at_infinity > 0.0:
         return np.inf
     upper = 1.0
@@ -584,7 +594,7 @@ def exp_reset_mean(spec: DistributionSpec, mu):
 
 
 def _check_branching(l: int) -> None:
-    if not (isinstance(l, (int, np.integer)) and l >= 1):
+    if isinstance(l, bool) or not (isinstance(l, (int, np.integer)) and l >= 1):
         raise ValueError(f"branching factor must be an integer >= 1, got {l!r}")
 
 
@@ -609,75 +619,45 @@ def branching_deterministic_tail(spec: DistributionSpec, r: float, l: int, t):
     return out if out.shape else float(out)
 
 
-def _min_power_integral(spec: DistributionSpec, r: float, m: float) -> float:
-    """Integral over [0, r] of tail(u)**m."""
-    log_tail = spec.log_tail
+def _branching_mean(spec: DistributionSpec, reset: ResetLaw, l: int) -> float:
+    """Mean under restart by ``reset`` with l-fold branching, l >= 2: cycle
+    j lasts race_j = integral of tail**(l**j) * P(R > t) on average and is
+    reached with probability reach[j - 1] of ``_cycle_reach``. The cycles
+    past its depth D add reach[D - 1] race_D / (1 - q[D]), each taken to
+    repeat D's race: at D = 60 they race l**59 copies or more, so each lasts
+    the law's dead time; below 60, reach[D - 1] is at most 1e-15."""
+    depth, q, reach = _cycle_reach(spec, reset, l, _TRUNC)
+    if not q[depth] < 1.0:
+        raise SeriesNotConvergingError(
+            f"cycle {depth} ends in a restart surely; restart never completes")
+    upper = reset.horizon()
 
-    def f(u):
-        return np.exp(np.clip(m * log_tail(u), -745.0, 0.0))
-
-    return quad(f, 0.0, r, laws=(spec,),
-                points=np.geomspace(r * 1e-12, r, 13))[0]
+    def f(t, m):
+        return np.exp(np.minimum(m * np.asarray(spec.log_tail(t)), 0.0)) * \
+            np.asarray(reset.tail(t))
+    race = quad(f, 0.0, upper, laws=(spec, reset.spec),
+                points=np.geomspace(upper * 1e-12, upper, 13),
+                args=(float(l) ** np.arange(depth + 1)[:, None],))[0]
+    return float(race[0] + reach[:depth - 1] @ race[1:depth]
+                 + reach[depth - 1] * race[depth] / (1.0 - q[depth]))
 
 
 def branching_mean_deterministic(spec: DistributionSpec, r: float, l: int) -> float:
-    """Mean under period-r restart with l-fold branching (series form)."""
+    """Mean under period-r restart with l-fold branching (cycle series)."""
     _check_branching(l)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise InvalidPeriodError(f"restart period must be in (0, inf), got {r!r}")
+    reset = ResetLaw.deterministic(r)
     if l == 1:
         p_done = float(np.asarray(dist.cdf(spec, r)))
         if p_done <= 0.0:
             raise SeriesNotConvergingError("tail(r) = 1; restart never completes")
         return _tail_integral(spec, 0.0, r) / p_done
-    log_fr = float(spec.log_tail(r))
-    total = 0.0
-    for k in range(_SERIES_CAP):
-        lk = float(l) ** k
-        # no completed cycle before r, also where tail(r) = 0
-        weight = 1.0 if k == 0 else math.exp(
-            max((lk - 1.0) / (l - 1.0) * log_fr, -745.0))
-        if weight * r < _TRUNC * max(total, 1.0):
-            return total
-        total += weight * _min_power_integral(spec, r, lk)
-    raise SeriesNotConvergingError(
-        f"branching series did not contract after {_SERIES_CAP} terms")
-
-
-def _laplace_min_power(spec: DistributionSpec, mu: float, m: float) -> float:
-    """Integral of exp(-mu t) tail(t)**m over [0, inf)."""
-    log_tail = spec.log_tail
-    upper = 42.0 / mu
-
-    def f(t):
-        return np.exp(np.clip(-mu * t + m * log_tail(t), -745.0, 0.0))
-
-    return quad(f, 0.0, upper, laws=(spec,),
-                points=np.geomspace(upper * 1e-12, upper, 13))[0]
+    return _branching_mean(spec, reset, l)
 
 
 def branching_mean_exponential(spec: DistributionSpec, mu: float, l: int) -> float:
-    """Mean under rate-mu restart with l-fold branching (product series).
-
-    Each factor is one minus the Laplace transform of the minimum of l**n
-    copies; the running product is the chance of surviving n resets and
-    bounds the truncation error.
-    """
+    """Mean under rate-mu restart with l-fold branching (cycle series)."""
     _check_branching(l)
-    if not mu > 0.0:
-        raise ValueError("restart rate must be positive")
+    reset = ResetLaw.exponential(mu)
     if l == 1:
         return exp_reset_mean(spec, mu)
-    total = 0.0
-    prod = 1.0
-    for n in range(_SERIES_CAP):
-        q = mu * _laplace_min_power(spec, mu, float(l) ** n)
-        if not 0.0 <= q <= 1.0 + 1e-9:
-            raise SeriesNotConvergingError(
-                f"continuation probability {q:.3g} outside [0, 1]")
-        prod *= min(q, 1.0)
-        total += prod
-        if prod < _TRUNC:
-            return total / mu
-    raise SeriesNotConvergingError(
-        f"branching series did not contract after {_SERIES_CAP} terms")
+    return _branching_mean(spec, reset, l)

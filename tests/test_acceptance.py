@@ -253,8 +253,11 @@ def test_criterion_5_mean_formula_cross_validation():
             if abs(res.mean - analytic) > 4.0 * res.mean_se:
                 failures.append((sname, rname, "mc mean", res.mean, analytic))
         for mu in (0.5, 1.0, 2.0):
+            # the direct route under the exponential law as a general reset
+            # law; under ResetLaw.exponential reset_mean is exp_reset_mean
             a = rt.exp_reset_mean(spec, mu)
-            b = rt.reset_mean(spec, rt.ResetLaw.exponential(mu))
+            b = rt.reset_mean(spec, rt.ResetLaw.general(
+                d.Exponential(rate=mu)))
             if abs(a - b) > 1e-8 * max(1.0, abs(a)):
                 failures.append((sname, mu, "transform vs direct", a, b))
     _finish(5, "restart means: formula vs tail integral vs Monte Carlo on a "

@@ -184,6 +184,16 @@ class TestExpMeanCondition:
         got = cls.exp_mean_margin_from_curve(lambda t: t + k, 1.0 / k, mu)
         assert got == pytest.approx(want, rel=1e-5)
 
+    def test_finite_support_end_matches_closed_form(self):
+        # T uniform on [0, 2]: the left side is 1/mu - 1/mu**2 + (1 -
+        # exp(-2 mu)) / (2 mu**3) against 1 / (1 + mu); the panels missed
+        # the kink at the support end and were up to 2.1e-6 off
+        _, margins = cls.check_exp_mean_condition(uniform02())
+        for mu, got in margins.items():
+            lhs = 1.0 / mu - 1.0 / mu**2 - math.expm1(-2.0 * mu) / (2.0 * mu**3)
+            want = lhs * (1.0 + mu) - 1.0
+            assert got == pytest.approx(want, abs=1e-12), mu
+
     def test_infinite_mean_undefined(self):
         verdicts, margins = cls.check_exp_mean_condition(levy())
         assert verdicts["no_bigger"].status == "undefined"

@@ -8,16 +8,23 @@ from scipy.integrate import quad
 from resetkit import distributions as d
 from resetkit import mrl
 from resetkit import reset_transform as rt
+from resetkit import simulator as sim
 
-from fixture_laws import (brute_tail_integral, exp_law, levy, pe_mean_only,
-                          pw_sixth, sps, step_law, two_atom_reset, uniform02,
-                          weib)
+import branching_series_reference as series_ref
+from fixture_laws import (ALL_LAWS, brute_tail_integral, exp_law, levy,
+                          pe_mean_only, pw_sixth, sps, step_law,
+                          two_atom_reset, uniform02, weib)
 from quad_reference import split_quad
 
 # frozen oracle values, computed by independent adaptive quadrature
 LEVY_DET1_MEAN = 2.6766224636947697
 WEIB05_EXP_MEAN_MU1 = 0.8327056412998532
 BRANCH_DET_EXP1_L2 = 0.8034995079577224
+# T uniform on [1, 2] under rate-mu restart at l = 2, mean and tolerance,
+# by 30-digit mpmath (the cycles' races in closed form as power series)
+DEAD_TIME_L2_MEANS = {1.0: (2.4458216550512287, 1e-13),
+                      2.0: (3.9525275528247165, 1e-13),
+                      5.0: (30.056258346704672, 1e-11)}
 # levy under a uniform reset law on [0, 2], by scipy.quad split at every
 # breakpoint of both laws
 LEVY_UNIFORM02_MEAN = 2.88213856072
@@ -260,10 +267,13 @@ class TestMeans:
         assert got == pytest.approx(LEVY_DET1_MEAN, rel=1e-9)
 
     def test_exp_reset_mean_matches_general_path(self):
+        # the exponential law as a general reset law: reset_mean under
+        # ResetLaw.exponential is exp_reset_mean itself
         for spec in (weib(0.5), weib(2.0), pe_mean_only(), sps()):
             for mu in (0.5, 1.0, 3.0):
                 a = rt.exp_reset_mean(spec, mu)
-                b = rt.reset_mean(spec, rt.ResetLaw.exponential(mu))
+                b = rt.reset_mean(spec, rt.ResetLaw.general(
+                    d.Exponential(rate=mu)))
                 assert a == pytest.approx(b, rel=1e-8)
 
     def test_weib05_exp_mean_frozen(self):
@@ -460,3 +470,59 @@ class TestBranching:
         stuck = step_law((0.0, 2.0), (1.0, 0.0), check_standing=False)
         with pytest.raises(rt.SeriesNotConvergingError):
             rt.branching_mean_deterministic(stuck, 1.0, 1)
+
+    def test_boolean_branching_factor_is_rejected(self):
+        # bool is an int subclass: True used to run as l = 1
+        spec = exp_law()
+        with pytest.raises(ValueError, match="branching factor"):
+            rt.branching_mean_deterministic(spec, 1.0, True)
+        with pytest.raises(ValueError, match="branching factor"):
+            rt.branching_mean_exponential(spec, 1.0, True)
+        with pytest.raises(ValueError, match="branching factor"):
+            rt.solver_reset_tail(spec, rt.ResetLaw.exponential(1.0), 4.0,
+                                 l=True)
+        with pytest.raises(ValueError, match="branching factor"):
+            sim.simulate_branching(spec, rt.ResetLaw.exponential(1.0), True,
+                                   sim.SimulationConfig(replicates=10))
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.inf, math.nan])
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_restart_rate_validation(self, mu, l):
+        # checked once, by ResetLaw.exponential; at rate inf and l = 1 the
+        # mean used to come out as NaN
+        with pytest.raises(d.SpecValidationError, match="restart rate"):
+            rt.branching_mean_exponential(exp_law(), mu, l)
+
+    def test_series_guard_under_branching(self):
+        # every cycle ends in a restart; the per-term loop ran until l**k
+        # overflowed
+        stuck = step_law((0.0, 2.0), (1.0, 0.0), check_standing=False)
+        with pytest.raises(rt.SeriesNotConvergingError):
+            rt.branching_mean_deterministic(stuck, 1.0, 2)
+
+    @pytest.mark.parametrize("mu", sorted(DEAD_TIME_L2_MEANS))
+    def test_branching_mean_past_a_dead_time(self, mu):
+        # every race takes at least the dead time [0, 1), so cycles past
+        # the series' depth add a geometric remainder; the per-term loop
+        # was 5.5e-13 and 8e-13 off at rates 1 and 2 and overflowed at 5
+        spec = mrl.law_from_mrl(mrl.MrlCurve(
+            grid=(0.0, 1.0), values=(1.5, 0.5), terminal="linear",
+            terminal_slope=-0.5))
+        want, rel = DEAD_TIME_L2_MEANS[mu]
+        assert rt.branching_mean_exponential(spec, mu, 2) == \
+            pytest.approx(want, rel=rel)
+
+    @pytest.mark.parametrize("name", ["exp1", "weib05", "weib2", "sps05",
+                                      "pw_finite", "pe_mean_only",
+                                      "uniform02", "levy"])
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_branching_means_match_the_per_term_loops(self, name, l):
+        spec = ALL_LAWS[name]()
+        for r in (0.2, 0.5, 1.0, 2.0):
+            assert rt.branching_mean_deterministic(spec, r, l) == \
+                pytest.approx(series_ref.branching_mean_deterministic(
+                    spec, r, l), rel=1e-11)
+        for mu in (0.5, 1.0, 3.0):
+            assert rt.branching_mean_exponential(spec, mu, l) == \
+                pytest.approx(series_ref.branching_mean_exponential(
+                    spec, mu, l), rel=1e-11)

@@ -5,8 +5,9 @@ exponential, deterministic, or a general law generated by a random
 residual-mean curve (which may hold atoms at 0 and at its support end).
 Checked: restarted tails are probabilities and do not increase, l = 2
 branching never leaves more survivors than plain restart, the exponential
-law is a fixed point of restart, and the l = 2 tail under exponential
-restart integrates to the branching mean series.
+law is a fixed point of restart, the l = 2 tail under exponential restart
+integrates to the branching mean series, and so does the closed-form tail
+under deterministic restart for l = 2 and 3.
 """
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from resetkit import distributions as d
 from resetkit import mrl
 from resetkit import reset_transform as rt
+from resetkit._integrate import kinks
 
 from law_strategies import from_mrl, piecewise_constant, piecewise_exp, tabulated
 
@@ -109,3 +111,41 @@ def test_branching_tail_integrates_to_the_mean_series(spec, mu):
     quad_err = abs(mean - float(np.trapezoid(vals[::2], grid[::2])))
     assert mean == pytest.approx(rt.branching_mean_exponential(spec, mu, 2),
                                  abs=curve.err_estimate * upper + quad_err)
+
+
+@PROPERTY
+@given(spec=st.one_of(tabulated(modes=("log-linear",)), from_mrl()),
+       r=st.floats(0.2, 3.0), l=st.sampled_from([2, 3]))
+def test_branching_deterministic_tail_integrates_to_the_mean_series(spec, r,
+                                                                    l):
+    fr = float(spec.tail(r))
+    if fr >= 1.0:  # every cycle ends in a restart: no finite mean
+        with pytest.raises(rt.SeriesNotConvergingError):
+            rt.branching_mean_deterministic(spec, r, l)
+        return
+    # cycle k >= 1 is reached with probability fr**((l**k - 1) / (l - 1))
+    k = np.arange(1, 61)
+    with np.errstate(divide="ignore"):
+        reach = (float(l) ** k - 1.0) / (l - 1.0) * np.log(fr)
+    cycles = 1 + int(np.count_nonzero(reach > np.log(1e-17)))
+    # in each cycle the closed form is smooth between the law's kinks; the
+    # trapezoid runs over each such piece, short by delta of its ends,
+    # where the tail may jump (and the cycle count be rounded)
+    edges = np.unique(np.r_[0.0, kinks((spec,)), r])
+    edges = edges[edges <= r]
+    delta = 1e-13 * r
+    starts = np.arange(cycles)[:, None] * r
+
+    def trapezoid(n):
+        total = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            t = starts + np.linspace(a + delta, b - delta, n + 1)
+            vals = np.asarray(rt.branching_deterministic_tail(spec, r, l, t))
+            total += float(np.sum(np.trapezoid(vals, t, axis=-1)))
+        return total
+
+    mean = trapezoid(512)
+    # the trapezoid's own error, by halving, and the ends left out
+    quad_err = abs(mean - trapezoid(256)) + 2.0 * delta * edges.size * cycles
+    assert mean == pytest.approx(rt.branching_mean_deterministic(spec, r, l),
+                                 abs=quad_err)
