@@ -14,7 +14,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import reset_transform as rt
-from ._integrate import gauss_legendre_cumulative
+from ._integrate import gauss_legendre_cumulative, kinks
 from .distributions import DistributionSpec
 
 __all__ = [
@@ -91,12 +91,13 @@ def deterministic_mean_curve(spec: DistributionSpec, r_grid) -> np.ndarray:
     order = np.argsort(r_grid)
     sorted_r = r_grid[order]
     r_max = sorted_r[-1]
-    # dense internal knots resolve near-zero derivative singularities
+    # dense internal knots resolve near-zero derivative singularities; the
+    # law's kinks, support ends included, split the panels they fall in
+    pts = kinks((spec,))
     knots = np.unique(np.concatenate([
         [0.0], sorted_r,
         np.geomspace(max(r_max * 1e-13, 1e-290), r_max, 240),
-        np.asarray([b for b in spec.tail_breakpoints() if b < r_max],
-                   dtype=float)]))
+        pts[pts < r_max]]))
     cum = gauss_legendre_cumulative(lambda t: np.asarray(spec.tail(t)), knots)
     partial = np.interp(sorted_r, knots, cum)
     prob_done = np.asarray(dist.cdf(spec, sorted_r))

@@ -6,10 +6,12 @@ grid solves it stably; atoms of the reset law enter exactly. Its weights
 depend only on the lag: one lower-triangular Toeplitz system, solved in
 O(n log n) by inverting its kernel as a power series (Newton's iteration,
 Kung 1974) and applying the inverse with FFT products; under l-fold
-branching each cycle has its own weights and the recursion runs backward.
-Deterministic restart has closed forms, exponential restart closed-form
-means; a branching mean is one series over the cycles, as deep as the
-solver goes. Integrals against the laws are tanh-sinh panels cut at kinks.
+branching each cycle has its own weights and the recursion runs backward,
+each cycle's kernel and free part cut where tail**(l**j) falls below
+2**-64, so that a cycle costs in proportion to its support. Deterministic
+restart has closed forms, exponential restart closed-form means; a
+branching mean is one series over the cycles, as deep as the solver goes.
+Integrals against the laws are tanh-sinh panels cut at kinks.
 """
 from __future__ import annotations
 
@@ -45,6 +47,7 @@ __all__ = [
 _TRUNC = 1e-12
 _TOEPLITZ_BLOCK = 128  # cells of the renewal solve's direct Newton seed
 _DEPTH_CAP = 60  # cycles the branching pass may need
+_CUT = 2.0 ** -64  # tail**(l**j) below which a cycle's kernel stops
 
 
 class InvalidPeriodError(ValueError):
@@ -230,7 +233,7 @@ def _cell_integrals(spec: DistributionSpec, reset: ResetLaw, h: float,
 
 def _lag_kernel(spec: DistributionSpec, reset: ResetLaw, h: float, m: float,
                 mid, exact, src: np.ndarray, y0: float,
-                free_next: np.ndarray) -> np.ndarray:
+                free_next: np.ndarray, size: int) -> np.ndarray:
     """Lag kernel of one renewal step in which m copies race.
 
     Step i sets y[i] from ``src[i]`` and z[i - d] weighted by kern[d], z the
@@ -238,27 +241,29 @@ def _lag_kernel(spec: DistributionSpec, reset: ResetLaw, h: float, m: float,
     density (``mid`` and ``exact`` from ``_cell_integrals``) plus each
     atom's taps. Added to ``src``: the terms in z[0] = ``y0``, and, as z can
     have infinite slope at 0, the exact integral of its free part
-    (``free_next`` at the first nodes) over the first cells.
+    (``free_next`` at the first nodes) over the first cells. The kernel
+    holds the lags d < ``size`` <= n: the caller picks ``size`` past every
+    atom's taps and where the cell masses left out are negligible.
     """
     n = src.size - 1
     if exact is None:
-        kern = np.zeros(n)
+        kern = np.zeros(size)
     else:
         cells, owner, pieces, heads = exact
-        kern = mid[0] ** m  # the cell masses first: kern[c], (c h, c h + h]
-        kern *= mid[1]
+        # the cell masses first: kern[c], (c h, c h + h]
+        kern = mid[0][:size] ** m
+        kern *= mid[1][:size]
         kern *= h
-        kern[cells] = 0.0
-        np.add.at(kern, owner, pieces)
+        kern[cells[cells < size]] = 0.0
+        np.add.at(kern, owner[owner < size], pieces[owner < size])
         corr = heads / h - 0.5 * (free_next[:-1] + free_next[1:])
-        src[1:] += kern * (0.5 * y0 + corr[0])
+        src[1:size + 1] += kern * (0.5 * y0 + corr[0])
         for c in range(1, corr.size):
-            src[c + 1:] += kern[:-c] * corr[c]
+            src[c + 1:c + 1 + size] += kern[:n - c] * corr[c]
     kern[1:] += kern[:-1]
     kern *= 0.5
     for loc, w in reset.atoms():
-        pos = loc / h
-        lag = math.ceil(pos - 1e-9)  # the atom's first node at or past it
+        pos, lag = loc / h, _atom_lag(loc, h)
         if lag > n:
             continue
         theta = lag - pos if lag - pos > 1e-9 else 0.0  # cells before it
@@ -273,6 +278,11 @@ def _lag_kernel(spec: DistributionSpec, reset: ResetLaw, h: float, m: float,
             src[lag] += float(spec.tail(lag * h)) ** m * (
                 float(reset.tail(loc)) - float(reset.tail(lag * h)))
     return kern
+
+
+def _atom_lag(loc: float, h: float) -> int:
+    """The first node at or past an atom at ``loc``, on a grid of step h."""
+    return math.ceil(loc / h - 1e-9)
 
 
 def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
@@ -291,7 +301,7 @@ def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
     mid, exact = _cell_integrals(spec, reset, h, n, [1.0], 1)
     w0 = sum(w for loc, w in reset.atoms() if loc == 0.0)
     kern = _lag_kernel(spec, reset, h, 1.0, mid, exact[0], y,
-                       y[0] / (1.0 - float(spec.tail(0.0)) * w0), y[:3])
+                       y[0] / (1.0 - float(spec.tail(0.0)) * w0), y[:3], n)
     del mid
     np.negative(kern, out=kern)  # the system's first column: 1 - kern[0],
     kern[0] += 1.0               # then -kern[d]
@@ -303,27 +313,56 @@ def _branching_pass(spec: DistributionSpec, reset: ResetLaw, l: int,
                     depth: int, upper: float, n: int) -> np.ndarray:
     """Backward solve of the tail under l-fold branching on i*upper/n.
 
-    Cycle j races l**j copies: y_j = src_j + kern_j * y_{j+1}, one FFT product
-    each, from y_depth, the race of cycle ``depth`` alone, down to y_0. The
-    free part is exact over eight cells, as many copies steepen it at 0.
+    Cycle j races m = l**j copies: y_j = src_j + kern_j * y_{j+1}, from
+    y_depth, the race of cycle ``depth`` alone, down to y_0. The free part
+    is exact over eight cells, as many copies steepen it at 0. Each cycle
+    costs in proportion to its support. From the first node c_j where
+    tail**m <= _CUT = 2**-64, the free part is at most _CUT and the cell
+    masses sum to at most _CUT * P(R > c_j h), so src_j and kern_j stop at
+    K_j = c_j + 1 cells (at least nine, and every atom's taps): y_j moves
+    by at most 2 * _CUT, 1.1e-19, far below the product's own rounding.
+    The product is one FFT product of a fast length >= n + K_j - 1 rather
+    than 2n (short-kernel convolution: Stockham, AFIPS 1966).
     """
+    from scipy.fft import next_fast_len
+
     h = upper / n
     t = np.arange(n + 1) * h
     tail_t, reset_t = np.asarray(spec.tail(t)), np.asarray(reset.tail(t))
     powers = float(l) ** np.arange(depth + 1)
     mid, exact = _cell_integrals(spec, reset, h, n, powers[:-1], l)
-    y = tail_t ** powers[-1] * reset_t
+    # c_j: the first node past which the nonincreasing majorant of the tail
+    # is at most the root of _CUT, stepped down where rounding put it above
+    root = _CUT ** (1.0 / powers)
+    root = np.where(root ** powers > _CUT, np.nextafter(root, 0.0), root)
+    upper_tail = np.maximum.accumulate(tail_t[::-1])[::-1]
+    cut = np.searchsorted(-upper_tail, -root)
+    lags = [_atom_lag(loc, h) for loc, _ in reset.atoms()]
+    least = max([9] + [lag + 1 for lag in lags if lag <= n])
+    size = np.minimum(n, np.maximum(cut + 1, least))
+    y = _free_part(tail_t, reset_t, powers[-1], size[-1])
     head = y[:9].copy()  # the continuation's free part at its first nodes
     for j in range(depth - 1, -1, -1):
-        src = tail_t ** powers[j] * reset_t
+        k = int(size[j])
+        src = _free_part(tail_t, reset_t, powers[j], k)
         free = src[:9].copy()
         kern = _lag_kernel(spec, reset, h, powers[j], mid, exact[j], src,
-                           y[0], head)
-        prod = np.fft.rfft(kern, 2 * n)
-        prod *= np.fft.rfft(y[1:], 2 * n)
-        src[1:] += np.fft.irfft(prod, 2 * n)[:n]
+                           y[0], head, k)
+        size_fft = next_fast_len(n + k - 1, real=True)
+        prod = np.fft.rfft(kern, size_fft)
+        prod *= np.fft.rfft(y[1:], size_fft)
+        src[1:] += np.fft.irfft(prod, size_fft)[:n]
         y, head = src, free
     return y
+
+
+def _free_part(tail_t: np.ndarray, reset_t: np.ndarray, m: float,
+               k: int) -> np.ndarray:
+    """tail**m * reset tail on the nodes 0..k, and 0 past them."""
+    out = np.zeros(tail_t.size)
+    out[:k + 1] = tail_t[:k + 1] ** m
+    out[:k + 1] *= reset_t[:k + 1]
+    return out
 
 
 def _solve_lower_toeplitz(a: np.ndarray, c: np.ndarray) -> None:

@@ -38,6 +38,12 @@ class TestCurve:
             val = float(opt.deterministic_mean_curve(spec, np.array([big]))[0])
             assert val == pytest.approx(m0, rel=1e-2)
 
+    def test_past_a_finite_support_end(self):
+        # the knots hold uniform02's support end at 2, where the tail kinks
+        vals = opt.deterministic_mean_curve(uniform02(), [1.0, 2.5, 3.0])
+        np.testing.assert_allclose(vals, [1.5, 1.0, 1.0], rtol=0.0,
+                                   atol=1e-15)
+
     def test_unsorted_grid_preserved(self):
         spec = exp_law()
         grid = np.array([2.0, 0.5, 1.0])

@@ -7,10 +7,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resetkit import mrl
 from resetkit import reset_transform as rt
 
 from fixture_laws import ALL_LAWS, two_atom_reset, uniform02, weib
@@ -69,6 +71,84 @@ def test_branching_matches_loop_on_unsnapped_grid(law):
     want = branching_pass_loop(spec, reset, 3, DEPTH, UPPER, 513)
     got = rt._branching_pass(spec, reset, 3, DEPTH, UPPER, 513)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def kernel_sizes(monkeypatch) -> list[int]:
+    """The kernel lengths of every ``_lag_kernel`` call, as they happen."""
+    sizes, lag_kernel = [], rt._lag_kernel
+
+    def spy(*args):
+        sizes.append(args[-1])
+        return lag_kernel(*args)
+    monkeypatch.setattr(rt, "_lag_kernel", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("law", ["pw_finite", "uniform02", "weib2"])
+def test_branching_cut_matches_loop_at_depth(law, monkeypatch):
+    # by cycle 12 (4,096 copies) tail**(l**j) falls below 2**-64 within a
+    # few cells, so the kernels and free parts stop short of the grid
+    spec, reset = ALL_LAWS[law](), rt.ResetLaw.exponential(1.0)
+    want = branching_pass_loop(spec, reset, 2, 12, UPPER, 512)
+    sizes = kernel_sizes(monkeypatch)
+    got = rt._branching_pass(spec, reset, 2, 12, UPPER, 512)
+    assert min(sizes) < 512
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("law", ["pw_finite", "uniform02", "weib2"])
+def test_branching_cut_keeps_the_atom_taps(law, monkeypatch):
+    # the atoms at 0.5 and 1.5 lie between nodes and past most cuts
+    spec, reset = ALL_LAWS[law](), two_atom_reset()
+    want = branching_pass_loop(spec, reset, 2, 12, UPPER, 513)
+    sizes = kernel_sizes(monkeypatch)
+    got = rt._branching_pass(spec, reset, 2, 12, UPPER, 513)
+    assert min(sizes) < 513
+    assert min(sizes) * UPPER / 513 > 1.5
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def dead_time_law():
+    """T uniform on [1, 2]: every race lasts the dead time [0, 1)."""
+    return mrl.law_from_mrl(mrl.MrlCurve(
+        grid=(0.0, 1.0), values=(1.5, 0.5), terminal="linear",
+        terminal_slope=-0.5))
+
+
+def test_branching_cut_where_the_root_rounds_to_one():
+    # from cycle 38, (2**-64) ** (1 / 3**j) rounds to 1, which the tail is
+    # on the dead time: the cut must still keep the whole dead time
+    spec, reset = dead_time_law(), rt.ResetLaw.exponential(5.0)
+    want = branching_pass_loop(spec, reset, 3, 40, UPPER, 256)
+    got = rt._branching_pass(spec, reset, 3, 40, UPPER, 256)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+def test_branching_ffts_end_at_the_support(monkeypatch):
+    # T uniform on [0, 2] on a grid to 10: no kernel reaches past the
+    # support end, so no product needs the 2n of a full-length kernel
+    spec, reset, n = uniform02(), rt.ResetLaw.exponential(1.0), 8192
+    depth = rt._cycle_reach(spec, reset, 2, 1e-6)[0]
+    lengths, rfft = [], np.fft.rfft
+
+    def spy(a, size=None, *args, **kwargs):
+        lengths.append(size)
+        return rfft(a, size, *args, **kwargs)
+    monkeypatch.setattr(np.fft, "rfft", spy)
+    rt._branching_pass(spec, reset, 2, depth, UPPER, n)
+    last = math.ceil(2.0 / (UPPER / n))  # the first node past 2
+    assert lengths and 2 * n not in lengths
+    assert max(lengths) == scipy.fft.next_fast_len(n + last, real=True)
+
+
+def test_cycle_reach_past_a_dead_time():
+    # every race lasts the dead time, so the reach falls slowly and the
+    # depth stops at the cap
+    depth, q, reach = rt._cycle_reach(dead_time_law(),
+                                      rt.ResetLaw.exponential(5.0), 2, 1e-6)
+    assert depth == rt._DEPTH_CAP
+    assert q.size == reach.size == rt._DEPTH_CAP + 1
+    assert reach[depth - 1] > 1e-9
 
 
 def dense_solve(a: np.ndarray, c: np.ndarray) -> np.ndarray:
