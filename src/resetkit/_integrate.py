@@ -140,6 +140,17 @@ def panels(fn, lo, hi, args=()) -> tuple[np.ndarray, np.ndarray]:
     return val.reshape(shape)[()], err.reshape(shape)[()]
 
 
+def distinct_panels(x, col):
+    """The rows of ``x`` that hold distinct panels, their indices, and for
+    every row the position of its panel among them. ``col``, passed to
+    ``panels`` as an argument, numbers the panels: rows with one number
+    run the same nodes, whatever their other arguments (say, a power), so
+    a law need be evaluated on the first row of each only."""
+    _, rows, back = np.unique(col[:, 0], return_index=True,
+                              return_inverse=True)
+    return x[rows], rows, back
+
+
 def kinks(laws) -> np.ndarray:
     """Sorted kinks, jumps and finite support ends (of the base law, which a
     defect leaves a kink) of the tails of ``laws``."""
@@ -161,11 +172,16 @@ def cuts(a: float, b: float, points) -> np.ndarray:
     return edges
 
 
-def quad(fn, a: float, b: float, laws=(), points=(), args=()):
+def quad(fn, a: float, b: float, laws=(), points=(), args=(),
+         panel_index=False):
     """Integral of ``fn`` over [a, b] and its error estimate, with panels cut
     at every kink of ``laws`` and at ``points``; ``b`` may be inf. ``args``
-    broadcast against the panels (the last axis), as in ``panels``."""
+    broadcast against the panels (the last axis), as in ``panels``. With
+    ``panel_index``, ``fn`` also takes each row's panel number, after
+    ``args``, for ``distinct_panels``."""
     edges = cuts(a, b, np.concatenate([kinks(laws), np.ravel(points)]))
+    if panel_index:
+        args = (*args, np.arange(edges.size - 1))
     vals, errs = panels(fn, edges[:-1], edges[1:], args=args)
     vals, errs = np.sum(vals, axis=-1), np.sum(errs, axis=-1)
     return (vals, errs) if args else (float(vals), float(errs))

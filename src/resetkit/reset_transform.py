@@ -2,10 +2,14 @@
 
 The repeatedly-restarted law solves a renewal identity that references only
 earlier times, so a forward midpoint/trapezoid discretization on a uniform
-grid solves it stably; atoms of the reset law enter exactly. Its weights
-depend only on the lag: one lower-triangular Toeplitz system, solved in
-O(n log n) by inverting its kernel as a power series (Newton's iteration,
-Kung 1974) and applying the inverse with FFT products; under l-fold
+grid solves it stably; atoms of the reset law enter exactly, and where the
+law's tail jumps, each cell's mass pairs the solution past the jump by its
+own share, not the trapezoid's half (product integration: Linz, Analytical
+and Numerical Methods for Volterra Equations, SIAM 1985), which keeps the
+scheme second order there. Its weights depend only on the lag: one
+lower-triangular Toeplitz system, solved in O(n log n) by inverting its
+kernel as a power series (Newton's iteration, Kung 1974) and applying the
+inverse with FFT products; under l-fold
 branching each cycle has its own weights and the recursion runs backward,
 each cycle's kernel and free part cut where tail**(l**j) falls below
 2**-64, so that a cycle costs in proportion to its support. Deterministic
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._integrate import cuts, kinks, panels, quad
+from ._integrate import cuts, distinct_panels, kinks, panels, quad
 from .distributions import (DistributionSpec, SpecValidationError, TailCurve)
 
 __all__ = [
@@ -48,6 +52,7 @@ _TRUNC = 1e-12
 _TOEPLITZ_BLOCK = 128  # cells of the renewal solve's direct Newton seed
 _DEPTH_CAP = 60  # cycles the branching pass may need
 _CUT = 2.0 ** -64  # tail**(l**j) below which a cycle's kernel stops
+_N_MIN = 256  # fewest cells the renewal solve starts from
 
 
 class InvalidPeriodError(ValueError):
@@ -144,14 +149,16 @@ class ResetLaw:
         """E[tail_T(R)^m] against this reset law; m may be an array of powers."""
         m = np.asarray(m, dtype=float)
 
-        def f(s, m):
-            return np.exp(m * np.asarray(spec.log_tail(s))) * np.asarray(self.density(s))
+        def f(s, m, col):  # the laws once per node, for all the powers
+            s, _, back = distinct_panels(s, col)
+            return (np.exp(m * np.asarray(spec.log_tail(s))[back])
+                    * np.asarray(self.density(s))[back])
         total = 0.0
         for loc, w in self.atoms():
             total += w * np.exp(m * np.asarray(spec.log_tail(loc)))
         if self.has_density:
             total += quad(f, 0.0, self.horizon(), laws=(spec, self.spec),
-                          args=(m[..., None],))[0]
+                          args=(m[..., None],), panel_index=True)[0]
         return total if m.ndim else float(total)
 
 
@@ -204,8 +211,12 @@ def _cell_integrals(spec: DistributionSpec, reset: ResetLaw, h: float,
     midpoint and trapezoid degrade (None without a density), per power m in
     one call: tail**m * reset density over the pieces of the first two cells
     (infinite slopes at 0) and of the cells a kink splits (an O(h) error grid
-    halving cannot see), and the continuation's free part tail**(l m) *
-    reset tail over its first cells: two for l = 1, as ever, else eight."""
+    halving cannot see); the continuation's free part tail**(l m) * reset
+    tail over its first cells: two for l = 1, as ever, else eight; and, for
+    each later jump of that free part, at a jump of the law phi cells before
+    node k (``_jump_nodes``), each piece's share that pairs the
+    continuation past it: in cell c, the part before c h + phi h. The laws
+    are evaluated once per panel node for all the powers."""
     if not reset.has_density:
         return None, [None] * len(powers)
     inner = kinks((spec, reset.spec))
@@ -215,51 +226,81 @@ def _cell_integrals(spec: DistributionSpec, reset: ResetLaw, h: float,
     edges = cuts(0.0, n * h, np.r_[cells * h, (cells + 1) * h, inner])
     owner = ((edges[:-1] + edges[1:]) // (2.0 * h)).astype(int)
     keep = np.isin(owner, cells)
-    k = int(np.count_nonzero(keep))
+    lo, hi, owner = edges[:-1][keep], edges[1:][keep], owner[keep]
     heads = np.arange(min(2 if l == 1 else 8, n)) * h
-    dens = np.arange(k + heads.size) < k
+    # the law's jumps past the head cells: node, phi, and the tail and reset
+    # tail just past and just before each, [[tail], [reset tail]]
+    loc, node = _jump_nodes(spec, h)
+    keep = (node > heads.size) & (node <= n)
+    loc, node = loc[keep], node[keep]
+    before, phi = np.nextafter(loc, -np.inf), node - loc / h
+    jumps = (node, phi, np.array([[spec.tail(loc), spec.tail(before)],
+                                  [reset.tail(loc), reset.tail(before)]],
+                                 dtype=float))
+    end = owner * h + phi[:, None] * h  # each jump, in each piece's cell
+    full = hi <= end
+    part = np.nonzero((lo < end) & ~full)
+    k, first = lo.size, lo.size + heads.size
+    col = np.arange(first + part[0].size)
+    free = (col >= k) & (col < first)
 
-    def f(x, m, dens):  # the free part where dens is False
-        return np.asarray(spec.tail(x)) ** m * np.where(
-            dens, reset.density(x), reset.tail(x))
+    def f(x, m, col):  # the reset tail, not its density, in the head cells
+        x, rows, back = distinct_panels(x, col)
+        other = np.where(free[col[rows]], reset.tail(x), reset.density(x))
+        return np.asarray(spec.tail(x))[back] ** m * other[back]
 
-    m = np.asarray(powers, dtype=float)[:, None] * np.where(dens, 1.0, l)
-    vals, _ = panels(f, np.r_[edges[:-1][keep], heads],
-                     np.r_[edges[1:][keep], heads + h], args=(m, dens))
+    m = np.asarray(powers, dtype=float)[:, None] * np.where(free, l, 1.0)
+    vals, _ = panels(f, np.r_[lo, heads, lo[part[1]]],
+                     np.r_[hi, heads + h, end[part]], args=(m, col))
+    exact = []
+    for row in vals:
+        shares = np.where(full, row[:k], 0.0)
+        shares[part] = row[first:]
+        exact.append((cells, owner, row[:k], row[k:first], jumps, shares))
     x = (np.arange(1, n + 1) - 0.5) * h
-    return ((np.asarray(spec.tail(x)), reset.density(x)),
-            [(cells, owner[keep], row[:k], row[k:]) for row in vals])
+    return (np.asarray(spec.tail(x)), reset.density(x)), exact
 
 
 def _lag_kernel(spec: DistributionSpec, reset: ResetLaw, h: float, m: float,
-                mid, exact, src: np.ndarray, y0: float,
+                m_next: float, mid, exact, src: np.ndarray, y0: float,
                 free_next: np.ndarray, size: int) -> np.ndarray:
     """Lag kernel of one renewal step in which m copies race.
 
     Step i sets y[i] from ``src[i]`` and z[i - d] weighted by kern[d], z the
     continuation: the mean mass of cells d and d + 1 of tail**m * reset
     density (``mid`` and ``exact`` from ``_cell_integrals``) plus each
-    atom's taps. Added to ``src``: the terms in z[0] = ``y0``, and, as z can
-    have infinite slope at 0, the exact integral of its free part
-    (``free_next`` at the first nodes) over the first cells. The kernel
-    holds the lags d < ``size`` <= n: the caller picks ``size`` past every
-    atom's taps and where the cell masses left out are negligible.
+    atom's taps. Added to ``src``: the terms in z[0] = ``y0``, and two
+    corrections to the trapezoid where z's free part tail**m_next * reset
+    tail (``free_next`` at the first nodes) is not smooth: its exact
+    integral over the first cells, as z can have infinite slope at 0; and,
+    where it jumps by delta at phi cells before node k, delta times the
+    share of cell c's mass that pairs z past the jump, in place of the
+    trapezoid's half, at step k + c. The kernel holds the lags d < ``size``
+    <= n: the caller picks ``size`` past every atom's taps and where the
+    cell masses left out are negligible.
     """
     n = src.size - 1
     if exact is None:
         kern = np.zeros(size)
     else:
-        cells, owner, pieces, heads = exact
+        cells, owner, pieces, heads, (node, phi, sides), shares = exact
+        cells, inside = cells[cells < size], owner < size
         # the cell masses first: kern[c], (c h, c h + h]
         kern = mid[0][:size] ** m
         kern *= mid[1][:size]
         kern *= h
-        kern[cells[cells < size]] = 0.0
-        np.add.at(kern, owner[owner < size], pieces[owner < size])
+        kern[cells] = 0.0
+        np.add.at(kern, owner[inside], pieces[inside])
         corr = heads / h - 0.5 * (free_next[:-1] + free_next[1:])
         src[1:size + 1] += kern * (0.5 * y0 + corr[0])
         for c in range(1, corr.size):
             src[c + 1:c + 1 + size] += kern[:n - c] * corr[c]
+        free = sides[0] ** m_next * sides[1]
+        for k, p, delta, share in zip(node, phi, free[0] - free[1], shares):
+            part = kern * (p - 0.5)  # phi of a smooth cell's mass, less half
+            part[cells] = -0.5 * kern[cells]
+            np.add.at(part, owner[inside], share[inside])
+            src[k:k + size] += delta * part[:n + 1 - k]
     kern[1:] += kern[:-1]
     kern *= 0.5
     for loc, w in reset.atoms():
@@ -285,6 +326,24 @@ def _atom_lag(loc: float, h: float) -> int:
     return math.ceil(loc / h - 1e-9)
 
 
+def _jump_nodes(spec: DistributionSpec,
+                h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The jumps t > 0 of the law's tail, and the first node i h at or past
+    each, where the tail takes its value past the jump. A reset atom is no
+    jump of the solution: where the reset tail drops by w, the atom's tap
+    w tail**m z(t - a) starts, and makes up for it (exactly for l = 1 and
+    tail(0) = 1). Unlike ``_atom_lag``, the rule is exact, with no slack:
+    the free part at node i is tail(i h) at the node's time as the solver
+    computes it, which must already be past the jump; an atom's tap, in
+    turn, takes a node a rounding error short of the atom as its own and
+    ``_lag_kernel`` undoes the free part's count there."""
+    loc = np.array([loc for loc, _ in spec.jumps() if loc > 0.0])
+    node = np.ceil(loc / h)  # then one node on or back where rounding erred
+    node[node * h < loc] += 1.0
+    node[(node - 1.0) * h >= loc] -= 1.0
+    return loc, node.astype(int)
+
+
 def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
                          upper: float, n: int) -> np.ndarray:
     """Forward solve of the restarted tail on the uniform grid i*upper/n.
@@ -300,7 +359,7 @@ def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
     del t
     mid, exact = _cell_integrals(spec, reset, h, n, [1.0], 1)
     w0 = sum(w for loc, w in reset.atoms() if loc == 0.0)
-    kern = _lag_kernel(spec, reset, h, 1.0, mid, exact[0], y,
+    kern = _lag_kernel(spec, reset, h, 1.0, 1.0, mid, exact[0], y,
                        y[0] / (1.0 - float(spec.tail(0.0)) * w0), y[:3], n)
     del mid
     np.negative(kern, out=kern)  # the system's first column: 1 - kern[0],
@@ -346,8 +405,8 @@ def _branching_pass(spec: DistributionSpec, reset: ResetLaw, l: int,
         k = int(size[j])
         src = _free_part(tail_t, reset_t, powers[j], k)
         free = src[:9].copy()
-        kern = _lag_kernel(spec, reset, h, powers[j], mid, exact[j], src,
-                           y[0], head, k)
+        kern = _lag_kernel(spec, reset, h, powers[j], powers[j + 1], mid,
+                           exact[j], src, y[0], head, k)
         size_fft = next_fast_len(n + k - 1, real=True)
         prod = np.fft.rfft(kern, size_fft)
         prod *= np.fft.rfft(y[1:], size_fft)
@@ -433,7 +492,7 @@ def _snap_grid(reset: ResetLaw, upper: float, n: int,
     purely atomic reset laws solve exactly. The atom count per period is
     kept even so the halved comparison grid stays aligned too.
     """
-    atoms = [loc for loc, _ in reset.atoms() if 0.0 < loc <= upper]
+    atoms = _grid_atoms(reset, upper)
     if not atoms:
         return n, upper
     r0 = min(atoms)
@@ -444,6 +503,11 @@ def _snap_grid(reset: ResetLaw, upper: float, n: int,
     if steps > n_max:
         return n, upper
     return steps, steps * h
+
+
+def _grid_atoms(reset: ResetLaw, upper: float) -> list[float]:
+    """The reset law's atoms in (0, upper], to which the grid is aligned."""
+    return [loc for loc, _ in reset.atoms() if 0.0 < loc <= upper]
 
 
 def _cycle_reach(spec: DistributionSpec, reset: ResetLaw, l: int,
@@ -477,7 +541,7 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
             raise SeriesNotConvergingError(
                 f"cycle {depth} is reached with probability {bound:.3g} > {tol:g}")
         solve = functools.partial(_branching_pass, spec, reset, l, depth)
-    n = max(n0, 256)
+    n = max(n0, _N_MIN)
     n_eff, upper_eff = _snap_grid(reset, upper, n, n_max)
     coarse = solve(upper_eff, n_eff // 2)
     while True:
@@ -502,7 +566,11 @@ def reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None, *,
                n_max: int = 262144) -> TailCurve:
     """Tail of the restarted law, each restart racing l times the copies:
     the closed form under deterministic restart, else the renewal solver
-    interpolated onto the grid."""
+    interpolated onto the grid (``_interpolate``). A grid uniform from 0
+    starts the solver at a multiple of its cell count (``_node_start``), so
+    that every point is a node. That ladder of doublings stops within n_max,
+    at times a rung below n0's; where it misses the tolerance there, the
+    solve runs again from n0."""
     if t_grid is None:
         t_grid = dist.working_grid(spec)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -512,13 +580,61 @@ def reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None, *,
         vals, err = np.asarray(branching_deterministic_tail(
             spec, reset.period, l, t_grid)), 0.0
     else:
-        solved = solver_reset_tail(spec, reset, float(t_grid[-1]), l=l,
-                                   tol=tol, n0=n0, n_max=n_max)
-        vals = np.interp(t_grid, solved.grid, solved.knot_values)
+        solve = functools.partial(solver_reset_tail, spec, reset,
+                                  float(t_grid[-1]), l=l, tol=tol)
+        start, top = _node_start(reset, t_grid, n0, n_max)
+        try:
+            solved = solve(n0=start, n_max=top)
+        except GridTooCoarseError:
+            if top == n_max:
+                raise
+            solved = solve(n0=n0, n_max=n_max)
+        vals = _interpolate(spec, reset, solved, t_grid)
         err = solved.err_estimate
     vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
     return TailCurve(grid=t_grid, values=vals[:-1], terminal=float(vals[-1]),
                      mode="log-linear", err_estimate=err)
+
+
+def _node_start(reset: ResetLaw, t_grid: np.ndarray, n0: int,
+                n_max: int) -> tuple[int, int]:
+    """The solver's first and largest cell counts for the points ``t_grid``:
+    where they are uniform from 0, m cells, and no reset atom sets the grid
+    (``_grid_atoms``), the least even multiple of m from the solver's first
+    count on, where it is another count at most n_max, and its last
+    doubling within n_max; else n0 and n_max."""
+    m, upper = t_grid.size - 1, float(t_grid[-1])
+    if m < 1 or _grid_atoms(reset, upper) or \
+            not np.allclose(t_grid, np.linspace(0.0, upper, m + 1),
+                            rtol=0.0, atol=1e-12 * upper):
+        return n0, n_max
+    step = m * (1 + m % 2)  # even, as the halved grid takes every other node
+    start = -(-max(n0, _N_MIN) // step) * step
+    if start == max(n0, _N_MIN) or start > n_max:  # n0's own ladder
+        return n0, n_max
+    return start, start << ((n_max // start).bit_length() - 1)
+
+
+def _interpolate(spec: DistributionSpec, reset: ResetLaw, solved: TailCurve,
+                 t: np.ndarray) -> np.ndarray:
+    """The solved tail at the points t: linear between nodes, except in a
+    cell that holds a jump of the law's tail (``_jump_nodes``), where the
+    solution less the free part tail * reset tail is linear, and the free
+    part is taken at t itself."""
+    grid, y = solved.grid, solved.knot_values
+    vals = np.interp(t, grid, y)
+    k = np.minimum(np.searchsorted(grid, t), grid.size - 1)
+    at = np.flatnonzero(np.isin(k, _jump_nodes(spec, float(grid[1]))[1])
+                        & (grid[k] != t))
+    if at.size:
+        def free(x):
+            return np.asarray(spec.tail(x)) * np.asarray(reset.tail(x))
+        k = k[at]
+        left = y[k - 1] - free(grid[k - 1])
+        right = y[k] - free(grid[k])
+        w = (t[at] - grid[k - 1]) / (grid[k] - grid[k - 1])
+        vals[at] = left + w * (right - left) + free(t[at])
+    return vals
 
 
 def branching_reset_tail(spec: DistributionSpec, reset: ResetLaw, l: int,

@@ -8,7 +8,8 @@ t, plus the continuation y_{j+1}(t - s) against the reset density times
 tail(s)**m (trapezoid in each cell, with the library's cell masses), plus
 each atom's tap; y_depth is the race of cycle ``depth`` alone. The
 continuation's free part is integrated exactly over its first eight cells
-here, by split quadrature.
+here, by split quadrature, and where it jumps later each cell's mass
+pairs the continuation past the jump by its share (``jump_terms``).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from quad_reference import split_quad
-from renewal_loop_reference import cell_masses
+from renewal_loop_reference import cell_masses, jump_terms
 from resetkit.distributions import DistributionSpec
 from resetkit.reset_transform import ResetLaw
 
@@ -47,8 +48,10 @@ def branching_pass_loop(spec: DistributionSpec, reset: ResetLaw, l: int,
                                     epsabs=1e-16, epsrel=1e-14)[0] / h
             corr[k] = exact_mean - 0.5 * (free_next[k] + free_next[k + 1])
         gh = np.zeros(n + 1)  # gh[c]: mass of cell ((c - 1) h, c h]
+        jumps = []
         if reset.has_density:
             gh[1:] = cell_masses(spec, reset, h, n, m)
+            jumps = jump_terms(spec, reset, h, n, m, l * m, HEAD, gh)
         atoms = [(loc, w * float(spec.tail(loc)) ** m)
                  for loc, w in reset.atoms() if loc <= upper + 1e-12]
         y = np.empty(n + 1)
@@ -60,6 +63,9 @@ def branching_pass_loop(spec: DistributionSpec, reset: ResetLaw, l: int,
                                                      + y_next[i:0:-1]))
                 for k in range(min(HEAD, i)):
                     total += gh[i - k] * corr[k]
+                for k, delta, part in jumps:
+                    if k <= i:
+                        total += delta * part[i - k]
             for loc, mass in atoms:
                 if loc > t_grid[i] + 1e-12:
                     continue

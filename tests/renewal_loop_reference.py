@@ -3,8 +3,10 @@
 ``reset_transform._renewal_fixed_point`` solves the same discretisation as
 one lower-triangular Toeplitz system; this loop builds each step's sum
 directly, costs O(n^2), and is what the fast solve is checked against.
-The body is unchanged from the loop the library used to run; the cell
-masses are the library's, rebuilt here from its exact cell integrals.
+The body is the loop the library used to run, plus the jump terms of the
+second-order scheme (``jump_terms``), whose partial cells it integrates
+itself; the cell masses are the library's, rebuilt here from its exact
+cell integrals.
 """
 from __future__ import annotations
 
@@ -21,12 +23,49 @@ def cell_masses(spec: DistributionSpec, reset: ResetLaw, h: float, n: int,
                 m: float) -> np.ndarray:
     """Masses of tail**m * reset density in the cells ((c - 1) h, c h],
     c = 1..n: midpoint sums, except where the library integrates exactly."""
-    (tail_mid, dens_mid), ((cells, owner, pieces, _),) = _cell_integrals(
+    (tail_mid, dens_mid), ((cells, owner, pieces, *_),) = _cell_integrals(
         spec, reset, h, n, [m], 1)
     gh = h * tail_mid ** m * np.asarray(dens_mid)
     gh[cells] = 0.0
     np.add.at(gh, owner, pieces)
     return gh
+
+
+def jump_terms(spec: DistributionSpec, reset: ResetLaw, h: float, n: int,
+               m: float, m_next: float, first: int,
+               gh: np.ndarray) -> list[tuple[int, float, np.ndarray]]:
+    """The continuation's free part tail**m_next * reset tail jumps by delta
+    at the law's atoms (at a reset atom the atom's tap makes up for its
+    drop). For each jump whose cell lies past the first ``first``: the
+    first node k at or past it, delta, and per cell c the mass of tail**m
+    * reset density in c that pairs the continuation past the jump at step
+    k + c, less the trapezoid's half. That mass is phi gh[c + 1], phi the
+    part of cell k - 1 past the jump, and in the cells the library
+    integrates exactly the integral over (c h, c h + phi h], by split
+    quadrature. ``gh`` as ``cell_masses`` gives it, after a 0 for cell 0."""
+    t_grid = np.arange(n + 1) * h
+    (_, ((cells, *_),)) = _cell_integrals(spec, reset, h, n, [m], 1)
+    points = [*spec.tail_breakpoints(), *reset.spec.tail_breakpoints(),
+              spec._support_end(), reset.spec._support_end()]
+
+    def mass(s):
+        return float(spec.tail(s)) ** m * float(reset.density(s))
+
+    def free(x):
+        return float(spec.tail(x)) ** m_next * float(reset.tail(x))
+    terms = []
+    for loc in sorted({loc for loc, _ in spec.jumps()}):
+        k = int(np.searchsorted(t_grid, loc))
+        if not first < k <= n:
+            continue
+        phi = (t_grid[k] - loc) / h
+        share = phi * gh[1:]
+        for c in cells:
+            share[c] = split_quad(mass, c * h, c * h + phi * h, points=points,
+                                  epsabs=1e-16, epsrel=1e-14)[0]
+        terms.append((k, free(loc) - free(np.nextafter(loc, -np.inf)),
+                      share - 0.5 * gh[1:]))
+    return terms
 
 
 def renewal_fixed_point_loop(spec: DistributionSpec, reset: ResetLaw,
@@ -67,6 +106,11 @@ def renewal_fixed_point_loop(spec: DistributionSpec, reset: ResetLaw,
         if n >= 2:
             head_corr[2] = w_head1 / h - 0.5 * (free[1] + free[2])
 
+    # the jumps of the free part past the first two cells: the trapezoid
+    # gives each cell's mass half the jump, the part of the cell that pairs
+    # the solution past it takes its share
+    jumps = jump_terms(spec, reset, h, n, 1.0, 1.0, 2, gh) if use_density \
+        else []
     half_gh1 = 0.5 * gh[1]
     for i in range(1, n + 1):
         known = free[i]
@@ -80,6 +124,9 @@ def renewal_fixed_point_loop(spec: DistributionSpec, reset: ResetLaw,
             else:
                 known += gh[i] * head_corr[1]
             coef += half_gh1
+            for k, delta, part in jumps:
+                if k <= i:
+                    known += delta * part[i - k]
         for loc, w, f_loc in atoms:
             if loc > t_grid[i] + 1e-12:
                 continue

@@ -252,6 +252,52 @@ class TestTransform:
         assert run(["classify", "--spec", str(out),
                     "-o", str(tmp_path / "rep.json")]) == 0
 
+    def test_uniform_points_are_solver_nodes(self, tmp_path):
+        # 1,000 points on [0, 3] with pw_finite's jumps at 1, 1.5 and 2: the
+        # solve on 8,192 cells put t = 1.0 inside a cell across the jump and
+        # printed 0.24195 there (3.1e-2 off); the solve now starts at 9,990
+        # cells, ten to each of the 999 intervals
+        p = tmp_path / "pw_finite.json"
+        p.write_text(json.dumps({"family": "piecewise_constant", "params": {
+            "breakpoints": [0.0, 1.0, 1.5, 2.0],
+            "levels": [0.5, 0.25, 1.0 / 6.0, 0.0]}}))
+        out = tmp_path / "t.csv"
+        assert run(["transform", "--spec", str(p), "--reset", "exp:1",
+                    "--t-max", "3", "--points", "1000", "-o", str(out)]) == 0
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in
+                         out.read_text().splitlines()[1:]])
+        # a solve of 999 * 1,024 cells (about 2**20) has every point as a node
+        want = rt._renewal_fixed_point(d.spec_from_dict(json.loads(
+            p.read_text())), rt.ResetLaw.exponential(1.0), 3.0,
+            999 * 1024)[::1024]
+        assert np.max(np.abs(rows[:, 2] - want)) <= 1e-6
+
+    @pytest.mark.parametrize("points, sizes", [
+        # 9,990 cells converge within 262,144, at 159,840
+        (1000, [4995, 9990, 19980, 39960, 79920, 159840]),
+        # 8,200 cells stop at 131,200 short of the tolerance, as n0's 131,072
+        # did; 262,400 would pass n_max, so the solve runs again from n0
+        (101, [4100, 8200, 16400, 32800, 65600, 131200,
+               4096, 8192, 16384, 32768, 65536, 131072, 262144]),
+    ])
+    def test_uniform_points_solve_within_n_max(self, spec_files, tmp_path,
+                                               monkeypatch, points, sizes):
+        # weibull(0.5) under exp:1 to its default horizon 429 needs 262,144
+        # cells from n0 = 8,192
+        seen = []
+        solve = rt._renewal_fixed_point
+
+        def record(spec, reset, upper, n):
+            seen.append(n)
+            return solve(spec, reset, upper, n)
+        monkeypatch.setattr(rt, "_renewal_fixed_point", record)
+        out = tmp_path / "t.csv"
+        assert run(["transform", "--spec", spec_files["weibull"],
+                    "--shape", "0.5", "--reset", "exp:1",
+                    "--points", str(points), "-o", str(out)]) == 0
+        assert seen == sizes
+        assert len(out.read_text().splitlines()) == points + 1
+
     def test_single_reset_flag(self, spec_files, tmp_path):
         out = tmp_path / "t.csv"
         assert run(["transform", "--spec", spec_files["weibull"],

@@ -12,7 +12,7 @@ from resetkit import simulator as sim
 
 import branching_series_reference as series_ref
 from fixture_laws import (ALL_LAWS, brute_tail_integral, exp_law, levy,
-                          pe_mean_only, pw_sixth, sps, step_law,
+                          pe_mean_only, pw_finite, pw_sixth, sps, step_law,
                           two_atom_reset, uniform02, weib)
 from quad_reference import split_quad
 
@@ -240,6 +240,48 @@ class TestRenewalSolver:
         with pytest.raises(rt.GridTooCoarseError):
             rt.solver_reset_tail(weib(0.5), rt.ResetLaw.exponential(1.0), 10.0,
                                  tol=1e-14, n0=256, n_max=512)
+
+    def test_value_inside_a_jump_cell(self):
+        # t = 1.00005 shares a solver cell with pw_finite's jump at 1: linear
+        # interpolation across the cell read 0.224591; a 2**20-cell solve
+        # gives 0.2112879 (first- and second-order schemes alike, to 5e-8)
+        curve = rt.reset_tail(pw_finite(), rt.ResetLaw.exponential(1.0),
+                              [0.0, 0.9999, 1.00005, 1.0001, 10.0])
+        assert abs(curve.knot_values[2] - 0.2112879) <= 2e-5
+
+    def test_uniform_grid_starts_on_a_multiple_of_its_cells(self):
+        reset = rt.ResetLaw.exponential(1.0)
+        # 999 cells: 9,990 doubles four times within 262,144, to 159,840
+        assert rt._node_start(reset, np.linspace(0.0, 3.0, 1000), 8192,
+                              262144) == (9990, 159840)
+        assert rt._node_start(reset, np.linspace(0.0, 3.0, 101), 100,
+                              4096) == (300, 2400)
+        # n0 a multiple already, not uniform, past n_max, or a reset atom
+        # sets the grid: n0 and n_max stay
+        for grid in (np.linspace(0.0, 3.0, 1025),
+                     np.r_[0.0, np.geomspace(0.1, 3.0, 99)],
+                     np.linspace(0.0, 3.0, 300000)):
+            assert rt._node_start(reset, grid, 8192, 262144) == (8192, 262144)
+        assert rt._node_start(two_atom_reset(), np.linspace(0.0, 3.0, 1000),
+                              8192, 262144) == (8192, 262144)
+
+    def test_uniform_grid_solves_within_n_max(self, monkeypatch):
+        # 100 cells start at 300 and stop at 2,400, a rung below n0's last
+        # (4,096); missing the tolerance there, the solve runs again from n0,
+        # and no solve is ever larger than n_max
+        sizes = []
+        solve = rt._renewal_fixed_point
+
+        def record(spec, reset, upper, n):
+            sizes.append(n)
+            return solve(spec, reset, upper, n)
+        monkeypatch.setattr(rt, "_renewal_fixed_point", record)
+        with pytest.raises(rt.GridTooCoarseError):
+            rt.reset_tail(weib(0.5), rt.ResetLaw.exponential(1.0),
+                          np.linspace(0.0, 10.0, 101), tol=1e-14, n0=256,
+                          n_max=4096)
+        assert sizes == [150, 300, 600, 1200, 2400,
+                         128, 256, 512, 1024, 2048, 4096]
 
     def test_requested_grid_is_respected(self):
         grid = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
