@@ -8,8 +8,11 @@ infinite upper limit and returns an error estimate per panel. The rule is
 in-house: it is the algorithm of ``scipy.integrate.tanhsinh`` (its nodes,
 its Euler-Maclaurin sums and the error estimate of Bailey, Jeyabalan & Li,
 Experimental Math. 14, 2005), bit for bit, without its per-call set-up.
-The fixed-order Gauss-Legendre panels serve the cumulative and
-convolution integrals, which need values at thousands of knots.
+The fixed-order Gauss-Legendre panels serve the integrals that need
+values at thousands of points: ``cumulative``, the running integral from
+0 (cut at the points asked for, at the kinks of its laws and at geometric
+points towards 0), and the convolution sums. Callers build no knot lists
+of their own.
 """
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ _EPS = np.finfo(float).eps
 _H0 = math.asinh(math.log(2.0 / (4.0 * np.finfo(float).smallest_normal) - 1.0)
                  / math.pi) / 8
 _LEVELS = range(2, 11)
+_ORDER = 12  # Gauss-Legendre nodes per panel
 
 
 @functools.cache
@@ -216,11 +220,23 @@ def hybrid_grid(upper: float, n: int = 4096, lower: float | None = None,
     return grid
 
 
-def gauss_legendre_cumulative(fn, knots: np.ndarray, order: int = 12) -> np.ndarray:
-    """c[i] = integral of ``fn`` over [knots[0], knots[i]] by GL panels."""
-    nodes, weights = gl_panel(np.asarray(knots, dtype=float), order)
-    panel = (fn(nodes) * weights).reshape(-1, order).sum(axis=1)
-    return np.concatenate([[0.0], np.cumsum(panel)])
+def cumulative(fn, points, laws=()) -> np.ndarray:
+    """Integrals of ``fn`` over [0, p] for every p >= 0 of ``points``, in
+    any order, by Gauss-Legendre panels of 12 nodes.
+
+    The panel edges are 0, the points, every kink of ``laws`` below the
+    largest point, and 240 points geometric from a relative 1e-13 of it,
+    which resolve an integrand singular at 0; ``fn`` takes arrays."""
+    points = np.asarray(points, dtype=float)
+    top = float(np.max(points, initial=0.0))
+    pts = kinks(laws)
+    knots = np.unique(np.concatenate([
+        [0.0], points.ravel(), pts[pts < top],
+        np.geomspace(max(top * 1e-13, 1e-290), top, 240) if top > 0.0 else []]))
+    nodes, weights = gl_panel(knots, _ORDER)
+    panel = (np.asarray(fn(nodes)) * weights).reshape(-1, _ORDER).sum(axis=1)
+    cum = np.concatenate([[0.0], np.cumsum(panel)])
+    return cum[np.searchsorted(knots, points)]
 
 
 @functools.cache
@@ -250,7 +266,6 @@ _LADDER = np.array([1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3,
                     1e-2, 3e-2, 0.1, 0.2, 0.35, 0.5])
 _GRADED = np.unique(np.concatenate([[0.0], _LADDER, 1.0 - _LADDER[::-1],
                                     [1.0]]))
-_ORDER = 12  # Gauss-Legendre nodes per panel of the convolution integrals
 _BLOCK_NODES = 1 << 13  # nodes per block of t in convolution_sums
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from . import distributions as dist
 from . import mrl as mrl_mod
 from . import reset_transform as rt
-from ._integrate import (convolution_sums, gauss_legendre_cumulative,
-                         gl_panel, kinks, positive_points)
+from ._integrate import (convolution_sums, cumulative, kinks,
+                         positive_points, quad)
 from .distributions import DistributionSpec, MomentFunction
 
 __all__ = [
@@ -298,29 +298,24 @@ def check_mean_conditions(spec: DistributionSpec, r_grid=None,
     return verdicts
 
 
-def exp_mean_margin_from_curve(m_fn, m0: float, mu: float,
-                               upper: float | None = None,
-                               n: int = 16384) -> float:
+def exp_mean_margin_from_curve(m_fn, m0: float, mu: float) -> float:
     """Relative slack of the rate-mu mean condition for a bare residual-mean profile.
 
     Positive means restart at rate mu would not increase the mean of a law
     whose residual-mean function were ``m_fn`` with unconditional mean
     ``m0``. The profile is taken at face value: this evaluates the
     inequality itself and does not require (m_fn, m0) to come from an
-    actual law.
+    actual law. The left side, int exp(-mu t - int_0^t du/m(u)) dt, is two
+    nested ``cumulative`` integrals out to 42/mu, past which the integrand
+    is below exp(-42).
     """
-    if upper is None:
-        upper = 42.0 / mu
-    knots = np.unique(np.concatenate([
-        [0.0], np.geomspace(upper * 1e-9, upper, n // 2),
-        np.linspace(0.0, upper, n // 2)]))
-
     def inv_m(t):
         return 1.0 / np.clip(np.asarray(m_fn(t), dtype=float), 1e-300, None)
 
-    cum = gauss_legendre_cumulative(inv_m, knots)
-    integrand = np.exp(-mu * knots - cum)
-    lhs = float(np.trapezoid(integrand, knots))
+    def survival(t):
+        return np.exp(-mu * t - cumulative(inv_m, t))
+
+    lhs = float(cumulative(survival, [42.0 / mu])[0])
     rhs = 1.0 / (1.0 / m0 + mu)
     return (lhs - rhs) / rhs
 
@@ -330,31 +325,23 @@ def check_exp_mean_condition(spec: DistributionSpec, mu_grid=None,
                              ) -> tuple[dict[str, Verdict], dict[float, float]]:
     """Per-rate mean condition under constant-rate restart.
 
-    Evaluates int_0^inf exp(-mu t - int_0^t du/m(u)) dt against
-    1/(1/m0 + mu) for each mu. The inner exponential equals the integrated
-    tail beyond t divided by m0, which is how it is computed here. Returns
-    the verdicts over all rates plus the per-mu relative margins.
+    Compares int_0^inf exp(-mu t - int_0^t du/m(u)) dt with 1/(1/m0 + mu)
+    for each mu (default: ``ClassifyConfig``'s rates). The inner
+    exponential is the integrated tail beyond t divided by m0, so the left
+    side is (m0 - L) / (mu m0) with L = ``laplace_tail(spec, mu)``, and the
+    relative margin is (m0 - L (1 + mu m0)) / (mu m0**2): nonnegative
+    exactly when ``exp_reset_mean(spec, mu)`` <= m0. Returns the verdicts
+    over all rates plus the per-mu relative margins.
     """
     eps = default_tolerance(spec) if eps is None else eps
-    mu_grid = tuple(mu_grid) if mu_grid is not None else (0.1, 0.5, 1.0, 5.0)
+    mu_grid = tuple(ClassifyConfig.mu_grid if mu_grid is None else mu_grid)
     m0 = dist.mean(spec)
     if not np.isfinite(m0):
         return _undefined_mean(eps), {float(mu): math.nan for mu in mu_grid}
-    margins: dict[float, float] = {}
-    pts = kinks((spec,))
-    for mu in mu_grid:
-        upper = 42.0 / mu
-        edges = np.unique(np.concatenate([
-            [0.0], np.geomspace(upper * 1e-9, upper, 40), pts[pts < upper],
-            [upper]]))
-        nodes, weights = gl_panel(edges)
-        rest = np.asarray(dist.mean_upper_rest(spec, nodes))
-        lhs = float(weights @ (np.exp(-mu * nodes) * rest)) / m0
-        rhs = 1.0 / (1.0 / m0 + mu)
-        margins[float(mu)] = (lhs - rhs) / rhs
-    vals = np.asarray(list(margins.values()))
-    mus = np.asarray(list(margins.keys()))
-    return _verdicts(vals, mus, eps), margins
+    mus = np.asarray(mu_grid, dtype=float)
+    lap = np.asarray(rt.laplace_tail(spec, mus)) if mus.size else mus
+    vals = (m0 - lap * (1.0 + mus * m0)) / (mus * m0 * m0)
+    return _verdicts(vals, mus, eps), dict(zip(mus.tolist(), vals.tolist()))
 
 
 def check_second_order(spec: DistributionSpec,
@@ -435,6 +422,7 @@ def moment_transfer_check(spec: DistributionSpec, reset: rt.ResetLaw,
 
 def _transformed_power_moment(spec: DistributionSpec, reset: rt.ResetLaw,
                               p: float) -> tuple[float, float]:
+    points = ()  # cuts besides the kinks of both laws
     if reset.kind == "deterministic":
         r = reset.period
         fr = float(spec.tail(r))
@@ -445,6 +433,12 @@ def _transformed_power_moment(spec: DistributionSpec, reset: rt.ResetLaw,
             return np.asarray(rt.deterministic_reset_tail(spec, r, t))
 
         upper = r * (1.0 + math.log(1e-14) / math.log(max(fr, 1e-300)))
+        # each epoch k r restarts the law: cut there and at its kinks past
+        # it, up to 4,096 cuts, as the panels' memory grows with them; more
+        # epochs come only with a small 1 - tail(r), the sawtooth's height
+        pts = kinks((spec,))
+        k = np.arange(min(math.ceil(upper / r), 4096))
+        points = (r * k[:, None] + np.r_[0.0, pts[pts < r]]).ravel()[:4096]
     else:
         upper = max(dist.default_horizon(spec), reset.horizon())
         curve = None
@@ -457,11 +451,10 @@ def _transformed_power_moment(spec: DistributionSpec, reset: rt.ResetLaw,
         def tail_fn(t):
             return np.asarray(curve(np.asarray(t, dtype=float)))
 
-    edges = np.unique(np.concatenate([
-        [0.0], np.geomspace(max(upper * 1e-9, 1e-12), upper, 60), [upper]]))
-    nodes, weights = gl_panel(edges)
-    vals = p * nodes ** (p - 1.0) * tail_fn(nodes)
-    head = float(weights @ vals)
+    head = quad(lambda t: p * t ** (p - 1.0) * tail_fn(t), 0.0, upper,
+                laws=(spec, reset.spec),
+                points=np.r_[points, np.geomspace(max(upper * 1e-9, 1e-12),
+                                                  upper, 60)])[0]
     tail_end = float(tail_fn(upper))
     rem = tail_end * max((2.0 * upper) ** p - upper ** p, 0.0)
     return head + rem, rem

@@ -300,8 +300,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="run every ordering check on a law")
     _add_spec_args(p)
-    p.add_argument("--mu-grid", type=_float_list, default=(0.1, 0.5, 1.0, 5.0))
-    p.add_argument("--lfolds", type=_int_list, default=(2, 3))
+    p.add_argument("--mu-grid", type=_float_list,
+                   default=cls.ClassifyConfig.mu_grid)
+    p.add_argument("--lfolds", type=_int_list,
+                   default=cls.ClassifyConfig.lfolds)
     p.add_argument("--eps", type=float, default=None,
                    help="tolerance override")
     p.add_argument("--strict", action="store_true",

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import distributions as dist
-from ._integrate import gauss_legendre_cumulative
+from ._integrate import cumulative
 
 __all__ = [
     "MrlCurve",
@@ -203,24 +203,19 @@ def _tail_from_tables(curve: MrlCurve, r_arr: np.ndarray) -> np.ndarray:
 
 
 def _tail_from_callable(curve: MrlCurve, r_arr: np.ndarray) -> np.ndarray:
-    order = np.argsort(r_arr)
-    sorted_r = r_arr[order]
-    knots = np.unique(np.concatenate([[0.0], np.asarray(curve.grid, dtype=float),
-                                      sorted_r[np.isfinite(sorted_r)]]))
     end = curve.support_end
-    knots = knots[knots < end]
 
     def inv_m(t):
         return 1.0 / np.clip(np.asarray(curve.fn(t)), 1e-300, None)
 
-    cum = gauss_legendre_cumulative(inv_m, knots)
-    c_at = np.interp(sorted_r, knots, cum)
-    m_at = np.clip(np.asarray(curve.fn(sorted_r)), 1e-300, None)
-    vals = (curve.mean / m_at) * np.exp(-c_at)
-    vals = np.where(sorted_r >= end, 0.0, vals)
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
+    grid = np.asarray(curve.grid, dtype=float)
+    c_at = cumulative(inv_m, np.r_[np.where(r_arr < end, r_arr, 0.0).ravel(),
+                                   grid[grid < end]])[:r_arr.size]
+    m_at = np.asarray(curve.fn(r_arr), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals = (curve.mean / m_at) * np.exp(-c_at.reshape(r_arr.shape))
+    # m = 0 where the tail is 0: there m0 / m would be m0 / 1e-300
+    return np.where((r_arr >= end) | (m_at <= 0.0), 0.0, vals)
 
 
 def mrl_from_tail(spec: dist.DistributionSpec, r):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import distributions as dist
 from . import reset_transform as rt
-from ._integrate import gauss_legendre_cumulative, kinks
+from ._integrate import cumulative
 from .distributions import DistributionSpec
 
 __all__ = [
@@ -88,25 +88,12 @@ class ExtremalReport:
 def deterministic_mean_curve(spec: DistributionSpec, r_grid) -> np.ndarray:
     """Mean under period-r restart for each grid r: int_0^r tail / cdf(r)."""
     r_grid = np.asarray(r_grid, dtype=float)
-    order = np.argsort(r_grid)
-    sorted_r = r_grid[order]
-    r_max = sorted_r[-1]
-    # dense internal knots resolve near-zero derivative singularities; the
-    # law's kinks, support ends included, split the panels they fall in
-    pts = kinks((spec,))
-    knots = np.unique(np.concatenate([
-        [0.0], sorted_r,
-        np.geomspace(max(r_max * 1e-13, 1e-290), r_max, 240),
-        pts[pts < r_max]]))
-    cum = gauss_legendre_cumulative(lambda t: np.asarray(spec.tail(t)), knots)
-    partial = np.interp(sorted_r, knots, cum)
-    prob_done = np.asarray(dist.cdf(spec, sorted_r))
+    # the law's kinks, support ends included, split the panels they fall in
+    partial = cumulative(spec.tail, r_grid, laws=(spec,))
+    prob_done = np.asarray(dist.cdf(spec, r_grid))
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = np.where(prob_done > 0.0,
+        return np.where(prob_done > 0.0,
                         partial / np.maximum(prob_done, 1e-300), np.inf)
-    out = np.empty_like(vals)
-    out[order] = vals
-    return out
 
 
 def _extremal_grid(spec: DistributionSpec) -> np.ndarray:

@@ -531,7 +531,8 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
     Cycle j races l**j copies: forward for l = 1, else backward from the
     first cycle reached with probability at most tol * 1e-3 (by the 60th).
     The grid doubles until that probability plus the grid-halving estimate
-    of the second-order scheme's error is within tolerance."""
+    of the second-order scheme's error is within tolerance, or until one
+    more doubling would pass n_max."""
     _check_branching(l)
     solve, bound = functools.partial(_renewal_fixed_point, spec, reset), 0.0
     if l > 1:
@@ -548,7 +549,7 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
         fine = solve(upper_eff, n_eff)
         err = float(np.max(np.abs(fine[::2] - coarse))) / 3.0 + bound
         coarse = fine
-        if err <= tol or n_eff >= n_max:
+        if err <= tol or 2 * n_eff > n_max:
             break
         n_eff *= 2  # doubling the cell count keeps atoms grid-aligned
     if err > tol:

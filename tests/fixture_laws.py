@@ -59,7 +59,8 @@ def pe_mean_only() -> dist.Tabulated:
 
 
 def plateau() -> dist.Tabulated:
-    """exp(-t) outside [1,2], flat exp(-2) on the plateau."""
+    """A jump law: exp(-t) before t=1, where the tail drops from exp(-1)
+    to exp(-2), flat exp(-2) on [1, 2], and exp(-t) again after t=2."""
     return pe_law(((0.0, 0.0, 1.0), (1.0, 2.0, 0.0), (2.0, 2.0, 1.0)))
 
 

@@ -86,10 +86,18 @@ def test_error_stays_within_tolerance(law, reset_name):
         assert val == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
-def test_gauss_legendre_cumulative():
-    knots = np.array([0.0, 0.5, 1.0, 3.0])
-    got = ig.gauss_legendre_cumulative(np.exp, knots)
-    np.testing.assert_allclose(got, np.exp(knots) - 1.0, rtol=1e-14)
+def test_cumulative():
+    # points in any order, one repeated; the law's jumps at 1, 1.5 and 2
+    # cut the panels they fall in
+    points = np.array([3.0, 0.5, 0.0, 1.7, 0.5])
+    got = ig.cumulative(np.exp, points)
+    np.testing.assert_allclose(got, np.exp(points) - 1.0, rtol=1e-14)
+    law = pw_finite()
+    got = ig.cumulative(law.tail, points, laws=(law,))
+    want = np.interp(points, [0.0, 1.0, 1.5, 2.0],
+                     [0.0, 0.5, 0.625, 0.625 + 1.0 / 12.0])
+    np.testing.assert_allclose(got, want, rtol=1e-14)
+    assert ig.cumulative(np.exp, [0.0, 0.0]).tolist() == [0.0, 0.0]
 
 
 def test_gl_panel_builds_the_rule_once(monkeypatch):

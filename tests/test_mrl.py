@@ -99,6 +99,14 @@ class TestTailFromMrl:
         want = np.asarray(curve(rs))
         assert float(np.max(np.abs(got - want))) < 1e-6
 
+    def test_roundtrip_is_zero_where_the_residual_mean_is(self):
+        # T uniform on [0, 2]: m(2) = 0, so the tail there is 0; m0 / m with
+        # m clipped to 1e-300 read 1.6e289
+        curve = mrl.mrl_curve(uniform02())
+        rs = np.array([1.0, 2.0, 0.5, 3.0])
+        np.testing.assert_allclose(np.asarray(mrl.tail_from_mrl(curve, rs)),
+                                   [0.5, 0.0, 0.75, 0.0], rtol=1e-12)
+
     def test_step_law_roundtrip_at_continuity_points(self):
         spec = pw_finite()
         curve = mrl.mrl_curve(spec)

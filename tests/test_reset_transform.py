@@ -12,8 +12,8 @@ from resetkit import simulator as sim
 
 import branching_series_reference as series_ref
 from fixture_laws import (ALL_LAWS, brute_tail_integral, exp_law, levy,
-                          pe_mean_only, pw_finite, pw_sixth, sps, step_law,
-                          two_atom_reset, uniform02, weib)
+                          pe_law, pe_mean_only, pw_finite, pw_sixth, sps,
+                          step_law, two_atom_reset, uniform02, weib)
 from quad_reference import split_quad
 
 # frozen oracle values, computed by independent adaptive quadrature
@@ -282,6 +282,24 @@ class TestRenewalSolver:
                           n_max=4096)
         assert sizes == [150, 300, 600, 1200, 2400,
                          128, 256, 512, 1024, 2048, 4096]
+
+    def test_snapped_grid_solves_within_n_max(self, monkeypatch):
+        # an atom at 0.5 snaps the first count to 4,102 cells (8,204 with
+        # the coarse pass), whose doublings miss n_max = 32,768: the ladder
+        # stops at 16,408 rather than going on to 32,816
+        sizes = []
+        solve = rt._renewal_fixed_point
+
+        def record(spec, reset, upper, n):
+            sizes.append(n)
+            return solve(spec, reset, upper, n)
+        monkeypatch.setattr(rt, "_renewal_fixed_point", record)
+        reset = rt.ResetLaw.general(pe_law(((0.0, 0.0, 1.0),
+                                            (0.5, 1.2, 1.0))))
+        with pytest.raises(rt.GridTooCoarseError):
+            rt.solver_reset_tail(weib(0.5), reset, 7.0, tol=1e-15,
+                                 n_max=32768)
+        assert sizes == [4102, 8204, 16408]
 
     def test_requested_grid_is_respected(self):
         grid = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
