@@ -472,6 +472,10 @@ class ClassifyConfig:
     mu_grid: tuple[float, ...] = (0.1, 0.5, 1.0, 5.0)
     lfolds: tuple[int, ...] = (2, 3)
 
+    def __post_init__(self):
+        if self.eps is not None and not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {self.eps!r}")
+
 
 @dataclass(frozen=True)
 class ClassificationReport:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -278,6 +279,21 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
                    help="output path (default stdout)")
 
 
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {text!r}")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
@@ -318,9 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--branching", type=int, default=1)
     p.add_argument("--single", action="store_true",
                    help="one restart opportunity only")
-    p.add_argument("--t-max", type=float, default=None)
-    p.add_argument("--points", type=int, default=513)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--t-max", type=_positive, default=None)
+    p.add_argument("--points", type=_count, default=513)
+    p.add_argument("--tol", type=_positive, default=1e-6)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
 
     p = sub.add_parser("simulate", help="Monte Carlo restart experiment")

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import special as _sp
 
 from ._integrate import hybrid_grid, quad
 
@@ -395,6 +394,7 @@ class Exponential(DistributionSpec):
         return np.exp(-self.rate * np.asarray(t, dtype=float)) / self.rate
 
     def _power_moment0(self, p):
+        from scipy import special as _sp
         return float(_sp.gamma(p + 1.0)) / self.rate ** p
 
     def _density0(self, t):
@@ -426,11 +426,13 @@ class Weibull(DistributionSpec):
         return _libm(pow, level, 1.0 / self.shape)
 
     def _tail_rest0(self, t):
+        from scipy import special as _sp
         k = self.shape
         t_arr = np.asarray(t, dtype=float)
         return float(_sp.gamma(1.0 / k)) / k * _sp.gammaincc(1.0 / k, t_arr ** k)
 
     def _power_moment0(self, p):
+        from scipy import special as _sp
         return float(_sp.gamma(1.0 + p / self.shape))
 
     def _density0(self, t):
@@ -472,6 +474,7 @@ class ShiftedParetoSquare(DistributionSpec):
         return k * k / (np.asarray(t, dtype=float) + k)
 
     def _power_moment0(self, p):
+        from scipy import special as _sp
         if p >= 2.0:
             return np.inf
         k = self.offset
@@ -500,12 +503,14 @@ class LevyFirstPassage(DistributionSpec):
             raise SpecValidationError("passage level must be positive")
 
     def _tail0(self, t):
+        from scipy import special as _sp
         t_arr = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore"):
             arg = np.where(t_arr > 0.0, self.level / np.sqrt(2.0 * np.maximum(t_arr, 1e-300)), np.inf)
         return np.where(t_arr <= 0.0, 1.0, _sp.erf(arg))
 
     def _isf0(self, u):
+        from scipy import special as _sp
         u_arr = np.asarray(u, dtype=float)
         with np.errstate(divide="ignore"):
             z = _sp.erfinv(np.clip(u_arr, 0.0, 1.0))
@@ -517,6 +522,7 @@ class LevyFirstPassage(DistributionSpec):
         return out
 
     def _power_moment0(self, p):
+        from scipy import special as _sp
         if p >= 0.5:
             return np.inf
         a = self.level

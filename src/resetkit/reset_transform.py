@@ -381,10 +381,9 @@ def _branching_pass(spec: DistributionSpec, reset: ResetLaw, l: int,
     K_j = c_j + 1 cells (at least nine, and every atom's taps): y_j moves
     by at most 2 * _CUT, 1.1e-19, far below the product's own rounding.
     The product is one FFT product of a fast length >= n + K_j - 1 rather
-    than 2n (short-kernel convolution: Stockham, AFIPS 1966).
+    than 2n (short-kernel convolution: Stockham, AFIPS 1966), the least
+    2**a 3**b 5**c from ``_fast_len``.
     """
-    from scipy.fft import next_fast_len
-
     h = upper / n
     t = np.arange(n + 1) * h
     tail_t, reset_t = np.asarray(spec.tail(t)), np.asarray(reset.tail(t))
@@ -407,12 +406,29 @@ def _branching_pass(spec: DistributionSpec, reset: ResetLaw, l: int,
         free = src[:9].copy()
         kern = _lag_kernel(spec, reset, h, powers[j], powers[j + 1], mid,
                            exact[j], src, y[0], head, k)
-        size_fft = next_fast_len(n + k - 1, real=True)
+        size_fft = _fast_len(n + k - 1)
         prod = np.fft.rfft(kern, size_fft)
         prod *= np.fft.rfft(y[1:], size_fft)
         src[1:] += np.fft.irfft(prod, size_fft)[:n]
         y, head = src, free
     return y
+
+
+def _fast_len(n: int) -> int:
+    """The least 5-smooth length 2**a 3**b 5**c >= n, as numpy's FFT is
+    fastest on those; the same as ``scipy.fft.next_fast_len(n, real=True)``."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the least p35 * 2**a >= n
+            size = p35 << ((n - 1) // p35).bit_length()
+            if size < best:
+                best = size
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _free_part(tail_t: np.ndarray, reset_t: np.ndarray, m: float,
@@ -429,28 +445,26 @@ def _solve_lower_toeplitz(a: np.ndarray, c: np.ndarray) -> None:
 
     The inverse of a lower-triangular Toeplitz matrix is lower-triangular
     Toeplitz, its first column g the power-series reciprocal of ``a``.
-    Newton's iteration (Kung, Numer. Math. 22, 1974) doubles g from a
-    direct solve of the first block: g_2k = g_k - g_k (a g_k - 1) mod x^2k,
-    one middle product and one product, each of FFT size 2k. g is taken to
-    h = ceil(n/2) cells and applied to the two halves of c in turn, the
-    first half's effect on the second subtracted between them, so every
-    FFT is of size at most 2h: O(n log n) in all. ``a`` needs len(c)
-    entries. The FFT products are accurate to rounding while g stays
-    bounded, as it does for a renewal kernel (a[0] >= sum(-a[1:]) >= 0);
-    where g grows geometrically they lose accuracy.
+    Newton's iteration (Kung, Numer. Math. 22, 1974) doubles g from one
+    cell, g[0] = 1/a[0]: g_2k = g_k - g_k (a g_k - 1) mod x^2k, one middle
+    product and one product. Up to the first 128 cells both are direct
+    ``np.convolve`` products (for n <= 128, one more direct product applies
+    g to c and is the whole solve), then each is of FFT size 2k. g is
+    taken to h = ceil(n/2) cells and applied to the two halves of c in
+    turn, the first half's effect on the second subtracted between them,
+    so every FFT is of size at most 2h: O(n log n) in all. ``a`` needs
+    len(c) entries. The FFT products are accurate to rounding while g
+    stays bounded, as it does for a renewal kernel (a[0] >= sum(-a[1:]) >=
+    0); where g grows geometrically they lose accuracy.
     """
-    from scipy.linalg import solve_triangular, toeplitz
-
     n = c.size
-    b = min(_TOEPLITZ_BLOCK, n)
-    tri = toeplitz(a[:b], np.zeros(b))
-    if n == b:
-        c[:] = solve_triangular(tri, c, lower=True, check_finite=False)
+    if n <= _TOEPLITZ_BLOCK:
+        c[:] = np.convolve(_newton_seed(a, n), c)[:n]
         return
     h = (n + 1) // 2
     g = np.empty(h)
-    g[:b] = solve_triangular(tri, np.eye(b, 1)[:, 0], lower=True,
-                             check_finite=False)[:h]
+    b = min(_TOEPLITZ_BLOCK, h)
+    g[:b] = _newton_seed(a, b)
     k = b
     while k < h:
         # coefficients k..2k-1 of a g_k: the cyclic product of size 2k
@@ -467,7 +481,7 @@ def _solve_lower_toeplitz(a: np.ndarray, c: np.ndarray) -> None:
         k *= 2
     # z[:h] = g c[:h]; c[h:] less the first half's share (the wrap-around
     # of the cyclic product lands below h, outside the cells kept); z[h:] =
-    # g c[h:]. Three g_hattra of size 2h in all, each real product written
+    # g c[h:]. Three spectra of size 2h in all, each real product written
     # over the spare one, viewed as 2h + 2 floats.
     g_hat = np.fft.rfft(g, 2 * h)
     del g
@@ -482,6 +496,20 @@ def _solve_lower_toeplitz(a: np.ndarray, c: np.ndarray) -> None:
     np.fft.rfft(c[h:], 2 * h, out=prod)
     prod *= g_hat
     c[h:] = np.fft.irfft(prod, 2 * h, out=real)[:n - h]
+
+
+def _newton_seed(a: np.ndarray, m: int) -> np.ndarray:
+    """The first m coefficients of 1/a by Newton's doublings from 1/a[0],
+    each a direct middle product and product."""
+    g = np.empty(m)
+    g[0] = 1.0 / a[0]
+    k = 1
+    while k < m:
+        j = min(2 * k, m)
+        err = np.convolve(a[:j], g[:k])[k:j]
+        g[k:j] = -np.convolve(g[:k], err)[:j - k]
+        k *= 2
+    return g
 
 
 def _snap_grid(reset: ResetLaw, upper: float, n: int,
@@ -523,6 +551,15 @@ def _cycle_reach(spec: DistributionSpec, reset: ResetLaw, l: int,
     return depth, q, reach
 
 
+def _check_solve(upper: float, tol: float) -> None:
+    """Refuse, before any solve, a tolerance or horizon no grid can meet."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and > 0, got {tol!r}")
+    if not 0.0 < upper < math.inf:
+        raise ValueError(
+            f"tail grid must end at a finite point > 0, got {upper!r}")
+
+
 def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
                       *, l: int = 1, tol: float = 1e-6, n0: int = 8192,
                       n_max: int = 262144) -> TailCurve:
@@ -534,6 +571,7 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
     of the second-order scheme's error is within tolerance, or until one
     more doubling would pass n_max."""
     _check_branching(l)
+    _check_solve(upper, tol)
     solve, bound = functools.partial(_renewal_fixed_point, spec, reset), 0.0
     if l > 1:
         depth, _, reach = _cycle_reach(spec, reset, l, tol)
@@ -575,6 +613,7 @@ def reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None, *,
     if t_grid is None:
         t_grid = dist.working_grid(spec)
     t_grid = np.asarray(t_grid, dtype=float)
+    _check_solve(float(t_grid[-1]) if t_grid.size else math.nan, tol)
     if t_grid[0] != 0.0:
         t_grid = np.concatenate([[0.0], t_grid])
     if reset.kind == "deterministic":

@@ -74,6 +74,11 @@ class SimulationConfig:
             raise ValueError(f"unknown branching mode {self.branching_mode!r}")
         if self.parallel_chunks < 1:
             raise ValueError("parallel_chunks must be >= 1")
+        if self.max_cycles is not None and self.max_cycles < 1:
+            raise ValueError(f"max_cycles must be >= 1, got {self.max_cycles}")
+        if self.probe_times is not None and \
+                not all(math.isfinite(t) for t in self.probe_times):
+            raise ValueError(f"probe times must be finite, got {self.probe_times}")
 
 
 @dataclass(frozen=True)

@@ -471,6 +471,13 @@ class TestOneMarginPass:
         with pytest.raises(ValueError):
             cls.classify(exp_law(), cls.ClassifyConfig(lfolds=(1,)))
 
+    @pytest.mark.parametrize("eps", [math.nan, -1.0, math.inf])
+    def test_tolerance_not_finite_and_nonnegative_rejected(self, eps):
+        # nan printed as the tolerance; -1 judged every margin against it
+        with pytest.raises(ValueError, match="eps"):
+            cls.ClassifyConfig(eps=eps)
+        assert cls.ClassifyConfig(eps=0.0).eps == 0.0
+
 
 class TestClassifierVsSimulator:
     def test_no_bigger_laws_dominate_monte_carlo(self):

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -153,6 +154,51 @@ class TestErrors:
     def test_bad_reset_descriptor(self, spec_files):
         assert run(["transform", "--spec", spec_files["exp1"],
                     "--reset", "poisson:1"]) == 65
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--points", "0"), ("--tol", "nan"), ("--tol", "0"), ("--tol", "-1"),
+        ("--t-max", "0"), ("--t-max", "-1"), ("--t-max", "nan"),
+        ("--t-max", "inf")])
+    def test_transform_flag_no_solve_can_serve(self, spec_files, capsys,
+                                               flag, value):
+        # --points 0 ended in an IndexError traceback, --tol nan exited 0,
+        # and the others warned and blamed the law
+        with pytest.raises(SystemExit) as info:
+            run(["transform", "--spec", spec_files["weibull"],
+                 "--reset", "exp:1", flag, value])
+        assert info.value.code == 64
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"resetkit transform: error: argument {flag}:")
+
+    def test_transform_on_one_point_is_a_data_error(self, spec_files, capsys):
+        # the solve divided by a zero cell width, warned twice, and failed
+        # as an invalid spec
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["transform", "--spec", spec_files["weibull"],
+                        "--reset", "exp:1", "--points", "1"]) == 65
+        assert capsys.readouterr().err == (
+            "resetkit: data error: tail grid must end at a finite point > 0,"
+            " got 0.0\n")
+
+    def test_transform_flags_echo_as_given(self, spec_files, capsys):
+        assert run(["transform", "--spec", spec_files["weibull"],
+                    "--reset", "exp:1", "--single", "--t-max", "4",
+                    "--points", "5", "--tol", "1e-7", "--format", "json"]) == 0
+        config = json.loads(capsys.readouterr().out)["config"]
+        assert (config["t_max"], config["points"], config["tol"]) == \
+            (4.0, 5, 1e-7)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--eps", "nan"], ["classify", "--eps", "-1"],
+        ["simulate", "--reset", "exp:1", "--probes", "nan"],
+        ["simulate", "--reset", "exp:1", "--max-cycles", "0"]])
+    def test_setting_no_run_can_serve_is_a_data_error(self, spec_files,
+                                                      argv):
+        # each exited 0: eps nan printed as the tolerance, eps -1 judged
+        # every margin against it, a nan probe reported P(T > nan) = 0, and
+        # --max-cycles 0 meant "auto"
+        assert run(argv + ["--spec", spec_files["exp1"]]) == 65
 
 
 class TestTransform:
@@ -396,6 +442,65 @@ def test_import_loads_no_scipy_integrate_or_optimize(tmp_path):
                           capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["[]", "0", "0", "True"]
     assert json.loads(out.read_text())["exponential_improves"] is True
+
+
+def test_cli_runs_without_scipy_on_piecewise_and_mrl_laws(tmp_path):
+    # the closed-form laws' special functions load scipy.special on first
+    # use; the solver, the branching pass, the simulator and the checks on
+    # piecewise and from_mrl laws load no scipy module at all
+    docs = {
+        "pw_finite": {"family": "piecewise_constant",
+                      "params": {"breakpoints": [0.0, 1.0, 1.5, 2.0],
+                                 "levels": [0.5, 0.25, 1.0 / 6.0, 0.0]}},
+        "pe_mean_only": {"family": "piecewise_exp", "params": {
+            "segments": [[0.0, 0.1, 1.0], [1.0, 1.25, 1.0]]}},
+        "uniform02": {"family": "from_mrl",
+                      "params": {"grid": [0.0, 1.0], "values": [1.0, 0.5],
+                                 "terminal": "linear"}},
+        "weib2": {"family": "weibull", "params": {"shape": 2.0}}}
+    spec = {}
+    for name, doc in docs.items():
+        spec[name] = str(tmp_path / f"{name}.json")
+        Path(spec[name]).write_text(json.dumps(doc))
+    short = ["--t-max", "4", "--points", "65"]
+    calls = [
+        ["transform", "--spec", spec["pe_mean_only"], "--reset", "exp:1"]
+        + short,
+        ["transform", "--spec", spec["pw_finite"],
+         "--reset", f"file:{spec['uniform02']}"] + short,
+        ["transform", "--spec", spec["uniform02"], "--reset", "exp:1",
+         "--branching", "3"] + short,
+        ["transform", "--spec", spec["pe_mean_only"], "--reset", "exp:1"],
+        ["simulate", "--spec", spec["pe_mean_only"], "--reset", "exp:1",
+         "--replicates", "2000"],
+        ["classify", "--spec", spec["pw_finite"]],
+        ["classify", "--spec", spec["pe_mean_only"]],
+        ["classify", "--spec", spec["uniform02"]]]
+    weib = ["classify", "--spec", spec["weib2"]]
+    outputs = [str(tmp_path / f"{i}.out") for i in range(len(calls))]
+    script = f"""
+import json, sys
+import resetkit.cli
+
+def scipy():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+
+seen = [scipy()]
+for argv, out in zip({calls!r}, {outputs!r}):
+    seen.append([resetkit.cli.main(argv + ['-o', out])] + scipy())
+code = resetkit.cli.main({weib!r} + ['-o', {str(tmp_path / "weib.out")!r}])
+seen.append([code, 'scipy.special' in sys.modules])
+print(json.dumps(seen))
+"""
+    src = str(Path(resetkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == [[]] + [[0]] * len(calls) + [[0, True]]
+    here = tmp_path / "weib_here.out"
+    assert run(weib + ["-o", str(here)]) == 0
+    assert here.read_bytes() == (tmp_path / "weib.out").read_bytes()
 
 
 class TestParserReuse:

@@ -8,7 +8,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -141,6 +140,13 @@ def test_branching_ffts_end_at_the_support(monkeypatch):
     assert max(lengths) == scipy.fft.next_fast_len(n + last, real=True)
 
 
+def test_fast_len_is_scipys_real_fast_length():
+    # the branching products keep their FFT lengths, and so their bits
+    n = range(1, 2 ** 18 + 1)
+    want = [scipy.fft.next_fast_len(k, real=True) for k in n]
+    assert [rt._fast_len(k) for k in n] == want
+
+
 def test_cycle_reach_past_a_dead_time():
     # every race lasts the dead time, so the reach falls slowly and the
     # depth stops at the cap
@@ -249,8 +255,9 @@ def test_toeplitz_solve_matches_blocked_and_dense_on_renewal_kernels(system):
 
 
 def test_toeplitz_solve_makes_log_n_calls(monkeypatch):
-    # Newton's iteration doubles the inverse: O(log n) FFT calls and one
-    # triangular solve, where one call per 128-cell block would take 1,024
+    # Newton's iteration doubles the inverse: O(log n) FFT calls, and two
+    # direct products per doubling of the 128-cell seed, where one call per
+    # 128-cell block would take 1,024
     counts = collections.Counter()
 
     def counting(owner, name):
@@ -262,14 +269,14 @@ def test_toeplitz_solve_makes_log_n_calls(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     for owner, name in ((np.fft, "rfft"), (np.fft, "irfft"),
-                        (scipy.linalg, "solve_triangular")):
+                        (np, "convolve")):
         counting(owner, name)
     n = 131072
     rng = np.random.default_rng(n)
     a = np.concatenate([[1.0], -rng.uniform(0.0, 1.0 / n, n - 1)])
     rt._solve_lower_toeplitz(a, rng.uniform(-1.0, 1.0, n))
     assert counts["rfft"] + counts["irfft"] <= 8 * math.log2(n)
-    assert counts["solve_triangular"] == 1
+    assert counts["convolve"] <= 2 * math.log2(rt._TOEPLITZ_BLOCK)
 
 
 def test_largest_grid_memory():

@@ -241,6 +241,30 @@ class TestRenewalSolver:
             rt.solver_reset_tail(weib(0.5), rt.ResetLaw.exponential(1.0), 10.0,
                                  tol=1e-14, n0=256, n_max=512)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0, math.inf])
+    def test_tolerance_no_solve_can_meet(self, monkeypatch, tol):
+        # nan passed as met (err > nan is False) after the whole ladder;
+        # 0 and -1 ran the ladder to 262,144 cells before failing
+        monkeypatch.setattr(rt, "_renewal_fixed_point", None)
+        reset, grid = rt.ResetLaw.exponential(1.0), np.linspace(0.0, 4.0, 9)
+        with pytest.raises(ValueError, match="tolerance"):
+            rt.reset_tail(weib(2.0), reset, grid, tol=tol)
+        with pytest.raises(ValueError, match="tolerance"):
+            rt.solver_reset_tail(weib(2.0), reset, 4.0, tol=tol)
+
+    @pytest.mark.parametrize("grid", [[], [0.0], [0.0, -1.0], [0.0, math.nan],
+                                      [0.0, 1.0, math.inf]])
+    def test_grid_that_does_not_end_past_zero(self, monkeypatch, grid):
+        # the solve divided by a zero or non-finite cell width, warned, and
+        # failed as an invalid tail curve; an empty grid raised IndexError
+        monkeypatch.setattr(rt, "_renewal_fixed_point", None)
+        reset = rt.ResetLaw.exponential(1.0)
+        with pytest.raises(ValueError, match="grid must end"):
+            rt.reset_tail(weib(2.0), reset, grid)
+        if grid:
+            with pytest.raises(ValueError, match="grid must end"):
+                rt.solver_reset_tail(weib(2.0), reset, grid[-1])
+
     def test_value_inside_a_jump_cell(self):
         # t = 1.00005 shares a solver cell with pw_finite's jump at 1: linear
         # interpolation across the cell read 0.224591; a 2**20-cell solve

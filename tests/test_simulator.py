@@ -224,6 +224,14 @@ class TestCensoringAndGuards:
                                  cfg(replicates=10_000))
         assert sum(res.cycle_histogram) == res.replicates
 
+    @pytest.mark.parametrize("kw", [
+        {"max_cycles": 0}, {"max_cycles": -1}, {"probe_times": (math.nan,)},
+        {"probe_times": (1.0, math.inf)}])
+    def test_settings_no_run_can_serve(self, kw):
+        # max_cycles = 0 meant "auto"; a nan probe reported P(T > nan) = 0
+        with pytest.raises(ValueError):
+            sim.SimulationConfig(**kw)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             sim.SimulationConfig(replicates=0)
