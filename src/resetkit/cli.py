@@ -365,6 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "single", False) and args.branching != 1:
+        sys.stderr.write(f"resetkit {args.command}: error: --single races one "
+                         f"copy; --branching {args.branching} is not served\n")
+        return EXIT_USAGE
     try:
         return globals()[f"cmd_{args.command}"](args)
     except DataError as exc:

@@ -295,6 +295,12 @@ class DistributionSpec:
         """Closed-form E[T^p] of the base law, None when quadrature is needed."""
         return None
 
+    def _laplace0(self, mu: np.ndarray) -> np.ndarray | None:
+        """Closed-form integral of exp(-mu t) times the base tail over
+        [0, inf) for each rate of ``mu`` (> 0), None when quadrature is
+        needed."""
+        return None
+
     def _moment_sup_order(self) -> float:
         """Supremum of p with E[T^p] finite for the base law."""
         return np.inf
@@ -396,6 +402,9 @@ class Exponential(DistributionSpec):
     def _power_moment0(self, p):
         from scipy import special as _sp
         return float(_sp.gamma(p + 1.0)) / self.rate ** p
+
+    def _laplace0(self, mu):
+        return 1.0 / (self.rate + mu)
 
     def _density0(self, t):
         return self.rate * np.exp(-self.rate * np.asarray(t, dtype=float))
@@ -528,6 +537,11 @@ class LevyFirstPassage(DistributionSpec):
         a = self.level
         return a ** (2.0 * p) * 2.0 ** (-p) * float(_sp.gamma(0.5 - p) / _sp.gamma(0.5))
 
+    def _laplace0(self, mu):
+        # E[exp(-mu T)] = exp(-level sqrt(2 mu)), and the tail's transform
+        # is (1 - E[exp(-mu T)]) / mu
+        return -np.expm1(-self.level * np.sqrt(2.0 * mu)) / mu
+
     def _moment_sup_order(self):
         return 0.5
 
@@ -616,6 +630,31 @@ class Tabulated(DistributionSpec):
         return sum(v * (b ** p - a ** p)
                    for v, a, b in zip(self.curve.values.tolist(), g, g[1:]))
 
+    def _laplace0(self, mu):
+        """One sum over the cells for all the rates at once. A cell [a, a + w)
+        gives v_a e^{-mu a} times its share: (1 - e^{-mu w}) / mu for a step,
+        (1 - e^{-(mu + lam) w}) / (mu + lam) at log-slope -lam, w A(mu w)
+        (``_ramp_share``) for one falling linearly to zero, and 0 for a
+        repeated knot; past the last knot b, v_b e^{-mu b} / (mu +
+        terminal_rate)."""
+        c = self.curve
+        g, v = c.grid, c.knot_values
+        m = np.reshape(mu, (-1, 1))
+        w = np.diff(g)
+        if c.mode == "step":
+            share = -np.expm1(-m * w) / m
+        else:
+            _, linear, slopes = c._knots
+            rate = m - slopes[:-1]
+            with np.errstate(invalid="ignore"):  # repeated knots: inf * 0
+                share = np.where(w > 0.0, -np.expm1(-rate * w) / rate, 0.0)
+            if linear[:-1].any():
+                share = np.where(linear[:-1], w * _ramp_share(m * w), share)
+        cells = np.concatenate(
+            [v[:-1] * np.exp(-m * g[:-1]) * share,
+             v[-1] * np.exp(-m * g[-1]) / (m + c.terminal_rate)], axis=1)
+        return np.sum(cells, axis=1).reshape(np.shape(mu))
+
     def _terminal_limit(self):
         return 0.0 if self.curve.terminal_rate else float(self.curve.terminal)
 
@@ -653,6 +692,18 @@ class Tabulated(DistributionSpec):
                        (ladder[idx] - ladder[nxt]) / np.maximum(g[nxt] - g[idx], _TINY),
                        -slopes[idx] * np.asarray(self._tail0(t_arr)))
         return np.where(t_arr < 0.0, 0.0, out)
+
+
+def _ramp_share(x: np.ndarray) -> np.ndarray:
+    """A(x) = (x - 1 + e^{-x}) / x**2, the integral of (1 - s) e^{-x s}
+    over [0, 1]; below x = 0.1, where the difference cancels, by its
+    series, the sum of (-x)**k / (k + 2)! to k = 8."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        direct = (x + np.expm1(-x)) / (x * x)
+    series = np.zeros_like(x)
+    for k in range(8, -1, -1):
+        series = series * -x + 1.0 / math.factorial(k + 2)
+    return np.where(x < 0.1, series, direct)
 
 
 def _isf_loglinear(u: np.ndarray, idx: np.ndarray, g: np.ndarray,

@@ -51,6 +51,7 @@ __all__ = [
 _TRUNC = 1e-12
 _TOEPLITZ_BLOCK = 128  # cells of the renewal solve's direct Newton seed
 _DEPTH_CAP = 60  # cycles the branching pass may need
+_REACH_HEAD = 17  # powers l**0..l**16 integrated before the rest
 _CUT = 2.0 ** -64  # tail**(l**j) below which a cycle's kernel stops
 _N_MIN = 256  # fewest cells the renewal solve starts from
 
@@ -177,8 +178,10 @@ def deterministic_reset_tail(spec: DistributionSpec, r: float, t):
 
 
 def single_reset_tail(spec: DistributionSpec, reset: ResetLaw, t) -> float:
-    """Tail after at most one restart opportunity."""
+    """Tail after at most one restart opportunity, at finite t >= 0."""
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.all((t_arr >= 0.0) & (t_arr < math.inf)):
+        raise ValueError("single-restart tail needs finite points >= 0")
     out = np.empty(t_arr.shape)
     for idx in np.ndindex(t_arr.shape):
         out[idx] = _single_reset_tail_scalar(spec, reset, float(t_arr[idx]))
@@ -542,10 +545,16 @@ def _cycle_reach(spec: DistributionSpec, reset: ResetLaw, l: int,
                  tol: float) -> tuple[int, np.ndarray, np.ndarray]:
     """Depth D of the l-fold race, q[j] = E[tail_T(R)**(l**j)], the chance
     that cycle j ends in a restart, and reach[j] = q[0] ... q[j], j <= 60:
-    cycle D is the first reached with probability <= 1e-3 tol, or the 60th."""
+    cycle D is the first reached with probability <= 1e-3 tol, or the 60th.
+    The powers past l**16 are integrated only where cycle 16 is reached
+    with more than that probability: each power's panels converge on
+    their own, so the first 17 keep their bits either way."""
+    powers = float(l) ** np.arange(_DEPTH_CAP + 1)
     # clipped, as tail**m at m = l**59 magnifies a tail rounded past 1
-    q = np.clip(reset.expect_tail_power(
-        spec, float(l) ** np.arange(_DEPTH_CAP + 1)), 0.0, 1.0)
+    q = np.clip(reset.expect_tail_power(spec, powers[:_REACH_HEAD]), 0.0, 1.0)
+    if np.cumprod(q)[-2] > 1e-3 * tol:
+        q = np.append(q, np.clip(reset.expect_tail_power(
+            spec, powers[_REACH_HEAD:]), 0.0, 1.0))
     reach = np.cumprod(q)
     depth = min(int(np.count_nonzero(reach > 1e-3 * tol)) + 1, _DEPTH_CAP)
     return depth, q, reach
@@ -695,18 +704,22 @@ def _tail_integral(spec: DistributionSpec, a: float, b: float) -> float:
 def laplace_tail(spec: DistributionSpec, mu):
     """Weighted tail transform: integral of exp(-mu t) * tail(t) over [0, inf).
 
-    ``mu`` is one rate or an array of rates, all integrated in one
-    ``panels`` call: each rate's panels are cut as for that rate alone (the
-    kinks of ``spec`` and 7 log-spaced points up to 42 / mu, past which the
-    integrand is below 1e-18 whatever the law), padded with zero-width
-    panels at 42 / mu, and summed over its own panels, so every value keeps
-    the bits of a call with its rate alone.
+    ``mu`` is one rate or an array of rates. Where the family has a closed
+    form (``_laplace0``: exponential, Levy, and step and log-linear
+    tabulated laws as a sum over their cells), the transform is defect / mu
+    plus (1 - defect) times it. Otherwise all the rates are integrated in
+    one ``panels`` call: each rate's panels are cut as for that rate alone
+    (the kinks of ``spec`` and 7 log-spaced points up to 42 / mu, past
+    which the integrand is below 1e-18 whatever the law), padded with
+    zero-width panels at 42 / mu, and summed over its own panels. Either
+    way every value keeps the bits of a call with its rate alone.
     """
     rates = np.asarray(mu, dtype=float)
     if not np.all(rates > 0.0):
         raise ValueError("transform rate must be positive")
-    if isinstance(spec, dist.Exponential) and spec.defect == 0.0:
-        out = 1.0 / (spec.rate + rates)
+    closed = spec._laplace0(rates)
+    if closed is not None:
+        out = spec.defect / rates + (1.0 - spec.defect) * closed
     else:
         uppers = 42.0 / rates.ravel()
         pts = kinks((spec,))

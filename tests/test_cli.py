@@ -355,6 +355,19 @@ class TestTransform:
         assert t2[2] == pytest.approx(np.exp(-2.0), rel=1e-9)
 
 
+    @pytest.mark.parametrize("command", ["transform", "simulate"])
+    def test_single_refuses_branching(self, spec_files, capsys, command):
+        # both ran one copy (l = 1) and exited 0: 0.46169 at t = 1 for
+        # weib(2) under exp:1, where one restart racing two copies gives
+        # 0.36383
+        assert run([command, "--spec", spec_files["weibull"], "--reset",
+                    "exp:1", "--single", "--branching", "2"]) == 64
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (f"resetkit {command}: error: --single races one "
+                           "copy; --branching 2 is not served\n")
+
+
 class TestSimulate:
     def test_byte_identical_reruns(self, spec_files, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

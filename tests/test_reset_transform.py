@@ -189,6 +189,14 @@ class TestClosedForms:
             pytest.approx(want, rel=1e-12)
 
 
+    @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf,
+                                   [0.0, 1.0, -1e-300]])
+    def test_single_reset_refuses_points_outside_the_half_line(self, t):
+        # t = -0.5 gave 1.284 for weib(2) under exp:1
+        with pytest.raises(ValueError, match="finite points >= 0"):
+            rt.single_reset_tail(weib(2.0), rt.ResetLaw.exponential(1.0), t)
+
+
 class TestRenewalSolver:
     def test_exponential_fixed_point(self):
         spec = exp_law()
