@@ -4,7 +4,9 @@
 end of the laws it is given (plus any extra ``points``), so no panel holds
 a kink; ``panels`` integrates all panels at once by the tanh-sinh rule
 (Takahasi & Mori 1974), which tolerates endpoint singularities and an
-infinite upper limit and returns an error estimate per panel. The rule is
+infinite upper limit and returns an error estimate per panel, and
+``quad_rows`` runs many such integrals, each on its own cuts, in one
+``panels`` call. The rule is
 in-house: it is the algorithm of ``scipy.integrate.tanhsinh`` (its nodes,
 its Euler-Maclaurin sums and the error estimate of Bailey, Jeyabalan & Li,
 Experimental Math. 14, 2005), bit for bit, without its per-call set-up.
@@ -189,6 +191,18 @@ def quad(fn, a: float, b: float, laws=(), points=(), args=(),
     vals, errs = panels(fn, edges[:-1], edges[1:], args=args)
     vals, errs = np.sum(vals, axis=-1), np.sum(errs, axis=-1)
     return (vals, errs) if args else (float(vals), float(errs))
+
+
+def quad_rows(fn, edges, args=()) -> tuple[np.ndarray, np.ndarray]:
+    """``quad`` on each row of ``edges`` (edge arrays, as from ``cuts``; one
+    row of ``args`` each) by one ``panels`` call: rows padded with zero-width
+    panels, each summed over its own panels, keep a lone call's bits."""
+    width = max(e.size for e in edges)
+    padded = np.array([np.pad(e, (0, width - e.size), mode="edge")
+                       for e in edges])
+    vals, errs = panels(fn, padded[:, :-1], padded[:, 1:], args=args)
+    return tuple(np.array([np.sum(v[:e.size - 1]) for v, e in zip(x, edges)])
+                 for x in (vals, errs))
 
 
 def hybrid_grid(upper: float, n: int = 4096, lower: float | None = None,

@@ -177,28 +177,23 @@ def cmd_transform(args) -> int:
     upper = args.t_max if args.t_max is not None else \
         float(dist.default_horizon(spec))
     grid = np.linspace(0.0, upper, args.points)
-    if args.single:
-        transformed = np.asarray(rt.single_reset_tail(spec, reset, grid))
-        err = 0.0
-    else:
-        curve = rt.reset_tail(spec, reset, grid, l=args.branching,
-                              tol=args.tol)
-        transformed = curve.knot_values
-        err = curve.err_estimate
+    curve = rt.single_reset_tail(spec, reset, grid, l=args.branching) \
+        if args.single else rt.reset_tail(spec, reset, grid,
+                                          l=args.branching, tol=args.tol)
     original = np.asarray(spec.tail(grid))
     if args.format == "json":
         payload = {
             "family": "tabulated",
             "grid": [float(t) for t in grid],
-            "values": [float(v) for v in transformed],
+            "values": [float(v) for v in curve.knot_values],
             "interpolation": "log-linear",
-            "err_estimate": err,
+            "err_estimate": curve.err_estimate,
             "config": _config_echo(args),
         }
         _write_output(_json_dump(payload), args.output)
     else:
         lines = ["t,tail_original,tail_transformed"]
-        for t, o, v in zip(grid, original, transformed):
+        for t, o, v in zip(grid, original, curve.knot_values):
             lines.append(f"{float(t)!r},{float(o)!r},{float(v)!r}")
         _write_output("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -215,10 +210,9 @@ def cmd_simulate(args) -> int:
         branching_mode=args.branching_mode)
     code = EXIT_OK
     try:
-        if args.single:
-            result = sim.simulate_single_reset(spec, reset, config)
-        else:
-            result = sim.simulate_branching(spec, reset, args.branching, config)
+        run = sim.simulate_single_reset if args.single else \
+            sim.simulate_branching
+        result = run(spec, reset, config=config, l=args.branching)
     except sim.ExcessiveCensoringError as exc:
         result = exc.result
         code = EXIT_CENSORING
@@ -333,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="reset law: det:<r>, exp:<mu>, file:<path>")
     p.add_argument("--branching", type=int, default=1)
     p.add_argument("--single", action="store_true",
-                   help="one restart opportunity only")
+                   help="one restart only, then --branching copies race")
     p.add_argument("--t-max", type=_positive, default=None)
     p.add_argument("--points", type=_count, default=513)
     p.add_argument("--tol", type=_positive, default=1e-6)
@@ -343,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     p.add_argument("--reset", required=True)
     p.add_argument("--branching", type=int, default=1)
-    p.add_argument("--single", action="store_true")
+    p.add_argument("--single", action="store_true", help="one restart "
+                   "only, then --branching copies race; --max-cycles <= 2")
     p.add_argument("--replicates", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-cycles", type=int, default=None)
@@ -365,10 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "single", False) and args.branching != 1:
-        sys.stderr.write(f"resetkit {args.command}: error: --single races one "
-                         f"copy; --branching {args.branching} is not served\n")
-        return EXIT_USAGE
     try:
         return globals()[f"cmd_{args.command}"](args)
     except DataError as exc:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import distributions as dist
-from ._integrate import cuts, distinct_panels, kinks, panels, quad
+from ._integrate import cuts, distinct_panels, kinks, panels, quad, quad_rows
 from .distributions import (DistributionSpec, SpecValidationError, TailCurve)
 
 __all__ = [
@@ -177,31 +177,38 @@ def deterministic_reset_tail(spec: DistributionSpec, r: float, t):
     return branching_deterministic_tail(spec, r, 1, t)
 
 
-def single_reset_tail(spec: DistributionSpec, reset: ResetLaw, t) -> float:
-    """Tail after at most one restart opportunity, at finite t >= 0."""
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if not np.all((t_arr >= 0.0) & (t_arr < math.inf)):
+def single_reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None,
+                      *, l: int = 1) -> TailCurve:
+    """Tail after at most one restart, which races l copies to completion:
+    tail * P(R > t) + E[tail(R) tail(t - R)**l; R <= t] at the finite
+    points t >= 0 of ``t_grid`` (0 first, as in ``reset_tail``). The
+    density term is one ``quad_rows`` call, each point cut at the kinks of
+    both laws and at t less the kinks of ``spec``; ``err_estimate`` is the
+    largest point's error."""
+    _check_branching(l)
+    if t_grid is None:
+        t_grid = dist.working_grid(spec)
+    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not np.all((t >= 0.0) & (t < math.inf)):
         raise ValueError("single-restart tail needs finite points >= 0")
-    out = np.empty(t_arr.shape)
-    for idx in np.ndindex(t_arr.shape):
-        out[idx] = _single_reset_tail_scalar(spec, reset, float(t_arr[idx]))
-    return out if np.asarray(t).shape else float(out[0])
-
-
-def _single_reset_tail_scalar(spec: DistributionSpec, reset: ResetLaw,
-                              t: float) -> float:
+    if t[0] != 0.0:
+        t = np.concatenate([[0.0], t])
     tl = spec.tail
-    total = float(tl(t)) * float(reset.tail(t))
+    vals = np.asarray(tl(t)) * np.asarray(reset.tail(t))
     for loc, w in reset.atoms():
-        if loc <= t:
-            total += w * float(tl(loc)) * float(tl(t - loc))
+        on = loc <= t
+        vals[on] += w * float(tl(loc)) * np.asarray(tl(t[on] - loc)) ** l
+    err = 0.0
     if reset.has_density:
-        def f(s):
-            return tl(s) * tl(t - s) * reset.density(s)
-        # kinks of tl(s) and of the reset density, then those of tl(t - s)
-        total += quad(f, 0.0, t, laws=(spec, reset.spec),
-                      points=t - kinks((spec,)))[0]
-    return total
+        pts, back = kinks((spec, reset.spec)), kinks((spec,))
+        dens, errs = quad_rows(
+            lambda s, x: tl(s) * tl(x - s) ** l * reset.density(s),
+            [cuts(0.0, x, np.concatenate([pts, x - back])) for x in t],
+            args=(t[:, None],))
+        vals += dens
+        err = float(np.max(errs))
+    return TailCurve(grid=t, values=vals[:-1], terminal=float(vals[-1]),
+                     mode="log-linear", err_estimate=err)
 
 
 # ----------------------------------------------------------------------
@@ -708,11 +715,10 @@ def laplace_tail(spec: DistributionSpec, mu):
     form (``_laplace0``: exponential, Levy, and step and log-linear
     tabulated laws as a sum over their cells), the transform is defect / mu
     plus (1 - defect) times it. Otherwise all the rates are integrated in
-    one ``panels`` call: each rate's panels are cut as for that rate alone
+    one ``quad_rows`` call, each rate's panels cut as for that rate alone
     (the kinks of ``spec`` and 7 log-spaced points up to 42 / mu, past
-    which the integrand is below 1e-18 whatever the law), padded with
-    zero-width panels at 42 / mu, and summed over its own panels. Either
-    way every value keeps the bits of a call with its rate alone.
+    which the integrand is below 1e-18 whatever the law). Either way every
+    value keeps the bits of a call with its rate alone.
     """
     rates = np.asarray(mu, dtype=float)
     if not np.all(rates > 0.0):
@@ -721,18 +727,12 @@ def laplace_tail(spec: DistributionSpec, mu):
     if closed is not None:
         out = spec.defect / rates + (1.0 - spec.defect) * closed
     else:
-        uppers = 42.0 / rates.ravel()
         pts = kinks((spec,))
         edges = [cuts(0.0, upper, np.concatenate(
-            [pts, np.geomspace(upper * 1e-6, upper, 7)])) for upper in uppers]
-        width = max(e.size for e in edges)
-        padded = np.array([np.pad(e, (0, width - e.size), mode="edge")
-                           for e in edges])
-        vals, _ = panels(lambda t, m: np.exp(-m * t) * spec.tail(t),
-                         padded[:, :-1], padded[:, 1:],
-                         args=(rates.reshape(-1, 1),))
-        out = np.array([np.sum(v[:e.size - 1]) for v, e in zip(vals, edges)]
-                       ).reshape(rates.shape)
+            [pts, np.geomspace(upper * 1e-6, upper, 7)]))
+                 for upper in 42.0 / rates.ravel()]
+        out = quad_rows(lambda t, m: np.exp(-m * t) * spec.tail(t), edges,
+                        args=(rates.reshape(-1, 1),))[0].reshape(rates.shape)
     return out if out.ndim else float(out)
 
 

@@ -165,8 +165,23 @@ def simulate_branching(spec: DistributionSpec, reset: ResetLaw, l: int,
     non-branching simulation; direct mode draws all m copies and is only
     suitable for small branching loads.
     """
+    return _simulate(spec, reset, l, config, single=False)
+
+
+def simulate_single_reset(spec: DistributionSpec, reset: ResetLaw,
+                          config: SimulationConfig, l: int = 1
+                          ) -> SimulationResult:
+    """One restart opportunity only, after which l copies race to
+    completion: the restart loop whose second cycle draws no reset. Its
+    cycle cap is ``config.max_cycles``, at most 2."""
+    return _simulate(spec, reset, l, config, single=True)
+
+
+def _simulate(spec: DistributionSpec, reset: ResetLaw, l: int,
+              config: SimulationConfig, single: bool) -> SimulationResult:
     _check_branching(l)
-    max_cycles = config.max_cycles or _auto_max_cycles(spec, reset)
+    max_cycles = (min(config.max_cycles or 2, 2) if single else
+                  config.max_cycles or _auto_max_cycles(spec, reset))
     n = config.replicates
     times = np.empty(n)
     cycles = np.empty(n, dtype=np.int64)
@@ -177,8 +192,7 @@ def simulate_branching(spec: DistributionSpec, reset: ResetLaw, l: int,
         rng = np.random.default_rng((config.seed, lo // _BLOCK))
         alive = np.arange(lo, min(lo + _BLOCK, n))
         acc = np.zeros(alive.size)
-        m = 1
-        c = 0
+        m, c = 1, 0
         while alive.size:
             if m > _BRANCH_CAP:
                 raise ExcessiveBranchingError(
@@ -189,7 +203,8 @@ def simulate_branching(spec: DistributionSpec, reset: ResetLaw, l: int,
             else:
                 u = rng.random(alive.size)
                 t_draw = spec.isf(u ** (1.0 / m) if m > 1 else u)
-            r_draw = reset.spec.isf(rng.random(alive.size))
+            r_draw = (np.full(alive.size, np.inf) if single and c == 2
+                      else reset.spec.isf(rng.random(alive.size)))
             done = t_draw <= r_draw
             times[alive[done]] = acc[done] + t_draw[done]
             cycles[alive[done]] = c
@@ -199,11 +214,11 @@ def simulate_branching(spec: DistributionSpec, reset: ResetLaw, l: int,
                 capped[alive] = True
                 cycles[alive] = c
                 break
-            if l > 1:
-                m *= l
+            m *= l
 
     return _assemble(spec, reset, times, cycles, capped, config, max_cycles,
-                     kind="branching" if l > 1 else "reset", branching=l)
+                     "single_reset" if single else
+                     "branching" if l > 1 else "reset", branching=l)
 
 
 def _max_uniforms(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
@@ -219,27 +234,6 @@ def _max_uniforms(rng: np.random.Generator, rows: int, m: int) -> np.ndarray:
         hi = min(lo + step, rows)
         out[lo:hi] = rng.random((hi - lo, m)).max(axis=1)
     return out
-
-
-def simulate_single_reset(spec: DistributionSpec, reset: ResetLaw,
-                          config: SimulationConfig) -> SimulationResult:
-    """One restart opportunity only."""
-    n = config.replicates
-    times = np.empty(n)
-    cycles = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        rng = np.random.default_rng((config.seed, lo // _BLOCK))
-        t1 = spec.isf(rng.random(hi - lo))
-        r = reset.spec.isf(rng.random(hi - lo))
-        first = t1 <= r
-        again = ~first
-        t1[again] = r[again] + spec.isf(rng.random(int(again.sum())))
-        times[lo:hi] = t1
-        cycles[lo:hi] = np.where(first, 1, 2)
-    capped = np.zeros(n, dtype=bool)
-    return _assemble(spec, reset, times, cycles, capped, config,
-                     max_cycles=2, kind="single_reset")
 
 
 def _assemble(spec, reset, times, cycles, capped, config, max_cycles, kind,

@@ -355,17 +355,25 @@ class TestTransform:
         assert t2[2] == pytest.approx(np.exp(-2.0), rel=1e-9)
 
 
-    @pytest.mark.parametrize("command", ["transform", "simulate"])
-    def test_single_refuses_branching(self, spec_files, capsys, command):
-        # both ran one copy (l = 1) and exited 0: 0.46169 at t = 1 for
-        # weib(2) under exp:1, where one restart racing two copies gives
-        # 0.36383
-        assert run([command, "--spec", spec_files["weibull"], "--reset",
-                    "exp:1", "--single", "--branching", "2"]) == 64
-        out = capsys.readouterr()
-        assert out.out == ""
-        assert out.err == (f"resetkit {command}: error: --single races one "
-                           "copy; --branching 2 is not served\n")
+    def test_single_serves_branching(self, spec_files, tmp_path):
+        # --branching 2 was ignored (0.46169, the l = 1 tail, at t = 1),
+        # then refused with exit 64; one restart racing two copies gives
+        # 0.36383 by quad
+        out = tmp_path / "t.csv"
+        assert run(["transform", "--spec", spec_files["weibull"], "--reset",
+                    "exp:1", "--single", "--branching", "2", "--t-max", "2",
+                    "--points", "3", "-o", str(out)]) == 0
+        t1 = out.read_text().splitlines()[2].split(",")
+        assert float(t1[0]) == 1.0
+        assert float(t1[2]) == pytest.approx(0.3638250962, abs=1e-10)
+
+    def test_single_reports_its_quadrature_error(self, spec_files, capsys):
+        # err_estimate was 0.0 whatever the quadrature's error
+        assert run(["transform", "--spec", spec_files["weibull"], "--reset",
+                    "exp:1", "--single", "--t-max", "4", "--points", "65",
+                    "--format", "json"]) == 0
+        err = json.loads(capsys.readouterr().out)["err_estimate"]
+        assert 0.0 < err <= 1e-12
 
 
 class TestSimulate:
@@ -399,6 +407,43 @@ class TestSimulate:
         rep = json.loads(out.read_text())
         assert rep["error"] == "excessive_censoring"
         assert rep["censored_fraction"] > 0.01
+
+    @pytest.mark.parametrize("mode", ["min-law", "direct"])
+    def test_single_races_branching_copies(self, spec_files, capsys, mode):
+        # ran one copy after the restart and printed "branching": 1, then
+        # was refused with exit 64
+        probes = (0.3, 0.8, 1.2, 2.0)
+        assert run(["simulate", "--spec", spec_files["weibull"], "--reset",
+                    "exp:1", "--single", "--branching", "2",
+                    "--branching-mode", mode, "--replicates", "40000",
+                    "--seed", "3", "--probes", "0.3,0.8,1.2,2"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["kind"], rep["branching"]) == ("single_reset", 2)
+        curve = rt.single_reset_tail(d.Weibull(shape=2.0),
+                                     rt.ResetLaw.exponential(1.0), probes,
+                                     l=2)
+        for want, hat, se in zip(curve.knot_values[1:], rep["tail_probs"],
+                                 rep["tail_se"]):
+            assert abs(hat - want) <= 4.0 * se
+
+    def test_single_obeys_max_cycles(self, spec_files, capsys):
+        # --max-cycles 1 ran two cycles and reported max_cycles 2: the cap
+        # of a single restart is min(k, 2), and at 1 the restarted
+        # replicates are censored
+        argv = ["simulate", "--spec", spec_files["weibull"], "--reset",
+                "exp:1", "--single", "--replicates", "5000", "--seed", "9"]
+        assert run(argv + ["--max-cycles", "1"]) == 3
+        rep = json.loads(capsys.readouterr().out)
+        assert rep["error"] == "excessive_censoring"
+        assert rep["max_cycles"] == rep["config"]["max_cycles"] == 1
+        assert rep["cycle_histogram"] == [0, 5000]
+        assert rep["n_capped"] > 0.01 * 5000
+        for k in ("2", "3"):
+            assert run(argv + ["--max-cycles", k]) == 0
+            rep = json.loads(capsys.readouterr().out)
+            assert (rep["max_cycles"], rep["n_capped"]) == (2, 0)
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["max_cycles"] == 2
 
 
 class TestOptimize:

@@ -11,9 +11,11 @@ from resetkit import reset_transform as rt
 from resetkit import simulator as sim
 
 import branching_series_reference as series_ref
+import single_reset_quad_reference as single_ref
 from fixture_laws import (ALL_LAWS, brute_tail_integral, exp_law, levy,
-                          pe_law, pe_mean_only, pw_finite, pw_sixth, sps,
-                          step_law, two_atom_reset, uniform02, weib)
+                          pe_law, pe_mean_only, plateau, pw_finite, pw_sixth,
+                          sps, standard_resets, step_law, two_atom_reset,
+                          uniform02, weib)
 from quad_reference import split_quad
 
 # frozen oracle values, computed by independent adaptive quadrature
@@ -132,17 +134,18 @@ class TestClosedForms:
     def test_single_reset_exponential_invisible(self):
         for reset in (rt.ResetLaw.deterministic(0.3),
                       rt.ResetLaw.exponential(2.0), two_atom_reset()):
-            assert rt.single_reset_tail(exp_law(), reset, 1.7) == \
-                pytest.approx(math.exp(-1.7), rel=1e-9)
+            assert rt.single_reset_tail(exp_law(), reset, [1.7]).terminal \
+                == pytest.approx(math.exp(-1.7), rel=1e-9)
 
     def test_single_reset_weibull_example(self):
-        got = rt.single_reset_tail(weib(0.5), rt.ResetLaw.deterministic(1.0), 2.0)
+        got = rt.single_reset_tail(weib(0.5), rt.ResetLaw.deterministic(1.0),
+                                   [2.0]).terminal
         assert got == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     def test_single_reset_before_period(self):
         spec = weib(0.5)
-        assert rt.single_reset_tail(spec, rt.ResetLaw.deterministic(3.0), 2.0) \
-            == pytest.approx(float(spec.tail(2.0)), rel=1e-12)
+        assert rt.single_reset_tail(spec, rt.ResetLaw.deterministic(3.0),
+                                    [2.0]).terminal == pytest.approx(float(spec.tail(2.0)), rel=1e-12)
 
     def test_single_reset_exp_vs_brute(self):
         # dense Riemann oracle for the one-reset convolution
@@ -153,7 +156,8 @@ class TestClosedForms:
             * mu * np.exp(-mu * s)
         brute = float(spec.tail(t)) * math.exp(-mu * t) \
             + float(np.trapezoid(integrand, s))
-        got = rt.single_reset_tail(spec, rt.ResetLaw.exponential(mu), t)
+        got = rt.single_reset_tail(spec, rt.ResetLaw.exponential(mu),
+                                   [t]).terminal
         assert got == pytest.approx(brute, rel=1e-6)
 
     def test_single_reset_splits_at_reset_knots(self):
@@ -177,7 +181,8 @@ class TestClosedForms:
         want = float(spec.tail(t)) * float(law.tail(t)) + sum(
             quad(f, a, b, epsabs=1e-14, epsrel=1e-13)[0]
             for a, b in zip(knots[:-1], knots[1:]))
-        got = rt.single_reset_tail(spec, rt.ResetLaw.general(law), t)
+        got = rt.single_reset_tail(spec, rt.ResetLaw.general(law),
+                                   [t]).terminal
         assert got == pytest.approx(want, rel=0.0, abs=1e-10)
 
     def test_single_reset_atoms(self):
@@ -185,8 +190,8 @@ class TestClosedForms:
         t = 2.0
         want = 0.5 * float(spec.tail(0.5)) * float(spec.tail(1.5)) \
             + 0.5 * float(spec.tail(1.5)) * float(spec.tail(0.5))
-        assert rt.single_reset_tail(spec, two_atom_reset(), t) == \
-            pytest.approx(want, rel=1e-12)
+        assert rt.single_reset_tail(spec, two_atom_reset(), [t]).terminal \
+            == pytest.approx(want, rel=1e-12)
 
 
     @pytest.mark.parametrize("t", [-0.5, math.nan, math.inf,
@@ -195,6 +200,43 @@ class TestClosedForms:
         # t = -0.5 gave 1.284 for weib(2) under exp:1
         with pytest.raises(ValueError, match="finite points >= 0"):
             rt.single_reset_tail(weib(2.0), rt.ResetLaw.exponential(1.0), t)
+
+    @pytest.mark.parametrize("reset", standard_resets())
+    @pytest.mark.parametrize("law", ALL_LAWS)
+    def test_single_reset_keeps_the_per_point_bits(self, law, reset):
+        # one panels call for all the points, each summed over its own
+        # panels, gives the bits of one quad call per point
+        spec, grid = ALL_LAWS[law](), np.linspace(0.0, 4.0, 1025)
+        curve = rt.single_reset_tail(spec, standard_resets()[reset], grid)
+        want = single_ref.single_reset_tails(spec, standard_resets()[reset],
+                                             grid)
+        np.testing.assert_array_equal(curve.grid, grid)
+        np.testing.assert_array_equal(curve.knot_values, want)
+
+    @pytest.mark.parametrize("l", [2, 3])
+    @pytest.mark.parametrize("reset", ["exp1", "two_atom"])
+    def test_single_reset_races_l_copies_bit_for_bit(self, reset, l):
+        spec, grid = plateau(), np.linspace(0.0, 4.0, 65)
+        curve = rt.single_reset_tail(spec, standard_resets()[reset], grid, l=l)
+        np.testing.assert_array_equal(curve.knot_values,
+                                      single_ref.single_reset_tails(
+                                          spec, standard_resets()[reset],
+                                          grid, l))
+
+    def test_single_reset_races_two_copies(self):
+        # the l = 1 tail, 0.46169 at t = 1, was all that --branching 2 gave
+        spec, reset, t = weib(2.0), rt.ResetLaw.exponential(1.0), 1.0
+
+        def f(s):
+            return float(spec.tail(s)) * float(spec.tail(t - s)) ** 2 \
+                * math.exp(-s)
+
+        want = float(spec.tail(t)) * math.exp(-t) + \
+            quad(f, 0.0, t, epsabs=1e-14, epsrel=1e-13)[0]
+        curve = rt.single_reset_tail(spec, reset, [t], l=2)
+        assert want == pytest.approx(0.3638250962, abs=5e-11)
+        assert curve.terminal == pytest.approx(want, rel=0.0, abs=1e-13)
+        assert 0.0 < curve.err_estimate <= 1e-12
 
 
 class TestRenewalSolver:

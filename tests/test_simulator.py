@@ -8,8 +8,9 @@ from resetkit import distributions as d
 from resetkit import reset_transform as rt
 from resetkit import simulator as sim
 
-from fixture_laws import (exp_law, pe_law, step_law, two_atom_reset, uniform02,
-                          weib)
+import single_reset_sim_reference as single_ref
+from fixture_laws import (ALL_LAWS, exp_law, pe_law, standard_resets,
+                          step_law, two_atom_reset, uniform02, weib)
 
 
 def cfg(**kw) -> sim.SimulationConfig:
@@ -65,6 +66,22 @@ class TestDeterminism:
             long = run(weib(0.5), reset, cfg(replicates=2 * block + 17))
             np.testing.assert_array_equal(short.times, long.times[:block])
 
+    @pytest.mark.parametrize("seed", [0, 7, 2024])
+    @pytest.mark.parametrize("law", ["pw_sixth", "levy", "uniform02"])
+    def test_single_reset_keeps_the_parent_stream(self, law, seed):
+        # the restart loop's second cycle, with no reset drawn, takes the
+        # uniforms the separate single-restart loop took, draw for draw
+        # pw_sixth's mass at infinity censors its runs, which raise
+        spec, n = ALL_LAWS[law](), 2 * sim._BLOCK + 1809
+        for reset in standard_resets().values():
+            try:
+                res = sim.simulate_single_reset(spec, reset,
+                                                cfg(replicates=n, seed=seed))
+            except sim.ExcessiveCensoringError as exc:
+                res = exc.result
+            np.testing.assert_array_equal(
+                res.times, single_ref.single_reset_times(spec, reset, n, seed))
+
     def test_different_seed_differs(self):
         a = sim.simulate_reset(exp_law(), rt.ResetLaw.deterministic(0.5),
                                cfg(replicates=2_000, seed=1))
@@ -113,8 +130,9 @@ class TestOracleAgreement:
         res = sim.simulate_single_reset(spec, reset,
                                         cfg(replicates=100_000,
                                             probe_times=probes))
-        for p, hat, se in zip(probes, res.tail_probs, res.tail_se):
-            want = rt.single_reset_tail(spec, reset, p)
+        curve = rt.single_reset_tail(spec, reset, probes)
+        for want, hat, se in zip(curve.knot_values[1:], res.tail_probs,
+                                 res.tail_se):
             assert abs(hat - want) <= 4.0 * se + 1e-9
 
     @pytest.mark.parametrize("l", [2, 3])
