@@ -117,10 +117,9 @@ def _verdicts(margins: np.ndarray, witnesses, eps: float,
 
 
 def default_tolerance(spec: DistributionSpec) -> float:
-    """1e-9 for closed forms and step curves, looser for log-linear curves."""
-    if isinstance(spec, dist.Tabulated) and spec.curve.mode == "log-linear":
-        return max(1e-6, 3.0 * spec.curve.err_estimate)
-    return 1e-9
+    """1e-9, or three times a tabulated curve's error estimate if larger."""
+    err = spec.curve.err_estimate if isinstance(spec, dist.Tabulated) else 0.0
+    return max(1e-9, 3.0 * err)
 
 
 # ----------------------------------------------------------------------

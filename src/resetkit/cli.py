@@ -180,6 +180,10 @@ def cmd_transform(args) -> int:
     curve = rt.single_reset_tail(spec, reset, grid, l=args.branching) \
         if args.single else rt.reset_tail(spec, reset, grid,
                                           l=args.branching, tol=args.tol)
+    if args.single and curve.err_estimate > args.tol:  # reset_tail checks its own
+        raise rt.GridTooCoarseError(
+            f"single-restart error estimate {curve.err_estimate:.3g} exceeds "
+            f"tolerance {args.tol:g}")
     original = np.asarray(spec.tail(grid))
     if args.format == "json":
         payload = {

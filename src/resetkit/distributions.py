@@ -133,12 +133,19 @@ class TailCurve:
 
     @cached_property
     def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per knot: its value's log floored at 1e-300, whether the piece
-        from it falls linearly (a cell with a zero end, a zero terminal)
-        and the log slope of that piece."""
-        small = self.knot_values <= _TINY
-        logs = np.log(np.maximum(self.knot_values, _TINY))
-        with np.errstate(divide="ignore", invalid="ignore"):  # repeated knots
+        """The cell table every method reads. Per knot i: its value's log,
+        whether the piece from it falls linearly, and that piece's log
+        slope; off linear pieces the tail at t is exp(logs[i] + slopes[i]
+        (t - t_i)). Log-linear logs are floored at 1e-300, and a cell with
+        a zero end, or a zero terminal, is linear; step logs are exact
+        (-inf at 0), with no linear cells and slope 0."""
+        v = self.knot_values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if self.mode == "step":
+                return np.log(v), np.zeros(v.size, dtype=bool), np.zeros(v.size)
+            small = v <= _TINY
+            logs = np.log(np.maximum(v, _TINY))
+            # a repeated knot's slope is +-inf; no t lands in its cell
             slopes = np.append(np.diff(logs) / np.diff(self.grid), -self.terminal_rate)
         return logs, small | np.append(small[1:], False), slopes
 
@@ -146,48 +153,43 @@ class TailCurve:
         """Index of the last knot at or before each t (0 before the grid)."""
         return np.maximum(np.searchsorted(self.grid, t, side="right") - 1, 0)
 
+    def _log_cell(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """logs[idx] + slopes[idx] (t - t_idx), the cell formula's log."""
+        logs, _, slopes = self._knots
+        with np.errstate(invalid="ignore"):  # t = inf on a flat piece
+            return logs[idx] + slopes[idx] * np.maximum(t - self.grid[idx], 0.0)
+
     def __call__(self, t):
         t_arr = np.asarray(t, dtype=float)
-        g = self.grid
         idx = self._cell(t_arr)
-        last = g.size - 1
+        ladder, last = self.knot_values, self.grid.size - 1
         if self.mode == "step":
-            out = self.knot_values[idx]
-        else:  # exp((1 - theta) log lo + theta log hi) between knots
-            logs, linear, _ = self._knots
-            lo = np.minimum(idx, last - 1)  # a zero-width or -1st cell is never read
-            hi = lo + 1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                theta = np.minimum(np.maximum(
-                    (t_arr - g[lo]) / (g[hi] - g[lo]), 0.0), 1.0)
-            out = (1.0 - theta) * logs[lo] + theta * logs[hi]
-            if self.terminal_rate:  # the log falls at the rate past the last knot
-                out = np.where(idx < last, out, logs[last] - self.terminal_rate
-                               * np.maximum(t_arr - g[last], 0.0))
-            out = np.exp(out)
+            out = ladder[idx]
+        else:
+            out = np.exp(self._log_cell(t_arr, idx))
             # linear cells (an end at zero) and a constant terminal, exactly
-            exact = linear[idx] if self.terminal_rate else linear[idx] | (idx == last)
+            exact = self._knots[1][idx] | ((idx == last) & (not self.terminal_rate))
             if exact.any():
-                ladder = self.knot_values
+                g, lo = self.grid, np.minimum(idx, last - 1)  # never the -1st cell
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    theta = np.clip((t_arr - g[lo]) / (g[lo + 1] - g[lo]), 0.0, 1.0)
                 out = np.where(exact, np.where(
-                    idx < last, (1.0 - theta) * ladder[lo] + theta * ladder[hi],
+                    idx < last, (1.0 - theta) * ladder[lo] + theta * ladder[lo + 1],
                     ladder[last]), out)
         out = np.where(np.isinf(t_arr), 0.0, out)
         return out if out.shape else float(out)
 
     def log_tail(self, t):
-        """log of the curve, in log space between log-linear knots and past
-        the last one, where the tail itself underflows."""
+        """log of the curve, from the cell table (so in log space between
+        log-linear knots and past the last one, where the tail itself
+        underflows)."""
         t_arr = np.asarray(t, dtype=float)
         idx = self._cell(t_arr)
-        with np.errstate(divide="ignore", invalid="ignore"):  # t = inf
-            if self.mode == "step":
-                out = np.log(self.knot_values[idx])
-            else:
-                logs, linear, slopes = self._knots
-                out = logs[idx] + slopes[idx] * np.maximum(t_arr - self.grid[idx], 0.0)
-                if linear[idx].any():
-                    out = np.where(linear[idx], np.log(self(t_arr)), out)
+        out = self._log_cell(t_arr, idx)
+        linear = self._knots[1][idx]
+        if linear.any():
+            with np.errstate(divide="ignore"):
+                out = np.where(linear, np.log(self(t_arr)), out)
         out = np.where(np.isinf(t_arr), -np.inf, out)
         return out if out.shape else float(out)
 
@@ -229,20 +231,6 @@ class MomentFunction:
     @classmethod
     def tabulated(cls, grid, values) -> "MomentFunction":
         return cls("tabulated", grid=tuple(grid), values=tuple(values))
-
-    def __call__(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        if self.kind == "identity":
-            out = t_arr
-        elif self.kind == "power":
-            out = t_arr ** self.power
-        elif self.kind == "indicator_above":
-            out = (t_arr > self.threshold).astype(float)
-        else:
-            g = np.asarray(self.grid)
-            v = np.asarray(self.values)
-            out = np.interp(t_arr, g, v, left=v[0], right=v[-1])
-        return out if out.shape else float(out)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -600,25 +588,18 @@ class Tabulated(DistributionSpec):
         t_arr = np.asarray(t, dtype=float)
         if self._terminal_limit() > 0.0:
             return np.full(t_arr.shape, np.inf)
-        g, ladder = self.curve.grid, self.curve.knot_values
-        rate = self.curve.terminal_rate
-        cells = np.diff(g)
-        if self.curve.mode == "step":
-            cell_int = ladder[:-1] * cells
-        else:
-            cell_int = _geo_segment_integral(ladder[:-1], ladder[1:], cells)
+        c, (_, linear, slopes) = self.curve, self.curve._knots
+        g, ladder, rate = c.grid, c.knot_values, c.terminal_rate
+        cell_int = ladder[:-1] * _cell_share(0.0, np.diff(g), slopes[:-1], linear[:-1])
         suffix = np.append(np.cumsum(cell_int[::-1])[::-1], 0.0) \
             + (ladder[-1] / rate if rate else 0.0)
-        idx = self.curve._cell(t_arr)
+        idx = c._cell(t_arr)
         nxt = np.minimum(idx + 1, g.size - 1)
         inside = idx < g.size - 1
         tv = np.asarray(self._tail0(t_arr))
-        width = np.clip(g[nxt] - t_arr, 0.0, None)
-        if self.curve.mode == "step":
-            partial = np.where(inside, tv * width, 0.0)
-        else:
-            partial = np.where(inside & (width > 0.0),
-                               _geo_segment_integral(tv, ladder[nxt], width), 0.0)
+        width = np.clip(g[nxt] - t_arr, 0.0, None)  # from t to the cell's end
+        partial = np.where(inside, tv * _cell_share(0.0, width, slopes[idx],
+                                                    linear[idx]), 0.0)
         if rate:  # past the last knot the tail falls at the terminal rate
             return np.where(inside, suffix[nxt] + partial, tv / rate)
         return suffix[nxt] + partial
@@ -631,25 +612,12 @@ class Tabulated(DistributionSpec):
                    for v, a, b in zip(self.curve.values.tolist(), g, g[1:]))
 
     def _laplace0(self, mu):
-        """One sum over the cells for all the rates at once. A cell [a, a + w)
-        gives v_a e^{-mu a} times its share: (1 - e^{-mu w}) / mu for a step,
-        (1 - e^{-(mu + lam) w}) / (mu + lam) at log-slope -lam, w A(mu w)
-        (``_ramp_share``) for one falling linearly to zero, and 0 for a
-        repeated knot; past the last knot b, v_b e^{-mu b} / (mu +
-        terminal_rate)."""
-        c = self.curve
-        g, v = c.grid, c.knot_values
-        m = np.reshape(mu, (-1, 1))
-        w = np.diff(g)
-        if c.mode == "step":
-            share = -np.expm1(-m * w) / m
-        else:
-            _, linear, slopes = c._knots
-            rate = m - slopes[:-1]
-            with np.errstate(invalid="ignore"):  # repeated knots: inf * 0
-                share = np.where(w > 0.0, -np.expm1(-rate * w) / rate, 0.0)
-            if linear[:-1].any():
-                share = np.where(linear[:-1], w * _ramp_share(m * w), share)
+        """One sum over the cells for all the rates at once: a cell [a, a + w)
+        gives v_a e^{-mu a} times its ``_cell_share`` at mu, and past the
+        last knot b, v_b e^{-mu b} / (mu + terminal_rate)."""
+        c, (_, linear, slopes) = self.curve, self.curve._knots
+        g, v, m = c.grid, c.knot_values, np.reshape(mu, (-1, 1))
+        share = _cell_share(m, np.diff(g), slopes[:-1], linear[:-1])
         cells = np.concatenate(
             [v[:-1] * np.exp(-m * g[:-1]) * share,
              v[-1] * np.exp(-m * g[-1]) / (m + c.terminal_rate)], axis=1)
@@ -692,6 +660,21 @@ class Tabulated(DistributionSpec):
                        (ladder[idx] - ladder[nxt]) / np.maximum(g[nxt] - g[idx], _TINY),
                        -slopes[idx] * np.asarray(self._tail0(t_arr)))
         return np.where(t_arr < 0.0, 0.0, out)
+
+
+def _cell_share(m, w: np.ndarray, slopes: np.ndarray,
+                linear: np.ndarray) -> np.ndarray:
+    """Integral of e^{-m s} times a cell's tail over [0, w), relative to
+    the tail at the cell's start: (1 - e^{-(m - slope) w}) / (m - slope)
+    at log slope ``slope`` (w where m = slope, so a step cell gives w at
+    m = 0), w A(m w) (``_ramp_share``) on a cell falling linearly to zero,
+    and 0 on a repeated knot (w = 0)."""
+    rate = m - slopes
+    with np.errstate(divide="ignore", invalid="ignore"):  # repeated knots
+        share = np.where((rate == 0.0) | (w == 0.0), w, -np.expm1(-rate * w) / rate)
+    if linear.any():
+        share = np.where(linear, w * _ramp_share(m * w), share)
+    return share
 
 
 def _ramp_share(x: np.ndarray) -> np.ndarray:
@@ -746,18 +729,6 @@ def _libm(fn, *args) -> np.ndarray:
     lists = [a.ravel().tolist() for a in arrays]
     return np.fromiter(map(fn, *lists), dtype=float,
                        count=arrays[0].size).reshape(arrays[0].shape)
-
-
-def _geo_segment_integral(lo_v, hi_v, width):
-    """Integral over each cell (arrays) of the geometric interpolant from
-    lo_v to hi_v."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.log(np.maximum(hi_v, _TINY)) - np.log(np.maximum(lo_v, _TINY))
-        rate = -ratio / np.maximum(width, _TINY)
-        geo = (lo_v - hi_v) / np.maximum(rate, _TINY)
-    flatish = np.abs(ratio) < 1e-12
-    lin = 0.5 * (lo_v + hi_v) * width
-    return np.where(flatish | (lo_v <= _TINY) | (hi_v <= _TINY), lin, geo)
 
 
 # ----------------------------------------------------------------------
@@ -1004,12 +975,11 @@ def _segments_curve(segments) -> TailCurve:
 def _curve_segments(curve: TailCurve) -> list[list[float]]:
     """Inverse of _segments_curve: a segment starts at each knot that is
     not the left limit of a jump."""
-    g = curve.grid
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log(curve.knot_values)
-        rates = np.append(-np.diff(logs) / np.diff(g), curve.terminal_rate)
+    g, slopes = curve.grid, curve._knots[2]
+    with np.errstate(divide="ignore"):  # a zero knot: offset inf, not the floor
+        offsets = 0.0 - np.log(curve.knot_values)
     start = np.append(g[1:] != g[:-1], True)
-    return np.stack([g, 0.0 - logs, rates], axis=1)[start].tolist()
+    return np.stack([g, offsets, -slopes], axis=1)[start].tolist()
 
 
 def spec_to_dict(spec: DistributionSpec) -> dict:

@@ -126,7 +126,8 @@ def validate_generator(curve: MrlCurve) -> MrlCurve:
 class _CurveTables:
     knots: np.ndarray
     values: np.ndarray
-    slopes: np.ndarray      # one per segment, then the terminal slope
+    m_slopes: np.ndarray    # m's slope on each segment, then the terminal's
+    slopes: np.ndarray      # the same, clamped at -1 (the tail's pieces)
     cum_inv: np.ndarray     # int_0^knot dv/m at each knot
     knot_tails: np.ndarray  # tail values at the knots
     amp: np.ndarray         # per piece: tail = amp * m ** -(1 + 1/slope)
@@ -142,7 +143,8 @@ def _tables(curve: MrlCurve) -> _CurveTables:
     # validation admits slopes down to -1 - 1e-6, under which the tail would
     # rise (tail ~ m ** -(1 + 1/slope)): such pieces are flat instead, so
     # m0 / m * exp(-cum) holds its value across them
-    slopes = np.maximum(np.append(raw, curve.end_slope), -1.0)
+    m_slopes = np.append(raw, curve.end_slope)
+    slopes = np.maximum(m_slopes, -1.0)
     cum = np.zeros(g.size)
     for i in range(g.size - 1):
         cum[i + 1] = cum[i] + (math.log(v[i] / v[i + 1]) if raw[i] < -1.0 else
@@ -158,8 +160,8 @@ def _tables(curve: MrlCurve) -> _CurveTables:
                 amp[k] = m0 * math.exp(-float(cum[k])) * v0 ** (1.0 / s)
             except OverflowError:  # nearly flat piece: see FromMrl._isf0
                 pass
-    return _CurveTables(knots=g, values=v, slopes=slopes, cum_inv=cum,
-                        knot_tails=knot_tails, amp=amp, m0=m0,
+    return _CurveTables(knots=g, values=v, m_slopes=m_slopes, slopes=slopes,
+                        cum_inv=cum, knot_tails=knot_tails, amp=amp, m0=m0,
                         support_end=curve.support_end)
 
 
@@ -178,28 +180,31 @@ def tail_from_mrl(curve: MrlCurve, r):
     if curve.fn is not None:
         out = _tail_from_callable(curve, r_arr)
     else:
-        out = _tail_from_tables(curve, r_arr)
+        out = _pieces(curve, r_arr)[2]
     return out if np.asarray(r).shape else float(out[0])
 
 
-def _tail_from_tables(curve: MrlCurve, r_arr: np.ndarray) -> np.ndarray:
+def _pieces(curve: MrlCurve, r_arr: np.ndarray):
+    """One piece lookup for every point of ``r_arr``: the residual mean m
+    there (the curve's, 0 from the support end on), the slope s of the
+    tail's piece (m's slope clamped at -1, see ``_tables``) and the tail
+    m0 / m * exp(-int_0^r dv / m), flat where s = -1."""
     tb = _tables(curve)
-    g, v, slopes = tb.knots, tb.values, tb.slopes
+    g = tb.knots
     idx = np.clip(np.searchsorted(g, r_arr, side="right") - 1, 0, g.size - 1)
-    base_v = v[idx]
-    base_c = tb.cum_inv[idx]
-    s = slopes[np.minimum(idx, slopes.size - 1)]
+    base_v = tb.values[idx]
+    s = tb.slopes[idx]
     dt = r_arr - g[idx]
-    m_here = np.clip(base_v + s * dt, 0.0, None)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # r = inf
+        m_here = np.where(r_arr >= tb.support_end, 0.0,
+                          np.clip(base_v + tb.m_slopes[idx] * dt, 0.0, None))
         inc = np.where(np.abs(s) < 1e-14, dt / base_v,
                        np.log1p(s * dt / base_v) / np.where(s == 0.0, 1.0, s))
-        out = (tb.m0 / np.maximum(m_here, 1e-300)) * np.exp(-(base_c + inc))
+        out = (tb.m0 / np.maximum(m_here, 1e-300)) * np.exp(-(tb.cum_inv[idx] + inc))
     # slope -1: the tail is flat, m0 / m * exp(-cum) only up to rounding
     out = np.where(s == -1.0, tb.knot_tails[idx], out)
-    out = np.where(r_arr >= tb.support_end, 0.0, out)
     out = np.where(m_here <= 0.0, 0.0, out)
-    return out
+    return m_here, s, out
 
 
 def _tail_from_callable(curve: MrlCurve, r_arr: np.ndarray) -> np.ndarray:
@@ -284,9 +289,7 @@ class FromMrl(dist.DistributionSpec):
         return None
 
     def _tail0(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        out = _tail_from_tables(self.curve, np.where(np.isinf(t_arr), 0.0, t_arr))
-        out = np.where(np.isinf(t_arr), 0.0, out)
+        out = _pieces(self.curve, np.atleast_1d(np.asarray(t, dtype=float)))[2]
         return out if np.asarray(t).shape else out[0]
 
     def _isf0(self, u):
@@ -326,9 +329,8 @@ class FromMrl(dist.DistributionSpec):
         return out if np.asarray(u).shape else out[0]
 
     def _tail_rest0(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        m_here = np.asarray(self.curve(t_arr))
-        out = m_here * _tail_from_tables(self.curve, t_arr)
+        m_here, _, tl = _pieces(self.curve, np.atleast_1d(np.asarray(t, dtype=float)))
+        out = m_here * tl
         return out if np.asarray(t).shape else out[0]
 
     def _power_moment0(self, p):
@@ -361,14 +363,8 @@ class FromMrl(dist.DistributionSpec):
         return tuple(out)
 
     def _density0(self, t):
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        tb = _tables(self.curve)
-        idx = np.clip(np.searchsorted(tb.knots, t_arr, side="right") - 1, 0,
-                      tb.knots.size - 1)
-        s = tb.slopes[np.minimum(idx, tb.slopes.size - 1)]
-        m_here = np.clip(np.asarray(self.curve(t_arr)), 1e-300, None)
-        out = _tail_from_tables(self.curve, t_arr) * (1.0 + s) / m_here
-        out = np.where(t_arr >= tb.support_end, 0.0, out)
+        m_here, s, tl = _pieces(self.curve, np.atleast_1d(np.asarray(t, dtype=float)))
+        out = tl * (1.0 + s) / np.maximum(m_here, 1e-300)
         return out if np.asarray(t).shape else out[0]
 
     @classmethod

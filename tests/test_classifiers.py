@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -346,6 +347,34 @@ class TestMomentTransfer:
         assert rep.transformed_finite
         assert rep.consistent  # only finite => finite is claimed
 
+    @pytest.mark.parametrize("reset_name", ["det1", "exp1", "uniform02"])
+    def test_indicator_moment_is_the_restarted_tail(self, reset_name):
+        # E[1{T > x}] is the tail at x, before and after restart
+        spec, reset, x = weib(2.0), standard_resets()[reset_name], 1.3
+        rep = cls.moment_transfer_check(spec, reset,
+                                        d.MomentFunction.indicator_above(x))
+        assert rep.base_value == float(spec.tail(x))
+        if reset.kind == "deterministic":  # tail(1) tail(0.3)
+            want = float(rt.deterministic_reset_tail(spec, 1.0, x))
+            assert want == pytest.approx(math.exp(-1.09), rel=1e-14)
+        else:
+            want = float(rt.solver_reset_tail(spec, reset, 2.6, tol=1e-7)(x))
+        assert rep.transformed_value == want
+        assert rep.remainder_estimate == 0.0 and rep.consistent is None
+
+    def test_no_smaller_claims_finite_only_from_finite(self):
+        # no_smaller: a finite moment after restart needs a finite one before
+        rep = cls.moment_transfer_check(levy(), rt.ResetLaw.deterministic(1.0),
+                                        d.MomentFunction.identity(),
+                                        direction="no_smaller")
+        assert (rep.base_finite, rep.transformed_finite) == (False, True)
+        assert rep.consistent is False
+        rep = cls.moment_transfer_check(weib(2.0),
+                                        rt.ResetLaw.deterministic(1.0),
+                                        d.MomentFunction.identity(),
+                                        direction="no_smaller")
+        assert rep.base_finite and rep.consistent is True
+
 
 class TestClassifyReport:
     def test_exponential_all_invariances(self):
@@ -500,12 +529,32 @@ class TestClassifierVsSimulator:
 class TestInconclusive:
     def test_sub_tolerance_violation_reports_inconclusive(self):
         # a hand-made curve with a 1e-8 dent: beyond roundoff, below the
-        # tabulated tolerance of 1e-6
+        # tolerance of a curve known to 1e-7 (3e-7)
         grid = np.linspace(0.0, 8.0, 321)
         vals = np.exp(-grid)
         vals[40] *= 1.0 - 1e-8
         curve = d.TailCurve(grid=tuple(grid), values=tuple(vals[:-1]),
-                            terminal=float(vals[-1]), mode="log-linear")
+                            terminal=float(vals[-1]), mode="log-linear",
+                            err_estimate=1e-7)
         spec = d.Tabulated(curve=curve)
         v = cls.check_supermultiplicative(spec)["no_bigger"]
         assert v.status == "inconclusive"
+        # the same dent in an exact curve is judged at 1e-9: a violation
+        exact = d.Tabulated(curve=dataclasses.replace(curve, err_estimate=0.0))
+        assert cls.check_supermultiplicative(exact)["no_bigger"].fails
+
+    @pytest.mark.parametrize("law, mode, err, want", [
+        (pe_mean_only, "log-linear", 0.0, 1e-9),
+        (plateau, "log-linear", 0.0, 1e-9),
+        (pw_finite, "step", 0.0, 1e-9),
+        (pw_finite, "step", 1e-7, 3e-7),
+        (pe_mean_only, "log-linear", 1e-5, 3e-5)])
+    def test_tolerance_comes_from_the_curve_error(self, law, mode, err,
+                                                  want):
+        # every log-linear curve got max(1e-6, 3 err), exact piecewise
+        # exponential laws too, and a step curve 1e-9 whatever its error
+        spec = law()
+        curve = dataclasses.replace(spec.curve, err_estimate=err)
+        assert curve.mode == mode
+        got = cls.default_tolerance(d.Tabulated(curve=curve))
+        assert got == pytest.approx(want, rel=1e-15)

@@ -375,6 +375,18 @@ class TestTransform:
         err = json.loads(capsys.readouterr().out)["err_estimate"]
         assert 0.0 < err <= 1e-12
 
+    def test_single_that_misses_its_tolerance_is_a_data_error(self,
+                                                              spec_files,
+                                                              capsys):
+        # --tol was ignored: exit 0 with err_estimate 1.6e-14 over 1e-15,
+        # where the renewal solve exits 65
+        assert run(["transform", "--spec", spec_files["weibull"], "--shape",
+                    "0.5", "--reset", "exp:1", "--single", "--tol",
+                    "1e-15"]) == 65
+        err = capsys.readouterr().err
+        assert err.startswith("resetkit: data error: single-restart error "
+                              "estimate") and err.count("\n") == 1
+
 
 class TestSimulate:
     def test_byte_identical_reruns(self, spec_files, tmp_path):

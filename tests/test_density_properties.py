@@ -8,8 +8,10 @@ knots make the tail fall linearly), piecewise-exponential laws and laws
 generated by a residual-mean curve. On every law, the atoms ``jumps()``
 lists, the density's integral and the mass at infinity must sum to 1. For
 log-linear tabulated laws ``mean_upper_rest`` must equal split quadrature
-of the tail, and for step laws the closed-form mean must equal
-``mean_upper_rest`` at 0.
+of the tail (and for laws generated by a residual-mean curve, between
+two points), and for step laws the closed-form mean must equal
+``mean_upper_rest`` at 0. The closed-form families' densities go through
+the same tail-drop check.
 """
 import numpy as np
 import pytest
@@ -45,6 +47,24 @@ def test_density_integrates_to_the_tail_drop(spec):
         assert mass == pytest.approx(drop, abs=1e-10), (a, b)
 
 
+CLOSED_FORM = {f"{name} defect={defect}": make(defect)
+               for name, make in (
+                   ("exp", lambda m: d.Exponential(rate=1.5, defect=m)),
+                   ("weib05", lambda m: d.Weibull(shape=0.5, defect=m)),
+                   ("weib2", lambda m: d.Weibull(shape=2.0, defect=m)),
+                   ("sps", lambda m: d.ShiftedParetoSquare(offset=0.5, defect=m)),
+                   ("levy", lambda m: d.LevyFirstPassage(level=1.0, defect=m)))
+               for defect in (0.0, 0.2)}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+def test_closed_form_density_integrates_to_the_tail_drop(name):
+    # the CLI takes these as file: reset laws, whose densities enter the
+    # restarted tail
+    test_density_integrates_to_the_tail_drop.hypothesis.inner_test(
+        CLOSED_FORM[name])
+
+
 @PROPERTY
 @given(spec=st.one_of(piecewise_constant(), tabulated(), piecewise_exp(),
                       from_mrl()))
@@ -71,6 +91,22 @@ def test_loglinear_mean_upper_rest_matches_quadrature(spec, fracs):
     for t, value in zip(ts, got):
         want, _ = split_quad(lambda x: float(spec.tail(x)), float(t),
                              grid[-1], grid)
+        assert value == pytest.approx(want, abs=1e-10), t
+
+
+@PROPERTY
+@given(spec=from_mrl(), fracs=st.lists(unit, min_size=1, max_size=8))
+def test_from_mrl_mean_upper_rest_matches_quadrature(spec, fracs):
+    # the rest is m * tail at each point, so between two points it must be
+    # the tail's integral
+    knots = spec.curve.grid
+    end = min(spec.t0, knots[-1] + 3.0)
+    ts = end * np.asarray(fracs)
+    got = np.asarray(d.mean_upper_rest(spec, ts)) \
+        - float(d.mean_upper_rest(spec, end))
+    for t, value in zip(ts, got):
+        want, _ = split_quad(lambda x: float(spec.tail(x)), float(t), end,
+                             knots)
         assert value == pytest.approx(want, abs=1e-10), t
 
 

@@ -424,6 +424,26 @@ class TestJsonEnvelope:
         spec = d.spec_from_dict(doc)
         assert spec.mass_at_infinity == pytest.approx(0.1)
 
+    @pytest.mark.parametrize("name", ["exp1", "weib05", "pw_finite",
+                                      "pe_mean_only", "uniform02"])
+    def test_round_trip_keeps_the_mass_at_infinity(self, name):
+        spec = dataclasses.replace(ALL_LAWS[name](), defect=0.25)
+        doc = d.spec_to_dict(spec)
+        assert doc["mass_at_infinity"] == 0.25
+        assert d.spec_from_dict(doc) == spec
+
+    def test_explicit_terminal_key(self):
+        # values then hold one entry per cell, the terminal its own key
+        doc = {"family": "tabulated", "grid": [0.0, 1.0, 2.0],
+               "values": [0.8, 0.5], "terminal": 0.25,
+               "interpolation": "log-linear"}
+        spec = d.spec_from_dict(doc)
+        assert spec.curve.knot_values.tolist() == [0.8, 0.5, 0.25]
+        assert spec.mass_at_infinity == 0.25
+        back = d.spec_to_dict(spec)
+        assert back["values"] == [0.8, 0.5, 0.25] and "terminal" not in back
+        assert d.spec_from_dict(back) == spec
+
     def test_unknown_family(self):
         with pytest.raises(d.SpecValidationError):
             d.spec_from_dict({"family": "cauchy", "params": {}})
@@ -467,6 +487,14 @@ class TestJsonEnvelope:
         assert doc["family"] == "piecewise_exp"
         assert [s[0] for s in doc["params"]["segments"]] == [
             s[0] for s in segments]
+        assert d.spec_from_dict(doc) == spec
+
+    def test_piecewise_exp_round_trip_through_a_zero_knot(self):
+        # a tail dropping to 0 at a jump: its offset is inf, not the
+        # -log(1e-300) the cell table floors the log at
+        spec = pe_law(((0.0, 0.0, 1.0), (1.0, math.inf, 1.0)))
+        doc = d.spec_to_dict(spec)
+        assert doc["params"]["segments"][-1] == [1.0, math.inf, 1.0]
         assert d.spec_from_dict(doc) == spec
 
     def test_a_curve_without_a_terminal_rate_stays_tabulated(self):
