@@ -178,16 +178,11 @@ def cuts(a: float, b: float, points) -> np.ndarray:
     return edges
 
 
-def quad(fn, a: float, b: float, laws=(), points=(), args=(),
-         panel_index=False):
+def quad(fn, a: float, b: float, laws=(), points=(), args=()):
     """Integral of ``fn`` over [a, b] and its error estimate, with panels cut
     at every kink of ``laws`` and at ``points``; ``b`` may be inf. ``args``
-    broadcast against the panels (the last axis), as in ``panels``. With
-    ``panel_index``, ``fn`` also takes each row's panel number, after
-    ``args``, for ``distinct_panels``."""
+    broadcast against the panels (the last axis), as in ``panels``."""
     edges = cuts(a, b, np.concatenate([kinks(laws), np.ravel(points)]))
-    if panel_index:
-        args = (*args, np.arange(edges.size - 1))
     vals, errs = panels(fn, edges[:-1], edges[1:], args=args)
     vals, errs = np.sum(vals, axis=-1), np.sum(errs, axis=-1)
     return (vals, errs) if args else (float(vals), float(errs))

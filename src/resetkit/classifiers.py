@@ -392,10 +392,9 @@ def moment_transfer_check(spec: DistributionSpec, reset: rt.ResetLaw,
     restarted tail out to where it has geometrically decayed, with the
     leftover reported as an estimate, not a rigorous bound.
     """
-    base = dist.g_moment(spec, g)
+    base, rem = dist.g_moment(spec, g), 0.0
     if g.kind == "identity":
         val = rt.reset_mean(spec, reset)
-        rem = 0.0
     elif g.kind == "indicator_above":
         if reset.kind == "deterministic":
             val = float(rt.deterministic_reset_tail(spec, reset.period,
@@ -404,9 +403,8 @@ def moment_transfer_check(spec: DistributionSpec, reset: rt.ResetLaw,
             curve = rt.solver_reset_tail(spec, reset,
                                          max(2.0 * g.threshold, 1.0), tol=1e-7)
             val = float(curve(g.threshold))
-        rem = 0.0
     else:
-        val, rem = _transformed_power_moment(spec, reset, g.power)
+        val, rem = _transformed_moment(spec, reset, g)
     t_finite = np.isfinite(val) and rem < max(1e-6 * max(abs(val), 1.0), 1e-9)
     consistent = None
     if direction == "no_bigger":
@@ -419,14 +417,28 @@ def moment_transfer_check(spec: DistributionSpec, reset: rt.ResetLaw,
         direction=direction, consistent=consistent)
 
 
-def _transformed_power_moment(spec: DistributionSpec, reset: rt.ResetLaw,
-                              p: float) -> tuple[float, float]:
+def _transformed_moment(spec: DistributionSpec, reset: rt.ResetLaw,
+                        g: MomentFunction) -> tuple[float, float]:
+    """E[G(T_R)] for a power or tabulated G, as ``g_moment`` takes E[G(T)]:
+    G(0) plus G' against the restarted tail up to where it has decayed,
+    and the estimate tail(upper) (G(2 upper) - G(upper)) of the rest."""
+    p, knots = g.power, np.asarray(g.grid, dtype=float)
+    # a tabulated G is piecewise linear, constant beyond its grid
+    slopes = np.r_[0.0, np.diff(g.values) / np.diff(knots), 0.0]
+
+    def slope(t):
+        return p * t ** (p - 1.0) if g.kind == "power" else \
+            slopes[np.searchsorted(knots, t)]
+
+    def g_at(t):
+        return t ** p if g.kind == "power" else \
+            float(np.interp(t, knots, g.values))
     points = ()  # cuts besides the kinks of both laws
     if reset.kind == "deterministic":
         r = reset.period
         fr = float(spec.tail(r))
-        if fr >= 1.0:
-            return math.inf, math.inf
+        if fr >= 1.0:  # no run completes: G(inf), bounded if tabulated
+            return g_at(math.inf), math.inf if g.kind == "power" else 0.0
 
         def tail_fn(t):
             return np.asarray(rt.deterministic_reset_tail(spec, r, t))
@@ -450,13 +462,13 @@ def _transformed_power_moment(spec: DistributionSpec, reset: rt.ResetLaw,
         def tail_fn(t):
             return np.asarray(curve(np.asarray(t, dtype=float)))
 
-    head = quad(lambda t: p * t ** (p - 1.0) * tail_fn(t), 0.0, upper,
+    head = quad(lambda t: slope(t) * tail_fn(t), 0.0, upper,
                 laws=(spec, reset.spec),
-                points=np.r_[points, np.geomspace(max(upper * 1e-9, 1e-12),
-                                                  upper, 60)])[0]
+                points=np.r_[points, knots, np.geomspace(
+                    max(upper * 1e-9, 1e-12), upper, 60)])[0]
     tail_end = float(tail_fn(upper))
-    rem = tail_end * max((2.0 * upper) ** p - upper ** p, 0.0)
-    return head + rem, rem
+    rem = tail_end * max(g_at(2.0 * upper) - g_at(upper), 0.0)
+    return g_at(0.0) + head + rem, rem
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,7 @@ classifiers and simulators consume laws only through it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -324,26 +324,29 @@ class DistributionSpec:
         return self._support_end()
 
     def tail(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        base = self._tail0(np.where(np.isinf(t_arr), 0.0, t_arr))
-        out = self.defect + (1.0 - self.defect) * base
-        out = np.where(np.isinf(t_arr), 0.0, out)
+        t_arr, neg, x = _from_zero(t)
+        inf = np.isinf(t_arr)
+        base = self._tail0(np.where(inf, 0.0, x))
+        out = np.where(inf, 0.0, self.defect + (1.0 - self.defect) * base)
+        out[neg] = 1.0
         return out if out.shape else float(out)
 
     def log_tail(self, t):
-        t_arr = np.asarray(t, dtype=float)
+        t_arr, neg, x = _from_zero(t)
         if self.defect == 0.0:
-            out = self._log_tail0(t_arr)
+            out = self._log_tail0(x)
         else:
             with np.errstate(divide="ignore"):
-                out = np.log(self.tail(t_arr))
+                out = np.log(self.tail(x))
         out = np.where(np.isinf(t_arr), -np.inf, out)
+        out[neg] = 0.0
         return out if out.shape else float(out)
 
     def density(self, t):
         """Density of the absolutely continuous part (0 where purely atomic)."""
-        t_arr = np.asarray(t, dtype=float)
-        out = (1.0 - self.defect) * self._density0(t_arr)
+        _, neg, x = _from_zero(t)
+        out = np.asarray((1.0 - self.defect) * self._density0(x))
+        out[neg] = 0.0
         return out if out.shape else float(out)
 
     def isf(self, u):
@@ -357,6 +360,14 @@ class DistributionSpec:
         else:
             out = np.asarray(self._isf0(u_arr))
         return out if out.shape else float(out)
+
+
+def _from_zero(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """t, its negative times and t with those at 0 for the hooks: T >= 0,
+    so there the tail is 1, its log 0, the density 0, the rest rest(0) - t."""
+    t = np.asarray(t, dtype=float)
+    neg = t < 0.0
+    return t, neg, np.where(neg, 0.0, t) if neg.any() else t
 
 
 # ----------------------------------------------------------------------
@@ -536,7 +547,7 @@ class LevyFirstPassage(DistributionSpec):
     def _density0(self, t):
         t_arr = np.asarray(t, dtype=float)
         a = self.level
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             out = a / np.sqrt(2.0 * np.pi) * np.maximum(t_arr, 1e-300) ** -1.5 \
                 * np.exp(-a * a / (2.0 * np.maximum(t_arr, 1e-300)))
         return np.where(t_arr <= 0.0, 0.0, out)
@@ -656,10 +667,9 @@ class Tabulated(DistributionSpec):
         idx = self.curve._cell(t_arr)
         nxt = np.minimum(idx + 1, g.size - 1)
         # the tail falls linearly over a cell with a (numerically) zero end
-        out = np.where(linear[idx] & (idx < g.size - 1),
-                       (ladder[idx] - ladder[nxt]) / np.maximum(g[nxt] - g[idx], _TINY),
-                       -slopes[idx] * np.asarray(self._tail0(t_arr)))
-        return np.where(t_arr < 0.0, 0.0, out)
+        return np.where(linear[idx] & (idx < g.size - 1),
+                        (ladder[idx] - ladder[nxt]) / np.maximum(g[nxt] - g[idx], _TINY),
+                        -slopes[idx] * np.asarray(self._tail0(t_arr)))
 
 
 def _cell_share(m, w: np.ndarray, slopes: np.ndarray,
@@ -786,12 +796,12 @@ def characteristic_scale(spec: DistributionSpec) -> float:
 
 def mean_upper_rest(spec: DistributionSpec, t):
     """Integral of the tail over [t, inf); inf when divergent."""
-    t_arr = np.asarray(t, dtype=float)
+    t_arr, neg, x = _from_zero(t)
     if spec.mass_at_infinity > 0.0:
         out = np.full(t_arr.shape, np.inf)
         return out if out.shape else float(out)
-    base = spec._tail_rest0(t_arr)
-    out = (1.0 - spec.defect) * np.asarray(base)
+    base = spec._tail_rest0(x)
+    out = (1.0 - spec.defect) * np.asarray(base) - np.where(neg, t_arr, 0.0)
     return out if out.shape else float(out)
 
 
@@ -998,16 +1008,7 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
         doc["values"] = spec.curve.knot_values.tolist()
         doc["interpolation"] = spec.curve.mode
         return doc
-    if isinstance(spec, Exponential):
-        doc["params"] = {"rate": spec.rate}
-    elif isinstance(spec, Weibull):
-        doc["params"] = {"shape": spec.shape}
-    elif isinstance(spec, ShiftedParetoSquare):
-        doc["params"] = {"offset": spec.offset}
-    elif isinstance(spec, LevyFirstPassage):
-        doc["params"] = {"level": spec.level}
-    elif hasattr(spec, "to_params"):
-        doc["params"] = spec.to_params()
-    else:
-        raise SpecValidationError(f"cannot serialize family {spec.family!r}")
+    doc["params"] = spec.to_params() if hasattr(spec, "to_params") else {
+        f.name: getattr(spec, f.name) for f in fields(spec)
+        if f.init and f.name not in ("defect", "check_standing")}
     return doc

@@ -9,12 +9,13 @@ and Numerical Methods for Volterra Equations, SIAM 1985), which keeps the
 scheme second order there. Its weights depend only on the lag: one
 lower-triangular Toeplitz system, solved in O(n log n) by inverting its
 kernel as a power series (Newton's iteration, Kung 1974) and applying the
-inverse with FFT products; under l-fold
-branching each cycle has its own weights and the recursion runs backward,
-each cycle's kernel and free part cut where tail**(l**j) falls below
+inverse with FFT products. Under l-fold branching each cycle has its own
+weights and the recursion runs backward from the last cycle: that system
+where every later cycle repeats its race (l = 1, and cycle 60), else its
+race alone, each kernel and free part cut where tail**(l**j) falls below
 2**-64, so that a cycle costs in proportion to its support. Deterministic
 restart has closed forms, exponential restart closed-form means; a
-branching mean is one series over the cycles, as deep as the solver goes.
+branching mean is one series over the cycles, closed as the solver is.
 Integrals against the laws are tanh-sinh panels cut at kinks.
 """
 from __future__ import annotations
@@ -158,8 +159,9 @@ class ResetLaw:
         for loc, w in self.atoms():
             total += w * np.exp(m * np.asarray(spec.log_tail(loc)))
         if self.has_density:
-            total += quad(f, 0.0, self.horizon(), laws=(spec, self.spec),
-                          args=(m[..., None],), panel_index=True)[0]
+            edges = cuts(0.0, self.horizon(), kinks((spec, self.spec)))
+            total += np.sum(panels(f, edges[:-1], edges[1:], args=(
+                m[..., None], np.arange(edges.size - 1)))[0], axis=-1)
         return total if m.ndim else float(total)
 
 
@@ -301,6 +303,7 @@ def _lag_kernel(spec: DistributionSpec, reset: ResetLaw, h: float, m: float,
         kern *= h
         kern[cells] = 0.0
         np.add.at(kern, owner[inside], pieces[inside])
+        free_next = free_next[:heads.size + 1]
         corr = heads / h - 0.5 * (free_next[:-1] + free_next[1:])
         src[1:size + 1] += kern * (0.5 * y0 + corr[0])
         for c in range(1, corr.size):
@@ -354,62 +357,62 @@ def _jump_nodes(spec: DistributionSpec,
     return loc, node.astype(int)
 
 
-def _renewal_fixed_point(spec: DistributionSpec, reset: ResetLaw,
-                         upper: float, n: int) -> np.ndarray:
-    """Forward solve of the restarted tail on the uniform grid i*upper/n.
-
-    The continuation is the solution itself: one lower-triangular Toeplitz
-    system in y[1..n], the terms in y[0] in the source.
-    """
-    h = upper / n
-    # the free part, then the solution; taken before the cell masses, so
-    # that the temporaries of the two evaluations never coexist
-    t = np.arange(n + 1) * h
-    y = np.asarray(spec.tail(t)) * np.asarray(reset.tail(t))
-    del t
-    mid, exact = _cell_integrals(spec, reset, h, n, [1.0], 1)
-    w0 = sum(w for loc, w in reset.atoms() if loc == 0.0)
-    kern = _lag_kernel(spec, reset, h, 1.0, 1.0, mid, exact[0], y,
-                       y[0] / (1.0 - float(spec.tail(0.0)) * w0), y[:3], n)
-    del mid
-    np.negative(kern, out=kern)  # the system's first column: 1 - kern[0],
-    kern[0] += 1.0               # then -kern[d]
-    _solve_lower_toeplitz(kern, y[1:])
-    return y
-
-
 def _branching_pass(spec: DistributionSpec, reset: ResetLaw, l: int,
                     depth: int, upper: float, n: int) -> np.ndarray:
-    """Backward solve of the tail under l-fold branching on i*upper/n.
+    """Solve of the tail under l-fold restart on i*upper/n.
 
     Cycle j races m = l**j copies: y_j = src_j + kern_j * y_{j+1}, from
-    y_depth, the race of cycle ``depth`` alone, down to y_0. The free part
-    is exact over eight cells, as many copies steepen it at 0. Each cycle
-    costs in proportion to its support. From the first node c_j where
-    tail**m <= _CUT = 2**-64, the free part is at most _CUT and the cell
-    masses sum to at most _CUT * P(R > c_j h), so src_j and kern_j stop at
+    y_depth down to y_0. At l = 1 (depth 0) and at depth _DEPTH_CAP every
+    later cycle repeats the last one's race (from cycle 60 on, the law's
+    dead time), so y_depth is the fixed point y = src + kern * y: one
+    lower-triangular Toeplitz system in y[1..n], the terms in y[0] in the
+    source. Below the cap it is the race of cycle ``depth`` alone. The
+    continuation's free part tail**(l m) * reset tail is exact over two
+    cells at l = 1, else eight, as many copies steepen it at 0 (at cycle
+    60, tail**(l m) is tail**m to within _CUT). Every other cycle costs in
+    proportion to its support: from the first node c_j where tail**m <=
+    _CUT = 2**-64, the free part is at most _CUT and the cell masses sum
+    to at most _CUT * P(R > c_j h), so src_j and kern_j stop at
     K_j = c_j + 1 cells (at least nine, and every atom's taps): y_j moves
-    by at most 2 * _CUT, 1.1e-19, far below the product's own rounding.
-    The product is one FFT product of a fast length >= n + K_j - 1 rather
-    than 2n (short-kernel convolution: Stockham, AFIPS 1966), the least
+    by at most 2 * _CUT, 1.1e-19, below the product's own rounding. The
+    product is one FFT of a fast length >= n + K_j - 1 rather than 2n
+    (short-kernel convolution: Stockham, AFIPS 1966), the least
     2**a 3**b 5**c from ``_fast_len``.
     """
     h = upper / n
     t = np.arange(n + 1) * h
     tail_t, reset_t = np.asarray(spec.tail(t)), np.asarray(reset.tail(t))
+    del t
+    closed = l == 1 or depth == _DEPTH_CAP
     powers = float(l) ** np.arange(depth + 1)
-    mid, exact = _cell_integrals(spec, reset, h, n, powers[:-1], l)
     # c_j: the first node past which the nonincreasing majorant of the tail
     # is at most the root of _CUT, stepped down where rounding put it above
     root = _CUT ** (1.0 / powers)
     root = np.where(root ** powers > _CUT, np.nextafter(root, 0.0), root)
     upper_tail = np.maximum.accumulate(tail_t[::-1])[::-1]
     cut = np.searchsorted(-upper_tail, -root)
+    del upper_tail
     lags = [_atom_lag(loc, h) for loc, _ in reset.atoms()]
     least = max([9] + [lag + 1 for lag in lags if lag <= n])
     size = np.minimum(n, np.maximum(cut + 1, least))
+    if closed:  # the Toeplitz solve spans the grid, cut or not
+        size[-1] = n
     y = _free_part(tail_t, reset_t, powers[-1], size[-1])
     head = y[:9].copy()  # the continuation's free part at its first nodes
+    if not depth:  # no cycle below: only the fixed point's arrays from here
+        del tail_t, reset_t
+    mid, exact = _cell_integrals(spec, reset, h, n, powers[:depth + closed], l)
+    if closed:
+        m = powers[-1]
+        w0 = sum(w for loc, w in reset.atoms() if loc == 0.0)
+        kern = _lag_kernel(spec, reset, h, m, m, mid, exact[-1], y,
+                           y[0] / (1.0 - float(spec.tail(0.0)) ** m * w0),
+                           head, n)
+        if not depth:
+            del mid
+        np.negative(kern, out=kern)  # the system's first column: 1 - kern[0],
+        kern[0] += 1.0               # then -kern[d]
+        _solve_lower_toeplitz(kern, y[1:])
     for j in range(depth - 1, -1, -1):
         k = int(size[j])
         src = _free_part(tail_t, reset_t, powers[j], k)
@@ -555,7 +558,8 @@ def _cycle_reach(spec: DistributionSpec, reset: ResetLaw, l: int,
     cycle D is the first reached with probability <= 1e-3 tol, or the 60th.
     The powers past l**16 are integrated only where cycle 16 is reached
     with more than that probability: each power's panels converge on
-    their own, so the first 17 keep their bits either way."""
+    their own, so the first 17 keep their bits either way. Raises
+    SeriesNotConvergingError where cycle D surely ends in a restart."""
     powers = float(l) ** np.arange(_DEPTH_CAP + 1)
     # clipped, as tail**m at m = l**59 magnifies a tail rounded past 1
     q = np.clip(reset.expect_tail_power(spec, powers[:_REACH_HEAD]), 0.0, 1.0)
@@ -564,6 +568,9 @@ def _cycle_reach(spec: DistributionSpec, reset: ResetLaw, l: int,
             spec, powers[_REACH_HEAD:]), 0.0, 1.0))
     reach = np.cumprod(q)
     depth = min(int(np.count_nonzero(reach > 1e-3 * tol)) + 1, _DEPTH_CAP)
+    if not q[depth] < 1.0:
+        raise SeriesNotConvergingError(
+            f"cycle {depth} ends in a restart surely; restart never completes")
     return depth, q, reach
 
 
@@ -581,26 +588,22 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
                       n_max: int = 262144) -> TailCurve:
     """Renewal-solve the restarted tail on [0, upper] with error control.
 
-    Cycle j races l**j copies: forward for l = 1, else backward from the
-    first cycle reached with probability at most tol * 1e-3 (by the 60th).
-    The grid doubles until that probability plus the grid-halving estimate
-    of the second-order scheme's error is within tolerance, or until one
-    more doubling would pass n_max."""
+    Cycle j races l**j copies (``_branching_pass``), to the first cycle
+    reached with probability at most tol * 1e-3, or closed at the 60th.
+    The grid doubles until that probability (0 for a closed cycle) plus
+    the grid-halving estimate of the second-order scheme's error is within
+    tolerance, or until one more doubling would pass n_max."""
     _check_branching(l)
     _check_solve(upper, tol)
-    solve, bound = functools.partial(_renewal_fixed_point, spec, reset), 0.0
+    depth, bound = 0, 0.0
     if l > 1:
         depth, _, reach = _cycle_reach(spec, reset, l, tol)
-        bound = float(reach[depth - 1])
-        if not bound <= tol:
-            raise SeriesNotConvergingError(
-                f"cycle {depth} is reached with probability {bound:.3g} > {tol:g}")
-        solve = functools.partial(_branching_pass, spec, reset, l, depth)
+        bound = float(reach[depth - 1]) if depth < _DEPTH_CAP else 0.0
     n = max(n0, _N_MIN)
     n_eff, upper_eff = _snap_grid(reset, upper, n, n_max)
-    coarse = solve(upper_eff, n_eff // 2)
+    coarse = _branching_pass(spec, reset, l, depth, upper_eff, n_eff // 2)
     while True:
-        fine = solve(upper_eff, n_eff)
+        fine = _branching_pass(spec, reset, l, depth, upper_eff, n_eff)
         err = float(np.max(np.abs(fine[::2] - coarse))) / 3.0 + bound
         coarse = fine
         if err <= tol or 2 * n_eff > n_max:
@@ -828,16 +831,15 @@ def branching_deterministic_tail(spec: DistributionSpec, r: float, l: int, t):
 
 
 def _branching_mean(spec: DistributionSpec, reset: ResetLaw, l: int) -> float:
-    """Mean under restart by ``reset`` with l-fold branching, l >= 2: cycle
-    j lasts race_j = integral of tail**(l**j) * P(R > t) on average and is
+    """Mean under restart by ``reset`` with l-fold branching: cycle j
+    lasts race_j = integral of tail**(l**j) * P(R > t) on average and is
     reached with probability reach[j - 1] of ``_cycle_reach``. The cycles
     past its depth D add reach[D - 1] race_D / (1 - q[D]), each taken to
-    repeat D's race: at D = 60 they race l**59 copies or more, so each lasts
-    the law's dead time; below 60, reach[D - 1] is at most 1e-15."""
+    repeat D's race, as ``_branching_pass`` takes them: they do at l = 1,
+    and from D = 60 on each lasts the law's dead time; below 60,
+    reach[D - 1] is at most 1e-15."""
+    _check_branching(l)
     depth, q, reach = _cycle_reach(spec, reset, l, _TRUNC)
-    if not q[depth] < 1.0:
-        raise SeriesNotConvergingError(
-            f"cycle {depth} ends in a restart surely; restart never completes")
     upper = reset.horizon()
 
     def f(t, m):
@@ -852,20 +854,9 @@ def _branching_mean(spec: DistributionSpec, reset: ResetLaw, l: int) -> float:
 
 def branching_mean_deterministic(spec: DistributionSpec, r: float, l: int) -> float:
     """Mean under period-r restart with l-fold branching (cycle series)."""
-    _check_branching(l)
-    reset = ResetLaw.deterministic(r)
-    if l == 1:
-        p_done = float(np.asarray(dist.cdf(spec, r)))
-        if p_done <= 0.0:
-            raise SeriesNotConvergingError("tail(r) = 1; restart never completes")
-        return _tail_integral(spec, 0.0, r) / p_done
-    return _branching_mean(spec, reset, l)
+    return _branching_mean(spec, ResetLaw.deterministic(r), l)
 
 
 def branching_mean_exponential(spec: DistributionSpec, mu: float, l: int) -> float:
     """Mean under rate-mu restart with l-fold branching (cycle series)."""
-    _check_branching(l)
-    reset = ResetLaw.exponential(mu)
-    if l == 1:
-        return exp_reset_mean(spec, mu)
-    return _branching_mean(spec, reset, l)
+    return _branching_mean(spec, ResetLaw.exponential(mu), l)

@@ -1,7 +1,7 @@
 """The renewal solver's original step-by-step recursion, kept as a reference.
 
-``reset_transform._renewal_fixed_point`` solves the same discretisation as
-one lower-triangular Toeplitz system; this loop builds each step's sum
+``reset_transform._branching_pass`` at l = 1 solves the same discretisation
+as one lower-triangular Toeplitz system; this loop builds each step's sum
 directly, costs O(n^2), and is what the fast solve is checked against.
 The body is the loop the library used to run, plus the jump terms of the
 second-order scheme (``jump_terms``), whose partial cells it integrates

@@ -339,6 +339,27 @@ class TestMomentTransfer:
         assert rep.transformed_value - rep.remainder_estimate == \
             pytest.approx(want, abs=1e-7)
 
+    @pytest.mark.parametrize("reset_name", ["det1", "exp1"])
+    def test_tabulated_moment_is_taken_against_the_restarted_tail(
+            self, reset_name):
+        # G rises from 0 at t = 1 to 1 at t = 5, so E[G(T_R)] is 0.25 times
+        # the restarted tail's integral over [1, 5]; it read the restarted
+        # mean, 1.18146 under det:1, where this is 0.106668
+        spec, reset = weib(2.0), standard_resets()[reset_name]
+        if reset.kind == "deterministic":
+            def tail(t):
+                return float(rt.deterministic_reset_tail(spec, 1.0, t))
+        else:
+            tail = rt.solver_reset_tail(spec, reset, 5.0, tol=1e-9)
+        want = 0.25 * split_quad(lambda t: float(tail(t)), 1.0, 5.0,
+                                 [2.0, 3.0, 4.0])[0]
+        rep = cls.moment_transfer_check(
+            spec, reset, d.MomentFunction.tabulated((0.0, 1.0, 5.0),
+                                                    (0.0, 0.0, 1.0)))
+        # the check solves to tol 1e-7, and G' integrates to 1
+        assert rep.transformed_value == pytest.approx(want, abs=1e-7)
+        assert rep.transformed_finite
+
     def test_levy_identity_becomes_finite(self):
         rep = cls.moment_transfer_check(levy(), rt.ResetLaw.deterministic(1.0),
                                         d.MomentFunction.identity(),

@@ -277,18 +277,21 @@ class TestTransform:
         assert np.max(np.abs(got - want)) <= \
             payload["err_estimate"] + ref.err_estimate + 1e-6
 
-    def test_branching_that_does_not_stop_is_a_data_error(self, tmp_path,
-                                                           capsys):
+    def test_branching_past_cycle_60_answers(self, tmp_path):
         # T is uniform on [1, 2] and R mostly falls before 1, so every cycle
-        # restarts with probability 0.993: cycle 60 is still reached
+        # restarts with probability 0.993: cycle 60 is still reached, and
+        # the solve, which refused (exit 65), closes the series there
         p = tmp_path / "u12.json"
         p.write_text(json.dumps({"family": "from_mrl", "params": {
             "grid": [0.0, 1.0], "values": [1.5, 0.5], "terminal": "linear",
             "terminal_slope": -0.5}}))
+        out = tmp_path / "t.csv"
         assert run(["transform", "--spec", str(p), "--reset", "exp:5",
-                    "--branching", "2", "-o", str(tmp_path / "t.csv")]) == 65
-        err = capsys.readouterr().err
-        assert "data error: cycle 60 is reached with probability 0.6" in err
+                    "--branching", "2", "-o", str(out)]) == 0
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in
+                         out.read_text().splitlines()[1:]])
+        # every copy lasts the dead time [0, 1): the tail is 1 there
+        assert np.all(rows[rows[:, 0] < 1.0, 2] >= 1.0 - 1e-6)
 
     def test_json_output_roundtrips_as_spec(self, spec_files, tmp_path):
         out = tmp_path / "transformed.json"
@@ -313,8 +316,8 @@ class TestTransform:
         rows = np.array([[float(x) for x in ln.split(",")] for ln in
                          out.read_text().splitlines()[1:]])
         # a solve of 999 * 1,024 cells (about 2**20) has every point as a node
-        want = rt._renewal_fixed_point(d.spec_from_dict(json.loads(
-            p.read_text())), rt.ResetLaw.exponential(1.0), 3.0,
+        want = rt._branching_pass(d.spec_from_dict(json.loads(
+            p.read_text())), rt.ResetLaw.exponential(1.0), 1, 0, 3.0,
             999 * 1024)[::1024]
         assert np.max(np.abs(rows[:, 2] - want)) <= 1e-6
 
@@ -331,12 +334,12 @@ class TestTransform:
         # weibull(0.5) under exp:1 to its default horizon 429 needs 262,144
         # cells from n0 = 8,192
         seen = []
-        solve = rt._renewal_fixed_point
+        solve = rt._branching_pass
 
-        def record(spec, reset, upper, n):
+        def record(spec, reset, l, depth, upper, n):
             seen.append(n)
-            return solve(spec, reset, upper, n)
-        monkeypatch.setattr(rt, "_renewal_fixed_point", record)
+            return solve(spec, reset, l, depth, upper, n)
+        monkeypatch.setattr(rt, "_branching_pass", record)
         out = tmp_path / "t.csv"
         assert run(["transform", "--spec", spec_files["weibull"],
                     "--shape", "0.5", "--reset", "exp:1",

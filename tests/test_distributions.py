@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,21 @@ class TestTail:
         assert np.all(np.diff(vals) <= 1e-12)
         assert vals[0] > 0.0
         assert np.all(vals[grid > 0.0] < 1.0)
+
+    @pytest.mark.parametrize("name", sorted(ALL_LAWS))
+    def test_negative_times(self, name):
+        # T >= 0: at t = -0.5 the tail read 1.6487 (exp1), nan (weib05),
+        # 0.7788 (weib2), inf (sps05) and 1.25 (uniform02), weib2's density
+        # -0.7788, and pe_mean_only's rest 0.9894 rather than rest(0) + 0.5
+        spec, t = ALL_LAWS[name](), np.array([-np.inf, -2.0, -0.5, -1e-300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(spec.tail(t) == 1.0) and spec.tail(-0.5) == 1.0
+            assert np.all(spec.log_tail(t) == 0.0)
+            assert np.all(spec.density(t) == 0.0)
+            rest0 = d.mean_upper_rest(spec, 0.0)
+            np.testing.assert_array_equal(d.mean_upper_rest(spec, t[1:3]),
+                                          rest0 + np.array([2.0, 0.5]))
 
     def test_log_tail_matches_tail(self):
         for make in ALL_LAWS.values():

@@ -35,7 +35,7 @@ def test_matches_loop_on_solver_grid(law, reset_name):
     spec, reset = ALL_LAWS[law](), RESETS[reset_name]()
     n, upper = rt._snap_grid(reset, UPPER, N, 131072)
     want = renewal_fixed_point_loop(spec, reset, upper, n)
-    got = rt._renewal_fixed_point(spec, reset, upper, n)
+    got = rt._branching_pass(spec, reset, 1, 0, upper, n)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
@@ -49,7 +49,7 @@ def test_matches_loop_on_unsnapped_grid(law, reset_name):
     for loc, _ in reset.atoms():
         assert not math.isclose(loc * n / UPPER, round(loc * n / UPPER))
     want = renewal_fixed_point_loop(spec, reset, UPPER, n)
-    got = rt._renewal_fixed_point(spec, reset, UPPER, n)
+    got = rt._branching_pass(spec, reset, 1, 0, UPPER, n)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
@@ -183,9 +183,7 @@ def jump_law_pass(law: str, reset_name: str, l: int):
     """The law's solve on n cells of [0, UPPER], as ``solver_reset_tail``
     runs it (for l >= 2, to the depth it takes at tol 1e-6)."""
     spec, reset = ALL_LAWS[law](), RESETS[reset_name]()
-    if l == 1:
-        return lambda n: rt._renewal_fixed_point(spec, reset, UPPER, n)
-    depth = rt._cycle_reach(spec, reset, l, 1e-6)[0]
+    depth = rt._cycle_reach(spec, reset, l, 1e-6)[0] if l > 1 else 0
     return lambda n: rt._branching_pass(spec, reset, l, depth, UPPER, n)
 
 
@@ -303,8 +301,8 @@ def test_largest_grid_memory():
     n = 131072
     tracemalloc.start()
     try:
-        rt._renewal_fixed_point(weib(0.5), rt.ResetLaw.exponential(1.0),
-                                429.0, n)
+        rt._branching_pass(weib(0.5), rt.ResetLaw.exponential(1.0), 1, 0,
+                           429.0, n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -295,7 +295,7 @@ class TestRenewalSolver:
     def test_tolerance_no_solve_can_meet(self, monkeypatch, tol):
         # nan passed as met (err > nan is False) after the whole ladder;
         # 0 and -1 ran the ladder to 262,144 cells before failing
-        monkeypatch.setattr(rt, "_renewal_fixed_point", None)
+        monkeypatch.setattr(rt, "_branching_pass", None)
         reset, grid = rt.ResetLaw.exponential(1.0), np.linspace(0.0, 4.0, 9)
         with pytest.raises(ValueError, match="tolerance"):
             rt.reset_tail(weib(2.0), reset, grid, tol=tol)
@@ -307,7 +307,7 @@ class TestRenewalSolver:
     def test_grid_that_does_not_end_past_zero(self, monkeypatch, grid):
         # the solve divided by a zero or non-finite cell width, warned, and
         # failed as an invalid tail curve; an empty grid raised IndexError
-        monkeypatch.setattr(rt, "_renewal_fixed_point", None)
+        monkeypatch.setattr(rt, "_branching_pass", None)
         reset = rt.ResetLaw.exponential(1.0)
         with pytest.raises(ValueError, match="grid must end"):
             rt.reset_tail(weib(2.0), reset, grid)
@@ -344,12 +344,12 @@ class TestRenewalSolver:
         # (4,096); missing the tolerance there, the solve runs again from n0,
         # and no solve is ever larger than n_max
         sizes = []
-        solve = rt._renewal_fixed_point
+        solve = rt._branching_pass
 
-        def record(spec, reset, upper, n):
+        def record(spec, reset, l, depth, upper, n):
             sizes.append(n)
-            return solve(spec, reset, upper, n)
-        monkeypatch.setattr(rt, "_renewal_fixed_point", record)
+            return solve(spec, reset, l, depth, upper, n)
+        monkeypatch.setattr(rt, "_branching_pass", record)
         with pytest.raises(rt.GridTooCoarseError):
             rt.reset_tail(weib(0.5), rt.ResetLaw.exponential(1.0),
                           np.linspace(0.0, 10.0, 101), tol=1e-14, n0=256,
@@ -362,12 +362,12 @@ class TestRenewalSolver:
         # the coarse pass), whose doublings miss n_max = 32,768: the ladder
         # stops at 16,408 rather than going on to 32,816
         sizes = []
-        solve = rt._renewal_fixed_point
+        solve = rt._branching_pass
 
-        def record(spec, reset, upper, n):
+        def record(spec, reset, l, depth, upper, n):
             sizes.append(n)
-            return solve(spec, reset, upper, n)
-        monkeypatch.setattr(rt, "_renewal_fixed_point", record)
+            return solve(spec, reset, l, depth, upper, n)
+        monkeypatch.setattr(rt, "_branching_pass", record)
         reset = rt.ResetLaw.general(pe_law(((0.0, 0.0, 1.0),
                                             (0.5, 1.2, 1.0))))
         with pytest.raises(rt.GridTooCoarseError):
@@ -645,6 +645,21 @@ class TestBranching:
         want, rel = DEAD_TIME_L2_MEANS[mu]
         assert rt.branching_mean_exponential(spec, mu, 2) == \
             pytest.approx(want, rel=rel)
+
+    def test_branching_tail_past_a_dead_time_integrates_to_the_mean(self):
+        # cycle 60 is reached with probability 0.68: the solve refused; its
+        # last cycle now repeats itself, as the mean's remainder does
+        spec = mrl.law_from_mrl(mrl.MrlCurve(
+            grid=(0.0, 1.0), values=(1.5, 0.5), terminal="linear",
+            terminal_slope=-0.5))
+        upper = 400.0  # 13 means: the tail's integral past it is ~5e-5
+        curve = rt.solver_reset_tail(spec, rt.ResetLaw.exponential(5.0),
+                                     upper, l=2, tol=3e-4)
+        grid, vals = np.asarray(curve.grid), curve.knot_values
+        mean = float(np.trapezoid(vals, grid))
+        quad_err = abs(mean - float(np.trapezoid(vals[::2], grid[::2])))
+        assert mean == pytest.approx(DEAD_TIME_L2_MEANS[5.0][0],
+                                     abs=curve.err_estimate * upper + quad_err)
 
     @pytest.mark.parametrize("name", ["exp1", "weib05", "weib2", "sps05",
                                       "pw_finite", "pe_mean_only",
