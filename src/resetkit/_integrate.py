@@ -273,8 +273,8 @@ def gl_panel(edges: np.ndarray, order: int = 12) -> tuple[np.ndarray, np.ndarray
 
 _LADDER = np.array([1e-12, 1e-10, 1e-8, 1e-6, 1e-5, 1e-4, 1e-3, 3e-3,
                     1e-2, 3e-2, 0.1, 0.2, 0.35, 0.5])
-_GRADED = np.unique(np.concatenate([[0.0], _LADDER, 1.0 - _LADDER[::-1],
-                                    [1.0]]))
+# 0, the ladder and its mirror about 0.5, and 1: sorted, each edge once
+_GRADED = np.concatenate([[0.0], _LADDER, 1.0 - _LADDER[-2::-1], [1.0]])
 _BLOCK_NODES = 1 << 13  # nodes per block of t in convolution_sums
 
 

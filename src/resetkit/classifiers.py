@@ -455,7 +455,7 @@ def _transformed_moment(spec: DistributionSpec, reset: rt.ResetLaw,
         curve = None
         for _ in range(8):
             curve = rt.solver_reset_tail(spec, reset, upper, tol=1e-7)
-            if curve.terminal < 1e-10:
+            if curve(upper) < 1e-10:
                 break
             upper *= 2.0
 

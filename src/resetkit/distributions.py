@@ -289,6 +289,11 @@ class DistributionSpec:
         needed."""
         return None
 
+    def _laplace_law0(self, mu: np.ndarray) -> np.ndarray | None:
+        """Closed-form E[exp(-mu T)] of the base law for each rate of
+        ``mu`` (> 0), None where it is only 1 - mu times ``_laplace0``."""
+        return None
+
     def _moment_sup_order(self) -> float:
         """Supremum of p with E[T^p] finite for the base law."""
         return np.inf
@@ -537,9 +542,11 @@ class LevyFirstPassage(DistributionSpec):
         return a ** (2.0 * p) * 2.0 ** (-p) * float(_sp.gamma(0.5 - p) / _sp.gamma(0.5))
 
     def _laplace0(self, mu):
-        # E[exp(-mu T)] = exp(-level sqrt(2 mu)), and the tail's transform
-        # is (1 - E[exp(-mu T)]) / mu
+        # the tail's transform is (1 - E[exp(-mu T)]) / mu
         return -np.expm1(-self.level * np.sqrt(2.0 * mu)) / mu
+
+    def _laplace_law0(self, mu):
+        return np.exp(-self.level * np.sqrt(2.0 * mu))
 
     def _moment_sup_order(self):
         return 0.5

@@ -9,10 +9,13 @@ and Numerical Methods for Volterra Equations, SIAM 1985), which keeps the
 scheme second order there. Its weights depend only on the lag: one
 lower-triangular Toeplitz system, solved in O(n log n) by inverting its
 kernel as a power series (Newton's iteration, Kung 1974) and applying the
-inverse with FFT products. Under l-fold branching each cycle has its own
-weights and the recursion runs backward from the last cycle: that system
-where every later cycle repeats its race (l = 1, and cycle 60), else its
-race alone, each kernel and free part cut where tail**(l**j) falls below
+inverse with FFT products. As the identity references only earlier times,
+a solve on [0, T_c] has the whole horizon's values there, so the grid's
+doublings past the first solve only the span where the restarted tail
+exceeds 1e-3 tol. Under l-fold branching each cycle has its own weights
+and the recursion runs backward from the last cycle: that system where
+every later cycle repeats its race (l = 1, and cycle 60), else its race
+alone, each kernel and free part cut where tail**(l**j) falls below
 2**-64, so that a cycle costs in proportion to its support. Deterministic
 restart has closed forms, exponential restart closed-form means; a
 branching mean is one series over the cycles, closed as the solver is.
@@ -52,7 +55,7 @@ __all__ = [
 _TRUNC = 1e-12
 _TOEPLITZ_BLOCK = 128  # cells of the renewal solve's direct Newton seed
 _DEPTH_CAP = 60  # cycles the branching pass may need
-_REACH_HEAD = 17  # powers l**0..l**16 integrated before the rest
+_REACH_STAGES = (9, 17)  # powers l**0..l**8, then ..l**16, then the rest
 _CUT = 2.0 ** -64  # tail**(l**j) below which a cycle's kernel stops
 _N_MIN = 256  # fewest cells the renewal solve starts from
 
@@ -556,16 +559,19 @@ def _cycle_reach(spec: DistributionSpec, reset: ResetLaw, l: int,
     """Depth D of the l-fold race, q[j] = E[tail_T(R)**(l**j)], the chance
     that cycle j ends in a restart, and reach[j] = q[0] ... q[j], j <= 60:
     cycle D is the first reached with probability <= 1e-3 tol, or the 60th.
-    The powers past l**16 are integrated only where cycle 16 is reached
-    with more than that probability: each power's panels converge on
-    their own, so the first 17 keep their bits either way. Raises
+    The powers come in stages, l**0..l**8, ..l**16 and ..l**60, each
+    integrated only where the last cycle but one of the stages before is
+    reached with more than that probability: each power's panels converge
+    on their own, so every power keeps its bits either way. Raises
     SeriesNotConvergingError where cycle D surely ends in a restart."""
     powers = float(l) ** np.arange(_DEPTH_CAP + 1)
-    # clipped, as tail**m at m = l**59 magnifies a tail rounded past 1
-    q = np.clip(reset.expect_tail_power(spec, powers[:_REACH_HEAD]), 0.0, 1.0)
-    if np.cumprod(q)[-2] > 1e-3 * tol:
+    q = np.empty(0)
+    for lo, hi in zip((0,) + _REACH_STAGES, _REACH_STAGES + (_DEPTH_CAP + 1,)):
+        if lo and not np.cumprod(q)[-2] > 1e-3 * tol:
+            break
+        # clipped, as tail**m at m = l**59 magnifies a tail rounded past 1
         q = np.append(q, np.clip(reset.expect_tail_power(
-            spec, powers[_REACH_HEAD:]), 0.0, 1.0))
+            spec, powers[lo:hi]), 0.0, 1.0))
     reach = np.cumprod(q)
     depth = min(int(np.count_nonzero(reach > 1e-3 * tol)) + 1, _DEPTH_CAP)
     if not q[depth] < 1.0:
@@ -592,7 +598,15 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
     reached with probability at most tol * 1e-3, or closed at the 60th.
     The grid doubles until that probability (0 for a closed cycle) plus
     the grid-halving estimate of the second-order scheme's error is within
-    tolerance, or until one more doubling would pass n_max."""
+    tolerance, or until one more doubling would solve more than n_max
+    cells. Where the first rung misses the tolerance, every later rung
+    keeps the cell width of its doubling but solves only [0, T_c], past
+    which both of the first rung's solves are at most 1e-3 tol
+    (``_cut_node``): the recursion at t reads only earlier times, so the
+    values before T_c are the full horizon's. The curve then ends at T_c
+    with a log-linear terminal piece from y(T_c), at the log slope of its
+    last cell; the true tail is nonincreasing, so past T_c it is within
+    y(T_c) of it, and the estimate adds y(T_c)."""
     _check_branching(l)
     _check_solve(upper, tol)
     depth, bound = 0, 0.0
@@ -602,21 +616,44 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
     n = max(n0, _N_MIN)
     n_eff, upper_eff = _snap_grid(reset, upper, n, n_max)
     coarse = _branching_pass(spec, reset, l, depth, upper_eff, n_eff // 2)
+    cut = None  # whether the horizon is cut, once the ladder doubles
     while True:
         fine = _branching_pass(spec, reset, l, depth, upper_eff, n_eff)
         err = float(np.max(np.abs(fine[::2] - coarse))) / 3.0 + bound
-        coarse = fine
+        if cut:
+            err += max(float(fine[-1]), 0.0)
         if err <= tol or 2 * n_eff > n_max:
             break
+        if cut is None:
+            k = _cut_node(fine, coarse, 1e-3 * tol)
+            cut = k < n_eff
+            if cut:
+                fine, upper_eff = fine[:k + 1], k * (upper_eff / n_eff)
+                n_eff = k
+        coarse = fine
         n_eff *= 2  # doubling the cell count keeps atoms grid-aligned
     if err > tol:
         raise GridTooCoarseError(
             f"renewal solve error estimate {err:.3g} exceeds tolerance {tol:g} "
             f"at n={n_eff}")
-    grid = np.arange(n_eff + 1) * (upper_eff / n_eff)
+    h = upper_eff / n_eff
     vals = np.minimum.accumulate(np.clip(fine, 0.0, 1.0, out=fine), out=fine)
-    return TailCurve(grid=grid, values=vals[:-1], terminal=float(vals[-1]),
-                     mode="log-linear", err_estimate=err)
+    rate = 0.0
+    if cut and vals[-1] > 0.0:
+        rate = (math.log(vals[-2]) - math.log(vals[-1])) / h
+    return TailCurve(grid=np.arange(n_eff + 1) * h, values=vals[:-1],
+                     terminal=float(vals[-1]), mode="log-linear",
+                     err_estimate=err, terminal_rate=rate)
+
+
+def _cut_node(fine: np.ndarray, coarse: np.ndarray, level: float) -> int:
+    """The node of ``fine`` past the first at which the nonincreasing
+    majorant of ``fine`` and of ``coarse``, on its every other node, is at
+    most ``level``: the rule by which ``_cycle_reach`` sets the depth."""
+    both = fine.copy()
+    np.maximum(both[::2], coarse, out=both[::2])
+    majorant = np.maximum.accumulate(both[::-1])[::-1]
+    return int(np.count_nonzero(majorant > level)) + 1
 
 
 def reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None, *,
@@ -624,11 +661,12 @@ def reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None, *,
                n_max: int = 262144) -> TailCurve:
     """Tail of the restarted law, each restart racing l times the copies:
     the closed form under deterministic restart, else the renewal solver
-    interpolated onto the grid (``_interpolate``). A grid uniform from 0
-    starts the solver at a multiple of its cell count (``_node_start``), so
-    that every point is a node. That ladder of doublings stops within n_max,
-    at times a rung below n0's; where it misses the tolerance there, the
-    solve runs again from n0."""
+    interpolated onto the grid (``_interpolate``), its terminal piece past
+    the T_c where it stops short of the grid. A grid uniform from 0 starts
+    the solver at a multiple of its cell count (``_node_start``), so that
+    every point before T_c is a node. That ladder of doublings solves at
+    most n_max cells, at times a rung below n0's; where it misses the
+    tolerance there, the solve runs again from n0."""
     if t_grid is None:
         t_grid = dist.working_grid(spec)
     t_grid = np.asarray(t_grid, dtype=float)
@@ -661,7 +699,8 @@ def _node_start(reset: ResetLaw, t_grid: np.ndarray, n0: int,
     where they are uniform from 0, m cells, and no reset atom sets the grid
     (``_grid_atoms``), the least even multiple of m from the solver's first
     count on, where it is another count at most n_max, and its last
-    doubling within n_max; else n0 and n_max."""
+    doubling within n_max (both counted in the cells a rung solves); else
+    n0 and n_max."""
     m, upper = t_grid.size - 1, float(t_grid[-1])
     if m < 1 or _grid_atoms(reset, upper) or \
             not np.allclose(t_grid, np.linspace(0.0, upper, m + 1),
@@ -679,12 +718,16 @@ def _interpolate(spec: DistributionSpec, reset: ResetLaw, solved: TailCurve,
     """The solved tail at the points t: linear between nodes, except in a
     cell that holds a jump of the law's tail (``_jump_nodes``), where the
     solution less the free part tail * reset tail is linear, and the free
-    part is taken at t itself."""
+    part is taken at t itself; past the last node, the curve's terminal
+    piece."""
     grid, y = solved.grid, solved.knot_values
     vals = np.interp(t, grid, y)
+    past = t > grid[-1]
+    if past.any():  # the curve's table is built only where it is read
+        vals[past] = solved(t[past])
     k = np.minimum(np.searchsorted(grid, t), grid.size - 1)
     at = np.flatnonzero(np.isin(k, _jump_nodes(spec, float(grid[1]))[1])
-                        & (grid[k] != t))
+                        & (grid[k] != t) & ~past)
     if at.size:
         def free(x):
             return np.asarray(spec.tail(x)) * np.asarray(reset.tail(x))
@@ -791,9 +834,13 @@ def _bound_term(tail_value, rest) -> float:
 
 def exp_reset_mean(spec: DistributionSpec, mu):
     """Mean under restart at constant rate mu, via the Laplace transform;
-    ``mu`` is one rate or an array of rates, as in ``laplace_tail``."""
+    ``mu`` is one rate or an array of rates, as in ``laplace_tail``. The
+    divisor E[exp(-mu T)] is 1 - mu L, or (1 - defect) times the family's
+    closed form (``_laplace_law0``), as 1 - mu L cancels where it is small."""
     lt = laplace_tail(spec, mu)
-    lap = 1.0 - np.asarray(mu, dtype=float) * lt  # E[exp(-mu T)]
+    rates = np.asarray(mu, dtype=float)
+    closed = spec._laplace_law0(rates)
+    lap = 1.0 - rates * lt if closed is None else (1.0 - spec.defect) * closed
     if np.any(lap <= 0.0):
         raise SpecValidationError("degenerate transform; law has no mass")
     out = lt / lap

@@ -37,7 +37,8 @@ def laplace_tail_by_quad(spec, mu: float) -> float:
 def exp_reset_mean(spec, mu: float) -> float:
     """Mean under restart at constant rate mu."""
     lt = laplace_tail(spec, mu)
-    lap = 1.0 - mu * lt
+    closed = spec._laplace_law0(np.asarray(mu, dtype=float))
+    lap = 1.0 - mu * lt if closed is None else (1.0 - spec.defect) * closed
     if lap <= 0.0:
         raise SpecValidationError("degenerate transform; law has no mass")
     return lt / lap

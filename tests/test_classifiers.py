@@ -321,18 +321,34 @@ class TestMomentTransfer:
         assert rep.transformed_value == pytest.approx(want, rel=1e-6)
         assert peak <= 64e6
 
+    def test_power_moment_of_a_slow_tail(self):
+        # weib(0.5)'s horizon is 429: at tol 1e-7 the whole-horizon solve
+        # ended at 262,144 cells short of the tolerance and raised; past
+        # T_c ~ 29 the curve is its terminal piece. E[T_R] is the restarted
+        # mean, within the solve's estimate over [0, T_c] (twice it, as the
+        # estimate reads up to 1.7x low on this law) and the remainder
+        spec, reset = weib(0.5), rt.ResetLaw.exponential(1.0)
+        val, rem = cls._transformed_moment(spec, reset,
+                                           d.MomentFunction.power_of(1.0))
+        curve = rt.solver_reset_tail(spec, reset, d.default_horizon(spec),
+                                     tol=1e-7)
+        assert curve.grid[-1] < 30.0
+        assert abs(val - rt.exp_reset_mean(spec, 1.0)) <= \
+            2.0 * curve.err_estimate * curve.grid[-1] + rem
+
     @pytest.mark.parametrize("name, reset", [("uniform02", "exp1"),
                                              ("weib2", "two_atom")])
     def test_power_moment_under_a_reset_law(self, name, reset):
-        # the same solved curve integrated cell by cell, where it is smooth;
+        # the same solved curve integrated cell by cell, where it is smooth,
+        # and over its terminal piece where the solve ends short of upper;
         # 60 panels uncut at its knots were 8.6e-5 and 2.8e-4 off
         spec, reset, p = ALL_LAWS[name](), standard_resets()[reset], 2.0
         upper = max(d.default_horizon(spec), reset.horizon())
         curve = rt.solver_reset_tail(spec, reset, upper, tol=1e-7)
-        while curve.terminal >= 1e-10:
+        while curve(upper) >= 1e-10:
             upper *= 2.0
             curve = rt.solver_reset_tail(spec, reset, upper, tol=1e-7)
-        nodes, weights = gl_panel(np.asarray(curve.grid))
+        nodes, weights = gl_panel(np.union1d(curve.grid, upper))
         want = float(weights @ (p * nodes**(p - 1.0) * curve(nodes)))
         rep = cls.moment_transfer_check(spec, reset,
                                         d.MomentFunction.power_of(p))

@@ -322,17 +322,18 @@ class TestTransform:
         assert np.max(np.abs(rows[:, 2] - want)) <= 1e-6
 
     @pytest.mark.parametrize("points, sizes", [
-        # 9,990 cells converge within 262,144, at 159,840
-        (1000, [4995, 9990, 19980, 39960, 79920, 159840]),
-        # 8,200 cells stop at 131,200 short of the tolerance, as n0's 131,072
-        # did; 262,400 would pass n_max, so the solve runs again from n0
-        (101, [4100, 8200, 16400, 32800, 65600, 131200,
-               4096, 8192, 16384, 32768, 65536, 131072, 262144]),
+        # 9,990 cells, then [0, T_c] at 611 of them, T_c = 26.27
+        (1000, [4995, 9990, 1222, 2444, 4888, 9776]),
+        # 8,200 cells, then [0, T_c] at 502 of them; on the whole horizon
+        # the ladder stopped at 131,200 short of the tolerance, and the solve
+        # ran again from n0 to 262,144
+        (101, [4100, 8200, 1004, 2008, 4016, 8032, 16064]),
     ])
     def test_uniform_points_solve_within_n_max(self, spec_files, tmp_path,
                                                monkeypatch, points, sizes):
-        # weibull(0.5) under exp:1 to its default horizon 429 needs 262,144
-        # cells from n0 = 8,192
+        # weibull(0.5) under exp:1 to its default horizon 429 doubles four
+        # or five times; past its first rung it solves only [0, T_c], where
+        # the restarted tail exceeds 1e-9
         seen = []
         solve = rt._branching_pass
 
@@ -346,6 +347,26 @@ class TestTransform:
                     "--points", str(points), "-o", str(out)]) == 0
         assert seen == sizes
         assert len(out.read_text().splitlines()) == points + 1
+
+    def test_default_horizon_of_a_slow_tail_solves(self, tmp_path):
+        # sps(0.5)'s default horizon is 15,811, while the restarted tail is
+        # below 1e-9 by t ~ 42: on the whole horizon the ladder ended at
+        # 262,144 cells with an estimate of 3.05e-4 and exit 65; n_max now
+        # caps the cells a rung solves on [0, T_c]
+        p = tmp_path / "sps05.json"
+        p.write_text(json.dumps({"family": "shifted_pareto_square",
+                                 "params": {"offset": 0.5}}))
+        out = tmp_path / "t.json"
+        assert run(["transform", "--spec", str(p), "--reset", "exp:1",
+                    "--format", "json", "-o", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["err_estimate"] <= 1e-6
+        grid, vals = np.array(doc["grid"]), np.array(doc["values"])
+        ref = rt.solver_reset_tail(d.spec_from_dict(json.loads(p.read_text())),
+                                   rt.ResetLaw.exponential(1.0), 40.0)
+        near = grid <= 40.0
+        assert np.max(np.abs(vals[near] - ref(grid[near]))) <= \
+            doc["err_estimate"] + ref.err_estimate
 
     def test_single_reset_flag(self, spec_files, tmp_path):
         out = tmp_path / "t.csv"
@@ -492,7 +513,8 @@ class TestOptimize:
 
 def test_import_loads_no_scipy_integrate_or_optimize(tmp_path):
     # the quadrature is in-house, so a fresh interpreter importing the CLI
-    # pays for neither, nor for the parser, built on the first call;
+    # pays for neither, nor for numpy.ma (which a module-level np.unique
+    # loaded, ~8 ms), nor for the parser, built on the first call;
     # optimize still refines an interior best rate through its lazy import
     # (the bimodal law of test_optimizer, mu ~ 0.97)
     spec = tmp_path / "bimodal.json"
@@ -502,8 +524,8 @@ def test_import_loads_no_scipy_integrate_or_optimize(tmp_path):
     out = tmp_path / "o.json"
     script = (
         "import sys, resetkit.cli\n"
-        "before = sorted(m for m in ('scipy.integrate', 'scipy.optimize')"
-        " if m in sys.modules)\n"
+        "before = sorted(m for m in ('scipy.integrate', 'scipy.optimize',"
+        " 'numpy.ma') if m in sys.modules)\n"
         "built = resetkit.cli.build_parser.cache_info().currsize\n"
         f"code = resetkit.cli.main(['optimize', '--spec', {str(spec)!r}, "
         f"'-o', {str(out)!r}])\n"

@@ -95,3 +95,16 @@ def test_levy_mean_under_exponential_restart_is_its_closed_form():
     # was 7.5e-12 off at mu = 5
     want = math.expm1(math.sqrt(10.0)) / 5.0
     assert rt.exp_reset_mean(levy(1.0), 5.0) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("mu", [5.0, 50.0, 500.0])
+def test_levy_mean_divides_by_its_closed_transform(mu):
+    # 1 - mu L formed E[exp(-mu T)] = exp(-sqrt(2 mu)) by subtraction: 1.3e-13
+    # relative off at mu = 50 and 2.0e-3 at mu = 500
+    want = math.expm1(math.sqrt(2.0 * mu)) / mu
+    assert rt.exp_reset_mean(levy(1.0), mu) == pytest.approx(want, rel=1e-13)
+    rates = np.array([mu, 2.0 * mu])
+    defective = dataclasses.replace(levy(1.0), defect=0.25)
+    assert rt.exp_reset_mean(defective, rates) == pytest.approx(
+        [(0.25 / m + 0.75 * math.expm1(-math.sqrt(2.0 * m)) / -m)
+         / (0.75 * math.exp(-math.sqrt(2.0 * m))) for m in rates], rel=1e-13)

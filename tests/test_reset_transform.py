@@ -381,6 +381,79 @@ class TestRenewalSolver:
         assert np.asarray(curve.grid) == pytest.approx(grid)
 
 
+def record_passes(monkeypatch) -> list[int]:
+    """The cell count of every ``_branching_pass`` call, as they happen."""
+    sizes, solve = [], rt._branching_pass
+
+    def record(spec, reset, l, depth, upper, n):
+        sizes.append(n)
+        return solve(spec, reset, l, depth, upper, n)
+    monkeypatch.setattr(rt, "_branching_pass", record)
+    return sizes
+
+
+class TestHorizonCut:
+    """Past its first rung, the ladder solves only [0, T_c], where the
+    restarted tail exceeds 1e-3 tol."""
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_values_before_the_cut_are_the_full_horizons(self, l):
+        # weib(0.5) under exp:1 to 429 ends at the cell width of 262,144
+        # cells on the whole horizon; the restarted tail is below 1e-9 by
+        # t ~ 26 (l = 1) or ~ 17 (l = 2)
+        spec, reset, upper = weib(0.5), rt.ResetLaw.exponential(1.0), 429.0
+        curve = rt.solver_reset_tail(spec, reset, upper, l=l)
+        n, full_n = curve.grid.size - 1, 262144
+        assert curve.grid[-1] < 30.0
+        assert curve.grid[1] == pytest.approx(upper / full_n, rel=1e-14)
+        depth = rt._cycle_reach(spec, reset, l, 1e-6)[0] if l > 1 else 0
+        full = np.minimum.accumulate(np.clip(rt._branching_pass(
+            spec, reset, l, depth, upper, full_n), 0.0, 1.0))
+        np.testing.assert_allclose(curve.knot_values, full[:n + 1],
+                                   rtol=0.0, atol=1e-15)
+        past = np.arange(n, full_n + 1) * (upper / full_n)
+        assert np.max(np.abs(curve(past) - full[n:])) <= curve.err_estimate
+        assert curve.terminal_rate > 0.0
+        assert curve.terminal <= 1e-9
+
+    @pytest.mark.parametrize("l", [1, 2])
+    def test_later_rungs_solve_an_eighth_of_the_cells(self, monkeypatch, l):
+        # on the whole horizon the rungs solved 16,384 cells up to 262,144
+        sizes = record_passes(monkeypatch)
+        rt.solver_reset_tail(weib(0.5), rt.ResetLaw.exponential(1.0), 429.0,
+                             l=l)
+        assert sizes[:2] == [4096, 8192] and len(sizes) >= 6
+        for k, n in enumerate(sizes[2:]):
+            assert 8 * n <= 16384 << k
+
+    def test_a_tail_above_the_level_is_not_cut(self, monkeypatch):
+        # to t = 10 at tol 1e-7 the ladder doubles once, but the tail is
+        # still 2.5e-4 at t = 10: the solve is the whole horizon's, bit for bit
+        spec, reset = weib(0.5), rt.ResetLaw.exponential(1.0)
+        coarse, fine = (rt._branching_pass(spec, reset, 1, 0, 10.0, n)
+                        for n in (8192, 16384))
+        sizes = record_passes(monkeypatch)
+        curve = rt.solver_reset_tail(spec, reset, 10.0, tol=1e-7)
+        assert sizes == [4096, 8192, 16384]
+        want = np.minimum.accumulate(np.clip(fine, 0.0, 1.0))
+        assert curve.knot_values.tobytes() == want.tobytes()
+        assert curve.err_estimate == np.max(np.abs(fine[::2] - coarse)) / 3.0
+        assert curve.terminal_rate == 0.0
+        assert curve.terminal == pytest.approx(2.5e-4, rel=0.05)
+
+    def test_points_past_the_cut_take_the_terminal_piece(self):
+        # np.interp held y(T_c) flat to 429, 1e-9 above a tail that falls
+        # geometrically
+        spec, reset = weib(0.5), rt.ResetLaw.exponential(1.0)
+        t = np.linspace(0.0, 429.0, 513)
+        curve = rt.reset_tail(spec, reset, t)
+        solved = rt.solver_reset_tail(spec, reset, 429.0)
+        past = t > solved.grid[-1]
+        assert past.sum() > 400
+        np.testing.assert_array_equal(curve.knot_values[past], solved(t[past]))
+        assert curve.knot_values[-1] < 1e-100
+
+
 class TestMeans:
     def test_exponential_invariance(self):
         spec = exp_law(2.0)
