@@ -17,9 +17,12 @@ and the recursion runs backward from the last cycle: that system where
 every later cycle repeats its race (l = 1, and cycle 60), else its race
 alone, each kernel and free part cut where tail**(l**j) falls below
 2**-64, so that a cycle costs in proportion to its support. Deterministic
-restart has closed forms, exponential restart closed-form means; a
-branching mean is one series over the cycles, closed as the solver is.
-Integrals against the laws are tanh-sinh panels cut at kinks.
+restart has closed-form tails, exponential restart a closed-form mean;
+every other mean, the restarted mean E[T ^ R] / P(T <= R) at l = 1 among
+them, is one series over the cycles, closed as the solver is, each
+cycle's race integrated over [0, inf) and the chance that a cycle
+completes summed with expm1, not as 1 - E[tail(R)]. Integrals against the
+laws are tanh-sinh panels cut at kinks.
 """
 from __future__ import annotations
 
@@ -55,7 +58,6 @@ __all__ = [
 _TRUNC = 1e-12
 _TOEPLITZ_BLOCK = 128  # cells of the renewal solve's direct Newton seed
 _DEPTH_CAP = 60  # cycles the branching pass may need
-_REACH_STAGES = (9, 17)  # powers l**0..l**8, then ..l**16, then the rest
 _CUT = 2.0 ** -64  # tail**(l**j) below which a cycle's kernel stops
 _N_MIN = 256  # fewest cells the renewal solve starts from
 
@@ -168,9 +170,29 @@ class ResetLaw:
         return total if m.ndim else float(total)
 
 
-def prob_completion_first(spec: DistributionSpec, reset: ResetLaw) -> float:
-    """P(T <= R): the per-cycle stopping probability (ties go to completion)."""
-    return 1.0 - reset.expect_tail_power(spec, 1.0)
+def prob_completion_first(spec: DistributionSpec, reset: ResetLaw,
+                          m: float = 1.0) -> float:
+    """P(T <= R), or with m copies racing E[1 - tail_T(R)**m]: the chance
+    that a cycle ends in completion (ties go to completion). Each term is
+    -expm1(m log tail), with no 1 - q to cancel: the reset atoms, its
+    density over [0, inf), and its mass at infinity, where the cycle
+    completes wherever T is finite."""
+    def done(s):
+        return -np.expm1(np.minimum(m * np.asarray(spec.log_tail(s)), 0.0))
+    total = reset.mass_at_infinity * (1.0 - spec.mass_at_infinity ** m)
+    for loc, w in reset.atoms():
+        total += w * done(loc)
+    if reset.has_density:
+        total += quad(lambda s: done(s) * reset.density(s), 0.0, math.inf,
+                      laws=(spec, reset.spec), points=_race_points(reset))[0]
+    return float(total)
+
+
+def _race_points(reset: ResetLaw) -> np.ndarray:
+    """Cuts of the integrals over [0, inf) against the reset law: 13
+    log-spaced points up to its horizon."""
+    upper = reset.horizon()
+    return np.geomspace(upper * 1e-12, upper, 13)
 
 
 # ----------------------------------------------------------------------
@@ -555,29 +577,21 @@ def _grid_atoms(reset: ResetLaw, upper: float) -> list[float]:
 
 
 def _cycle_reach(spec: DistributionSpec, reset: ResetLaw, l: int,
-                 tol: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """Depth D of the l-fold race, q[j] = E[tail_T(R)**(l**j)], the chance
-    that cycle j ends in a restart, and reach[j] = q[0] ... q[j], j <= 60:
-    cycle D is the first reached with probability <= 1e-3 tol, or the 60th.
-    The powers come in stages, l**0..l**8, ..l**16 and ..l**60, each
-    integrated only where the last cycle but one of the stages before is
-    reached with more than that probability: each power's panels converge
-    on their own, so every power keeps its bits either way. Raises
-    SeriesNotConvergingError where cycle D surely ends in a restart."""
-    powers = float(l) ** np.arange(_DEPTH_CAP + 1)
-    q = np.empty(0)
-    for lo, hi in zip((0,) + _REACH_STAGES, _REACH_STAGES + (_DEPTH_CAP + 1,)):
-        if lo and not np.cumprod(q)[-2] > 1e-3 * tol:
-            break
-        # clipped, as tail**m at m = l**59 magnifies a tail rounded past 1
-        q = np.append(q, np.clip(reset.expect_tail_power(
-            spec, powers[lo:hi]), 0.0, 1.0))
+                 tol: float) -> tuple[int, np.ndarray]:
+    """Depth D of the l-fold race and reach[j] = q[0] ... q[j], j <= 60, the
+    chance that cycles 0 to j all end in a restart, q[j] =
+    E[tail_T(R)**(l**j)]: cycle D is the first reached with probability
+    <= 1e-3 tol, or the 60th. Raises SeriesNotConvergingError where cycle D
+    surely ends in a restart."""
+    # clipped, as tail**m at m = l**59 magnifies a tail rounded past 1
+    q = np.clip(reset.expect_tail_power(
+        spec, float(l) ** np.arange(_DEPTH_CAP + 1)), 0.0, 1.0)
     reach = np.cumprod(q)
     depth = min(int(np.count_nonzero(reach > 1e-3 * tol)) + 1, _DEPTH_CAP)
     if not q[depth] < 1.0:
         raise SeriesNotConvergingError(
             f"cycle {depth} ends in a restart surely; restart never completes")
-    return depth, q, reach
+    return depth, reach
 
 
 def _check_solve(upper: float, tol: float) -> None:
@@ -611,7 +625,7 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
     _check_solve(upper, tol)
     depth, bound = 0, 0.0
     if l > 1:
-        depth, _, reach = _cycle_reach(spec, reset, l, tol)
+        depth, reach = _cycle_reach(spec, reset, l, tol)
         bound = float(reach[depth - 1]) if depth < _DEPTH_CAP else 0.0
     n = max(n0, _N_MIN)
     n_eff, upper_eff = _snap_grid(reset, upper, n, n_max)
@@ -749,11 +763,6 @@ def branching_reset_tail(spec: DistributionSpec, reset: ResetLaw, l: int,
 # means
 
 
-def _tail_integral(spec: DistributionSpec, a: float, b: float) -> float:
-    """Integral of the tail over the finite window [a, b]."""
-    return quad(spec.tail, a, b, laws=(spec,))[0]
-
-
 def laplace_tail(spec: DistributionSpec, mu):
     """Weighted tail transform: integral of exp(-mu t) * tail(t) over [0, inf).
 
@@ -783,53 +792,27 @@ def laplace_tail(spec: DistributionSpec, mu):
 
 
 def reset_mean(spec: DistributionSpec, reset: ResetLaw) -> float:
-    """Mean of the restarted law: E[T ^ R] / P(T <= R).
-
-    Always finite for proper reset laws with integrable minimum; +inf when
-    the numerator diverges (defective completion with defective reset).
-    """
+    """Mean of the restarted law, E[T ^ R] / P(T <= R): ``exp_reset_mean``
+    under exponential restart, else the cycle series at l = 1 of
+    ``_branching_mean``. +inf where E[T ^ R] is: where the moment orders of
+    the two tails sum to at most 1, as T ^ R has the product of the tails
+    (an order is 0 with mass at infinity); SpecValidationError where
+    P(T <= R) = 0."""
     if reset.kind == "exponential":
         return exp_reset_mean(spec, reset.rate)
-    if reset.kind == "deterministic":
-        p_stop = float(np.asarray(dist.cdf(spec, reset.period)))
-    else:
-        p_stop = prob_completion_first(spec, reset)
-    if not p_stop > 0.0:
+    if _moment_order(spec) + _moment_order(reset.spec) <= 1.0:
+        return math.inf
+    try:
+        return _branching_mean(spec, reset, 1)
+    except SeriesNotConvergingError:
         raise SpecValidationError(
-            "restart never lets the run finish: P(T <= R) = 0")
-    num = _expected_minimum(spec, reset)
-    if not np.isfinite(num):
-        return np.inf
-    return num / p_stop
+            "restart never lets the run finish: P(T <= R) = 0") from None
 
 
-def _expected_minimum(spec: DistributionSpec, reset: ResetLaw) -> float:
-    if reset.kind == "deterministic":
-        return _tail_integral(spec, 0.0, reset.period)
-    if spec.mass_at_infinity > 0.0 and reset.mass_at_infinity > 0.0:
-        return np.inf
-    upper = 1.0
-    for _ in range(120):
-        # a bound whose tail factor is 0 is 0, even when its integral is inf
-        rem = min(_bound_term(reset.tail(upper),
-                              dist.mean_upper_rest(spec, upper)),
-                  _bound_term(spec.tail(upper),
-                              dist.mean_upper_rest(reset.spec, upper)))
-        if rem < 1e-10:
-            break
-        upper *= 2.0
-        if upper > 1e18:
-            return np.inf
-    val, _ = quad(lambda t: spec.tail(t) * reset.tail(t), 0.0, upper,
-                  laws=(spec, reset.spec),
-                  points=np.geomspace(min(1e-6 * upper, 1.0), upper, 7))
-    return val + rem  # rem is an upper bound on what is left; below tolerance
-
-
-def _bound_term(tail_value, rest) -> float:
-    """tail_value * rest, which is 0 where the tail has already reached 0."""
-    tail_value = float(tail_value)
-    return 0.0 if tail_value == 0.0 else tail_value * float(rest)
+def _moment_order(spec: DistributionSpec) -> float:
+    """Supremum of p with E[T**p] finite: 0 where the law keeps mass at
+    infinity."""
+    return 0.0 if spec.mass_at_infinity > 0.0 else spec._moment_sup_order()
 
 
 def exp_reset_mean(spec: DistributionSpec, mu):
@@ -879,24 +862,31 @@ def branching_deterministic_tail(spec: DistributionSpec, r: float, l: int, t):
 
 def _branching_mean(spec: DistributionSpec, reset: ResetLaw, l: int) -> float:
     """Mean under restart by ``reset`` with l-fold branching: cycle j
-    lasts race_j = integral of tail**(l**j) * P(R > t) on average and is
-    reached with probability reach[j - 1] of ``_cycle_reach``. The cycles
-    past its depth D add reach[D - 1] race_D / (1 - q[D]), each taken to
-    repeat D's race, as ``_branching_pass`` takes them: they do at l = 1,
-    and from D = 60 on each lasts the law's dead time; below 60,
-    reach[D - 1] is at most 1e-15."""
+    lasts race_j = integral over [0, inf) of tail**(l**j) * P(R > t) on
+    average and is reached with probability reached[j], 1 for j = 0, else
+    reach[j - 1] of ``_cycle_reach``. The cycles from its depth D on add
+    reached[D] race_D / E[1 - tail_T(R)**(l**D)] (``prob_completion_first``),
+    each taken to repeat D's race, as ``_branching_pass`` takes them: they
+    do at l = 1, where D is 0, and from D = 60 on each lasts the law's dead
+    time; below 60, reached[D] is at most 1e-15. Raises
+    SeriesNotConvergingError where cycle D never ends in completion."""
     _check_branching(l)
-    depth, q, reach = _cycle_reach(spec, reset, l, _TRUNC)
-    upper = reset.horizon()
+    depth, reach = _cycle_reach(spec, reset, l, _TRUNC) if l > 1 \
+        else (0, np.empty(0))
+    reached = np.r_[1.0, reach[:depth]]
 
     def f(t, m):
         return np.exp(np.minimum(m * np.asarray(spec.log_tail(t)), 0.0)) * \
             np.asarray(reset.tail(t))
-    race = quad(f, 0.0, upper, laws=(spec, reset.spec),
-                points=np.geomspace(upper * 1e-12, upper, 13),
+    race = quad(f, 0.0, math.inf, laws=(spec, reset.spec),
+                points=_race_points(reset),
                 args=(float(l) ** np.arange(depth + 1)[:, None],))[0]
-    return float(race[0] + reach[:depth - 1] @ race[1:depth]
-                 + reach[depth - 1] * race[depth] / (1.0 - q[depth]))
+    done = prob_completion_first(spec, reset, float(l) ** depth)
+    if not done > 0.0:
+        raise SeriesNotConvergingError(
+            f"cycle {depth} ends in a restart surely; restart never completes")
+    return float(reached[:depth] @ race[:depth]
+                 + reached[depth] * race[depth] / done)
 
 
 def branching_mean_deterministic(spec: DistributionSpec, r: float, l: int) -> float:

@@ -20,8 +20,7 @@ from resetkit._integrate import quad
 from resetkit.distributions import DistributionSpec
 from resetkit.reset_transform import (InvalidPeriodError,
                                       SeriesNotConvergingError,
-                                      _check_branching, _tail_integral,
-                                      exp_reset_mean)
+                                      _check_branching, exp_reset_mean)
 
 _TRUNC = 1e-12
 _SERIES_CAP = 2000
@@ -47,7 +46,7 @@ def branching_mean_deterministic(spec: DistributionSpec, r: float, l: int) -> fl
         p_done = float(np.asarray(dist.cdf(spec, r)))
         if p_done <= 0.0:
             raise SeriesNotConvergingError("tail(r) = 1; restart never completes")
-        return _tail_integral(spec, 0.0, r) / p_done
+        return quad(spec.tail, 0.0, r, laws=(spec,))[0] / p_done
     log_fr = float(spec.log_tail(r))
     total = 0.0
     for k in range(_SERIES_CAP):

@@ -150,10 +150,10 @@ def test_fast_len_is_scipys_real_fast_length():
 def test_cycle_reach_past_a_dead_time():
     # every race lasts the dead time, so the reach falls slowly and the
     # depth stops at the cap
-    depth, q, reach = rt._cycle_reach(dead_time_law(),
-                                      rt.ResetLaw.exponential(5.0), 2, 1e-6)
+    depth, reach = rt._cycle_reach(dead_time_law(),
+                                   rt.ResetLaw.exponential(5.0), 2, 1e-6)
     assert depth == rt._DEPTH_CAP
-    assert q.size == reach.size == rt._DEPTH_CAP + 1
+    assert reach.size == rt._DEPTH_CAP + 1
     assert reach[depth - 1] > 1e-9
 
 
@@ -162,16 +162,14 @@ def test_cycle_reach_past_a_dead_time():
 @pytest.mark.parametrize("reset_name", sorted(RESETS))
 @pytest.mark.parametrize("law", sorted(ALL_LAWS))
 def test_cycle_reach_keeps_the_bits_of_all_61_powers(law, reset_name, l, tol):
-    # the powers past l**16 are integrated only where cycle 16 is still
-    # reached; what is read of q and reach is the 61-power call's, bit for bit
+    # the depth and the reach read are the 61-power call's, bit for bit
     spec, reset = ALL_LAWS[law](), RESETS[reset_name]()
     q = np.clip(reset.expect_tail_power(
         spec, float(l) ** np.arange(rt._DEPTH_CAP + 1)), 0.0, 1.0)
     reach = np.cumprod(q)
     depth = min(int(np.count_nonzero(reach > 1e-3 * tol)) + 1, rt._DEPTH_CAP)
-    got_depth, got_q, got_reach = rt._cycle_reach(spec, reset, l, tol)
+    got_depth, got_reach = rt._cycle_reach(spec, reset, l, tol)
     assert got_depth == depth
-    assert got_q[:depth + 1].tobytes() == q[:depth + 1].tobytes()
     assert got_reach[:depth + 1].tobytes() == reach[:depth + 1].tobytes()
 
 

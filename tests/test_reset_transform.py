@@ -30,6 +30,8 @@ DEAD_TIME_L2_MEANS = {1.0: (2.4458216550512287, 1e-13),
 # levy under a uniform reset law on [0, 2], by scipy.quad split at every
 # breakpoint of both laws
 LEVY_UNIFORM02_MEAN = 2.88213856072
+# sps(0.5) under a Levy reset law, by 30-digit mpmath
+SPS_LEVY_MEAN = 0.42354351582583194
 
 
 def _loglinear_law(rng, knots: int) -> d.Tabulated:
@@ -497,7 +499,7 @@ class TestMeans:
             values=(1.231739770011757, 1.2501305985172053,
                     0.3767444310980377, 1.2945392721254323,
                     1.70380825568104))))
-        assert rt.reset_mean(exp_law(), reset) == pytest.approx(1.0, abs=1e-9)
+        assert rt.reset_mean(exp_law(), reset) == pytest.approx(1.0, abs=1e-14)
 
     def test_bounded_reset_law_with_infinite_mean(self):
         # past the reset law's support the truncation bound of E[T ^ R] is
@@ -545,7 +547,52 @@ class TestMeans:
         e_min = split(lambda s: spec.tail(s) * reset.tail(s))
         p_stop = 1.0 - split(lambda s: spec.tail(s) * reset.density(s))
         assert rt.reset_mean(spec, reset) == pytest.approx(e_min / p_stop,
-                                                           rel=1e-10)
+                                                           rel=1e-13)
+
+    @pytest.mark.parametrize("r", [1e-5, 1e-7])
+    def test_weib2_mean_at_a_short_period(self, r):
+        # P(T <= R) came from 1 - E[tail(R)]: 8.3e-8 and 8.0e-4 relative
+        # off under the one-atom law, and through the branching mean
+        spec = weib(2.0)
+        want = math.sqrt(math.pi) / 2.0 * math.erf(r) / -math.expm1(-r * r)
+        atom = rt.ResetLaw.general(step_law((0.0, r), (1.0, 0.0),
+                                            check_standing=False))
+        for got in (rt.reset_mean(spec, rt.ResetLaw.deterministic(r)),
+                    rt.reset_mean(spec, atom),
+                    rt.branching_mean_deterministic(spec, r, 1)):
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("reset", [
+        lambda: rt.ResetLaw.deterministic(1.0),
+        lambda: rt.ResetLaw.general(uniform02())], ids=["det1", "uniform02"])
+    def test_mean_refused_where_restart_cannot_finish(self, reset):
+        stuck = step_law((0.0, 2.0), (1.0, 0.0), check_standing=False)
+        with pytest.raises(d.SpecValidationError,
+                           match=r"restart never lets the run finish: "
+                                 r"P\(T <= R\) = 0"):
+            rt.reset_mean(stuck, reset())
+
+    def test_reset_law_with_mass_at_infinity(self):
+        # a run the reset law never stops lasts T: exp(1) keeps its mean,
+        # and a law of infinite mean has none; a race that stops at the
+        # reset law's horizon read 0.961 for exp(1)
+        reset = rt.ResetLaw.general(step_law((0.0, 1.0), (1.0, 0.1),
+                                             check_standing=False))
+        assert rt.reset_mean(levy(), reset) == math.inf
+        assert rt.reset_mean(pw_sixth(), reset) == math.inf
+        assert rt.reset_mean(exp_law(), reset) == pytest.approx(1.0, abs=1e-14)
+
+    def test_minimum_of_infinite_mean(self):
+        # T ^ R has the product of the tails: two Levy tails make 1/t, whose
+        # integral diverges, where its quadrature to inf read 453.9; a
+        # defective law and a Levy reset law read 5.6e76
+        reset = rt.ResetLaw.general(levy())
+        assert rt.reset_mean(levy(), reset) == math.inf
+        assert rt.reset_mean(pw_sixth(), reset) == math.inf
+        # Levy's t**-1/2 times t**-2 converges; the doubling to a bound
+        # on the rest was 5.8e-11 off
+        assert rt.reset_mean(sps(), reset) == \
+            pytest.approx(SPS_LEVY_MEAN, rel=1e-12)
 
     @pytest.mark.parametrize("curve", [
         # m0 < m(0): an atom at 0 of mass 1/2
