@@ -1,7 +1,8 @@
 """Command-line front door: classify, transform, simulate, optimize.
 
 Every report embeds the resolved configuration and the tool version, and
-identical inputs (including the seed) produce byte-identical output files.
+on one host and numpy build identical inputs (including the seed) produce
+byte-identical output files: numpy's SIMD kernels depend on the CPU.
 Exit codes: 0 success, 2 inconclusive under --strict, 3 excessive
 censoring (partial report written), 64 usage, 65 bad data, 74 I/O.
 """

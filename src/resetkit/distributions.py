@@ -434,9 +434,8 @@ class Weibull(DistributionSpec):
     def _isf0(self, u):
         with np.errstate(divide="ignore", invalid="ignore"):
             level = -np.log(u)
-        # the C library's pow, as numpy's scalar power uses (see _libm)
         level = np.where(level < 0.0, np.nan, level)  # u > 1
-        return _libm(pow, level, 1.0 / self.shape)
+        return np.power(level, 1.0 / self.shape)
 
     def _tail_rest0(self, t):
         from scipy import special as _sp
@@ -592,15 +591,12 @@ class Tabulated(DistributionSpec):
         return np.asarray(self.curve.log_tail(t))
 
     def _isf0(self, u):
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         g, ladder = self.curve.grid, self.curve.knot_values
-        idx = np.searchsorted(-ladder, -u_arr, side="left")
+        idx = np.searchsorted(-ladder, -u, side="left")
         if self.curve.mode == "step":
-            out = np.where(idx >= ladder.size, np.inf,
-                           g[np.minimum(idx, g.size - 1)])
-        else:
-            out = _isf_loglinear(u_arr, idx, g, ladder, self.curve.terminal_rate)
-        return out if np.asarray(u).shape else float(out.ravel()[0])
+            return np.where(idx >= ladder.size, np.inf,
+                            g[np.minimum(idx, g.size - 1)])
+        return _isf_loglinear(self.curve, u, idx)
 
     def _tail_rest0(self, t):
         t_arr = np.asarray(t, dtype=float)
@@ -706,46 +702,30 @@ def _ramp_share(x: np.ndarray) -> np.ndarray:
     return np.where(x < 0.1, series, direct)
 
 
-def _isf_loglinear(u: np.ndarray, idx: np.ndarray, g: np.ndarray,
-                   ladder: np.ndarray, rate: float) -> np.ndarray:
+def _isf_loglinear(curve: TailCurve, u: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Inverse of the log-linear interpolant; ``idx`` locates u in the ladder.
 
     Every u is carried through the cell formula; the ones it does not
     apply to are overwritten, so each keeps the bits of a one-u loop.
     """
+    g, ladder, rate = curve.grid, curve.knot_values, curve.terminal_rate
+    logs = curve._knots[0]  # floored at 1e-300; theta reads them only above it
     j = np.minimum(np.maximum(idx, 1), ladder.size - 1)
     lo_v, hi_v = ladder[j - 1], ladder[j]
-    log_u = _libm(math.log, np.where(u > 0.0, u, 1.0))
-    log_ladder = _libm(math.log, np.where(ladder > 0.0, ladder, 1.0))
+    log_u = np.log(np.where(u > 0.0, u, 1.0))
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(hi_v > 1e-300, (log_u - log_ladder[j - 1])
-                         / (log_ladder[j] - log_ladder[j - 1]),
+        theta = np.where(hi_v > _TINY,
+                         (log_u - logs[j - 1]) / (logs[j] - logs[j - 1]),
                          (lo_v - u) / (lo_v - hi_v))
     out = np.where((lo_v <= u) | (lo_v == hi_v), g[j - 1], g[j - 1]
                    + np.minimum(np.maximum(theta, 0.0), 1.0) * (g[j] - g[j - 1]))
     out[idx >= ladder.size] = g[-1]  # only a NaN u lands past the ladder
     below = u < ladder[-1]
     # past the last knot: the terminal piece, or nothing
-    out[below] = g[-1] + (log_ladder[-1] - log_u[below]) / rate if rate else np.inf
+    out[below] = g[-1] + (logs[-1] - log_u[below]) / rate if rate else np.inf
     out[below & (u <= 0.0)] = np.inf
     out[u >= ladder[0]] = 0.0
     return out
-
-
-def _libm(fn, *args) -> np.ndarray:
-    """``fn`` (``math.log``, ``pow``) applied element by element.
-
-    numpy's array log and power kernels depend on the host's instruction
-    set and differ from the C library's in the last bit on ~1% of
-    arguments above 0.1 (AVX-512), while numpy's power of a single float
-    is the C library's. Inverse tails built on these go through the C
-    library, so a scalar and an array call return the same bits, on every
-    host.
-    """
-    arrays = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in args))
-    lists = [a.ravel().tolist() for a in arrays]
-    return np.fromiter(map(fn, *lists), dtype=float,
-                       count=arrays[0].size).reshape(arrays[0].shape)
 
 
 # ----------------------------------------------------------------------

@@ -294,20 +294,17 @@ class FromMrl(dist.DistributionSpec):
 
     def _isf0(self, u):
         """Exact inverse survival via the per-piece closed forms."""
-        u_arr = np.atleast_1d(np.asarray(u, dtype=float))
         tb = _tables(self.curve)
         tails = tb.knot_tails
         # piece k: the segment after knot k (the last is the terminal piece)
-        k = np.clip(np.searchsorted(-tails, -u_arr, side="left"), 1,
-                    tails.size) - 1
+        k = np.clip(np.searchsorted(-tails, -u, side="left"), 1, tails.size) - 1
         g0, v0, s, top = tb.knots[k], tb.values[k], tb.slopes[k], tails[k]
-        out = np.empty(u_arr.shape)
-        rest = ~((u_arr >= tails[0]) | (u_arr >= top) | (u_arr <= 0.0))
+        out = np.empty(u.shape)
+        rest = ~((u >= tails[0]) | (u >= top) | (u <= 0.0))
         flat = rest & (np.abs(s) < 1e-14)
         with np.errstate(divide="ignore", over="ignore"):
             # top / u overflows for u near 0, and the log is then inf
-            out[flat] = g0[flat] + v0[flat] * dist._libm(
-                math.log, top[flat] / u_arr[flat])
+            out[flat] = g0[flat] + v0[flat] * np.log(top[flat] / u[flat])
             q = 1.0 + 1.0 / s
         # slope -1 (or clamped to it): the tail is flat, then drops to 0 at
         # the support end (only the terminal piece holds such a u)
@@ -316,17 +313,17 @@ class FromMrl(dist.DistributionSpec):
         power = rest & ~flat & ~jump
         amp = tb.amp[k]
         exact = power & (amp > 0.0) & (amp < np.inf)
-        m_here = dist._libm(pow, u_arr[exact] / amp[exact], -1.0 / q[exact])
+        m_here = np.power(u[exact] / amp[exact], -1.0 / q[exact])
         out[exact] = g0[exact] + (m_here - v0[exact]) / s[exact]
         # amp over- or underflows on a nearly flat piece; there
         # m - v0 = v0 * expm1(log(top / u) / q) keeps the precision
         near = power & ~exact
         out[near] = g0[near] + v0[near] * np.expm1(
-            np.log(top[near] / u_arr[near]) / q[near]) / s[near]
-        out[u_arr <= 0.0] = tb.support_end
-        out[u_arr >= top] = g0[u_arr >= top]
-        out[u_arr >= tails[0]] = 0.0
-        return out if np.asarray(u).shape else out[0]
+            np.log(top[near] / u[near]) / q[near]) / s[near]
+        out[u <= 0.0] = tb.support_end
+        out[u >= top] = g0[u >= top]
+        out[u >= tails[0]] = 0.0
+        return out
 
     def _tail_rest0(self, t):
         m_here, _, tl = _pieces(self.curve, np.atleast_1d(np.asarray(t, dtype=float)))

@@ -217,11 +217,10 @@ def best_exponential_rate(spec: DistributionSpec,
         raise ValueError("need a positive, ordered rate bracket")
 
     def f(log_mu: float) -> float:
-        return rt.exp_reset_mean(spec, math.exp(log_mu))
+        return rt.exp_reset_mean(spec, np.exp(log_mu))
 
     xs = np.linspace(math.log(lo), math.log(hi), _RATE_SCAN)
-    # the whole scan in one call; math.exp, as f takes it (np.exp can differ)
-    fs = rt.exp_reset_mean(spec, np.array([math.exp(x) for x in xs]))
+    fs = rt.exp_reset_mean(spec, np.exp(xs))  # the whole scan in one call
     i = int(np.argmin(fs))
     x, fx = float(xs[i]), float(fs[i])
     if 0 < i < xs.size - 1:
@@ -230,7 +229,7 @@ def best_exponential_rate(spec: DistributionSpec,
                               method="bounded", options={"xatol": 1e-7})
         if res.fun < fx:
             x, fx = float(res.x), float(res.fun)
-    mu_star = math.exp(x)
+    mu_star = float(np.exp(x))
     m0 = dist.mean(spec)
     edge = min(x - math.log(lo), math.log(hi) - x) < 1e-3
     tol = 1e-9 * max(1.0, abs(fx))

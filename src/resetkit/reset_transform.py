@@ -164,7 +164,8 @@ class ResetLaw:
         for loc, w in self.atoms():
             total += w * np.exp(m * np.asarray(spec.log_tail(loc)))
         if self.has_density:
-            edges = cuts(0.0, self.horizon(), kinks((spec, self.spec)))
+            edges = np.append(cuts(0.0, self.horizon(), kinks((spec, self.spec))),
+                              math.inf)  # the mass past the horizon: one panel
             total += np.sum(panels(f, edges[:-1], edges[1:], args=(
                 m[..., None], np.arange(edges.size - 1)))[0], axis=-1)
         return total if m.ndim else float(total)

@@ -1,15 +1,16 @@
 """Per-element inverse tails, kept as the reference for the array ``isf``.
 
 Log-linear ``Tabulated`` laws (piecewise-exponential ones among them, with
-a terminal rate) and ``FromMrl`` laws invert their tails on whole arrays;
-these functions invert one u at a time with Python floats and the ``math``
-module, as the library used to, and the array code must return their bits
-exactly. One line differs from the old loop: under a terminal
+a terminal rate), ``FromMrl`` laws and Weibull laws invert their tails on
+whole arrays; these functions invert one u at a time, with Python floats
+and numpy's ``log`` and ``power`` on each (which give a single float the
+bits of the whole-array call, where ``math.log`` and the ``**`` of a
+numpy float, the C library's, need not), and the array code must return
+their bits exactly. One line differs from the old loop: under a terminal
 residual-mean slope of -1 it returned the near end of the piece, where the
-tail is still above u. The Weibull one is the scalar numpy expression the
-library evaluates for a single u. Each takes the spec and a float u in
-[0, 1] and returns the base law's inverse (no defect). The loop that
-inverted the old segment form of piecewise-exponential laws is kept in
+tail is still above u. Each takes the spec and a float u in [0, 1] and
+returns the base law's inverse (no defect). The loop that inverted the
+old segment form of piecewise-exponential laws is kept in
 ``piecewise_exp_reference``.
 """
 from __future__ import annotations
@@ -30,7 +31,7 @@ def loglinear_isf(spec, u: float) -> float:
         rate = spec.curve.terminal_rate
         if u <= 0.0 or not rate:
             return math.inf
-        return float(g[-1]) + (math.log(ladder[-1]) - math.log(u)) / rate
+        return float(g[-1]) + (np.log(ladder[-1]) - np.log(u)) / rate
     j = int(np.searchsorted(-ladder, -u, side="left"))
     if j <= 0:
         return 0.0
@@ -43,8 +44,7 @@ def loglinear_isf(spec, u: float) -> float:
     if hi_v <= 1e-300:
         theta = (lo_v - u) / (lo_v - hi_v)
     else:
-        theta = (math.log(u) - math.log(lo_v)) \
-            / (math.log(hi_v) - math.log(lo_v))
+        theta = (np.log(u) - np.log(lo_v)) / (np.log(hi_v) - np.log(lo_v))
     return lo_t + min(max(theta, 0.0), 1.0) * (hi_t - lo_t)
 
 
@@ -62,15 +62,15 @@ def from_mrl_isf(spec, u: float) -> float:
     if u <= 0.0:
         return tb.support_end
     if abs(s) < 1e-14:
-        return g0 + v0 * math.log(top / u)
+        return g0 + v0 * np.log(top / u)
     q = 1.0 + 1.0 / s
     if abs(q) < 1e-14:
         return g0 + v0  # the loop returned g0 here, the piece's near end
     amp = tb.m0 * math.exp(-c0) * v0 ** (1.0 / s)
-    m_here = (u / amp) ** (-1.0 / q)
+    m_here = np.power(u / amp, -1.0 / q)
     return g0 + (m_here - v0) / s
 
 
 def weibull_isf(spec, u: float) -> float:
     with np.errstate(divide="ignore"):
-        return float((-np.log(np.asarray(u))) ** (1.0 / spec.shape))
+        return float(np.power(-np.log(u), 1.0 / spec.shape))

@@ -1,10 +1,11 @@
-"""Hypothesis strategies for random piecewise laws shared by the property tests.
+"""Hypothesis strategies for random laws shared by the property tests.
 
 Piecewise-constant laws (step curves), piecewise-exponential laws
 (log-linear curves with jumps at repeated knots and an exponential
 terminal piece, read from their ``piecewise_exp`` segments), tabulated
 laws (step and log-linear, with zero knots) and residual-mean-generated
-laws, on up to six cells.
+laws, on up to six cells; and the families with a closed-form inverse
+tail, at random parameters.
 """
 import numpy as np
 from hypothesis import strategies as st
@@ -77,3 +78,16 @@ def from_mrl(draw, slopes=(-1.0, -0.7, 0.0, 0.4, 2.0)):
                          terminal=draw(st.sampled_from(["constant", "linear"])),
                          m0=values[0] * draw(st.floats(0.5, 1.0)))
     return mrl.law_from_mrl(curve)
+
+
+def closed_form():
+    """Weibull (shape in [0.2, 5]), exponential, shifted-Pareto-square and
+    Lévy laws, each with mass 0 or 0.2 at infinity."""
+    defect = st.sampled_from([0.0, 0.2])
+    return st.one_of(
+        st.builds(d.Weibull, shape=st.floats(0.2, 5.0), defect=defect),
+        st.builds(d.Exponential, rate=st.floats(0.1, 10.0), defect=defect),
+        st.builds(d.ShiftedParetoSquare, offset=st.floats(0.05, 0.95),
+                  defect=defect),
+        st.builds(d.LevyFirstPassage, level=st.floats(0.2, 5.0),
+                  defect=defect))

@@ -1,14 +1,21 @@
-"""Property tests of the inverse tail on random piecewise laws.
+"""Property tests of the inverse tail on random laws.
 
 ``isf`` is the one inverse-transform path: the simulator calls it on whole
 arrays of uniforms, the horizon and scale helpers on single numbers. For
 random piecewise-constant, piecewise-exponential, tabulated (step and
-log-linear) and residual-mean-generated laws, an array call must equal the
-calls made one u at a time bit for bit, and ``isf`` must be a generalised
-inverse of the tail: tail(isf(u)) <= u. Where the array code replaced a
-per-element loop, it must also return that loop's bits
-(``isf_loop_reference``).
+log-linear), residual-mean-generated and closed-form (Weibull,
+exponential, shifted-Pareto-square, Lévy) laws, an array call must equal
+the calls made one u at a time, on Python floats and on 0-d arrays, and a
+call on a strided view, bit for bit; numpy's log, power and exp give a
+scalar the bits of the whole-array call, so the inverses use them and no
+scalar ``**``. ``isf`` must be a generalised inverse of the tail:
+tail(isf(u)) <= u. Where the array code replaced a per-element loop, it
+must also return that loop's bits (``isf_loop_reference``), and it makes
+no per-element Python call.
 """
+import builtins
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,9 +25,10 @@ from resetkit import distributions as d
 from resetkit import mrl
 
 import isf_loop_reference as ref
-from fixture_laws import ALL_LAWS
-from law_strategies import (from_mrl, piecewise_constant, piecewise_exp,
-                            tabulated, unit)
+from fixture_laws import ALL_LAWS, weib
+from law_strategies import (closed_form, from_mrl, piecewise_constant,
+                            piecewise_exp, tabulated, unit)
+from test_reset_transform import _loglinear_law
 
 # a fixed, derandomized budget: the whole file runs in a few seconds
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
@@ -31,7 +39,7 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None,
 ROUNDING = 1e-12
 
 laws = st.one_of(piecewise_constant(), piecewise_exp(), tabulated(),
-                 from_mrl())
+                 from_mrl(), closed_form())
 levels = st.lists(unit, min_size=1, max_size=30).map(
     lambda xs: np.asarray(xs + [0.0, 1e-300, 1e-9, 0.5, 1.0]))
 
@@ -45,6 +53,10 @@ def test_array_isf_is_scalar_isf_bitwise(spec, us):
     assert arr.tobytes() == one.tobytes()
     grid = np.asarray(spec.isf(us.reshape(-1, 1)))
     assert grid.tobytes() == arr.reshape(-1, 1).tobytes()
+    zero_d = np.array([spec.isf(np.asarray(u)) for u in us])
+    assert zero_d.tobytes() == one.tobytes()
+    strided = np.asarray(spec.isf(us[::2]))
+    assert strided.tobytes() == arr[::2].tobytes()
 
 
 @PROPERTY
@@ -96,3 +108,25 @@ def test_fixture_isf_matches_the_loop_reference(name):
                          np.random.default_rng(9).random(2000),
                          np.geomspace(1e-300, 1.0, 200)])
     assert_matches_reference(spec, us)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: weib(0.5),
+    lambda: _loglinear_law(np.random.default_rng(8), 250),
+    ALL_LAWS["uniform02"],
+], ids=["weib05", "loglinear250", "uniform02"])
+def test_isf_makes_no_per_element_python_call(make, monkeypatch):
+    spec = make()
+    us = np.random.default_rng(27).random(4096)
+    spec.isf(us)  # once first: a from_mrl law builds its tables
+    calls = {"log": 0, "pow": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+    monkeypatch.setattr(math, "log", counted("log", math.log))
+    monkeypatch.setattr(builtins, "pow", counted("pow", builtins.pow))
+    spec.isf(us)
+    assert calls == {"log": 0, "pow": 0}

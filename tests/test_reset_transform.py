@@ -95,6 +95,16 @@ class TestResetLaw:
         assert two_atom_reset().expect_tail_power(spec) == \
             pytest.approx(want, rel=1e-12)
 
+    def test_expect_tail_power_counts_the_mass_past_the_horizon(self):
+        # E[tail(R)] = P(R < T) = 1/2 for two iid continuous times; Lévy's
+        # horizon of 1e7 leaves P(R > 1e7) = 1.8e-4 past it
+        assert abs(rt.ResetLaw.general(levy()).expect_tail_power(levy())
+                   - 0.5) < 1e-13
+        for reset in (rt.ResetLaw.general(levy()), rt.ResetLaw.general(sps(0.5))):
+            for spec in (levy(), sps(0.5), weib(0.5)):
+                q = reset.expect_tail_power(spec)
+                assert abs(q + rt.prob_completion_first(spec, reset) - 1.0) < 1e-13
+
 
 class TestClosedForms:
     def test_deterministic_reset_tail_examples(self):
