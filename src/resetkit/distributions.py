@@ -40,6 +40,7 @@ __all__ = [
     "mean_upper_rest",
     "working_grid",
     "as_tail_curve",
+    "piecewise_curve",
     "spec_from_dict",
     "spec_to_dict",
     "register_family",
@@ -67,24 +68,24 @@ class NonMonotoneError(SpecValidationError):
 
 @dataclass(frozen=True)
 class TailCurve:
-    """Discretized right-continuous nonincreasing tail on a finite grid.
+    """Discretized right-continuous nonincreasing tail, log-linear between
+    knots.
 
-    ``grid`` holds m strictly increasing breakpoints starting at 0;
-    ``values`` holds one probability per grid cell [grid[i], grid[i+1]),
-    ``terminal`` the value on [grid[-1], inf). In ``log-linear`` mode the
-    entries are knot values at the breakpoints instead (terminal doubling
-    as the last knot) and the curve interpolates geometrically. There a
-    knot after 0 may be given twice, its left limit first, for a jump, and
-    past the last knot the curve falls as exp(-terminal_rate * t). ``grid``
-    and ``values`` are kept as read-only float arrays (copies of what was
-    passed); curves are equal when their arrays are bitwise equal and their
-    other fields equal.
+    ``grid`` holds m nondecreasing knots starting at 0, ``values`` the tail
+    at all but the last knot and ``terminal`` the tail at the last. Between
+    knots the curve interpolates geometrically (linearly on a cell with an
+    end at or below 1e-300), a flat cell reads its knot value exactly, and
+    past the last knot the curve falls as exp(-terminal_rate * t) from its
+    value there. A knot after 0 may be given twice, its left limit first,
+    for a jump; so a step tail is a curve of flat cells whose every jump is
+    a repeated knot (``piecewise_curve``). ``grid`` and ``values`` are kept
+    as read-only float arrays (copies of what was passed); curves are equal
+    when their arrays are bitwise equal and their other fields equal.
     """
 
     grid: np.ndarray
     values: np.ndarray
     terminal: float
-    mode: str = "step"
     err_estimate: float = 0.0
     terminal_rate: float = 0.0
 
@@ -94,23 +95,19 @@ class TailCurve:
         g.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
-        if self.mode not in ("step", "log-linear"):
-            raise SpecValidationError(f"unknown interpolation mode {self.mode!r}")
         if g.size < 1 or g[0] != 0.0 or not np.all(np.isfinite(g)):
             raise SpecValidationError("tail curve grid must be finite and start at 0")
-        repeat = np.diff(g) == 0.0  # a log-linear jump: a knot after 0 twice
+        repeat = np.diff(g) == 0.0  # a jump: a knot after 0 twice
         if np.any(np.diff(g) < 0.0) or np.any(
-                repeat & np.append(True, repeat[:-1] | (self.mode == "step"))):
+                repeat & np.append(True, repeat[:-1])):
             raise SpecValidationError(
-                "tail curve grid must be strictly increasing (in log-linear "
-                "mode a knot after 0 may be given twice)")
+                "tail curve grid must be strictly increasing (a knot after 0 "
+                "may be given twice)")
         if v.size != g.size - 1:
             raise SpecValidationError(
                 "need one value per grid cell (len(values) == len(grid) - 1)")
         if not 0.0 <= self.terminal_rate < np.inf:
             raise SpecValidationError("terminal rate must be finite and nonnegative")
-        if self.terminal_rate and self.mode == "step":
-            raise SpecValidationError("a terminal rate needs log-linear mode")
         ladder = np.append(v, self.terminal)
         if not np.all((ladder >= -_ATOL) & (ladder <= 1.0 + _ATOL)):
             raise SpecValidationError("tail values must lie in [0, 1]")
@@ -119,7 +116,7 @@ class TailCurve:
 
     def _key(self) -> tuple:
         return (self.grid.tobytes(), self.values.tobytes(), self.terminal,
-                self.mode, self.err_estimate, self.terminal_rate)
+                self.err_estimate, self.terminal_rate)
 
     def __eq__(self, other):
         return isinstance(other, TailCurve) and self._key() == other._key()
@@ -132,22 +129,25 @@ class TailCurve:
         return np.append(self.values, self.terminal)
 
     @cached_property
-    def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _knots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """The cell table every method reads. Per knot i: its value's log,
-        whether the piece from it falls linearly, and that piece's log
-        slope; off linear pieces the tail at t is exp(logs[i] + slopes[i]
-        (t - t_i)). Log-linear logs are floored at 1e-300, and a cell with
-        a zero end, or a zero terminal, is linear; step logs are exact
-        (-inf at 0), with no linear cells and slope 0."""
-        v = self.knot_values
+        whether the piece from it falls linearly, that piece's log slope,
+        and whether it is flat. On a flat piece the tail is the knot's
+        value, on a linear one it interpolates the values, elsewhere it is
+        exp(logs[i] + slopes[i] (t - t_i)). Logs are floored at 1e-300 but
+        on a flat piece and the last one, and a sloped cell with an end at
+        or below 1e-300 is linear."""
+        v, rate = self.knot_values, self.terminal_rate
+        same = v[1:] == v[:-1]
+        flat, exact = np.append(same, not rate), np.append(same, True)
+        small = v <= _TINY
         with np.errstate(divide="ignore", invalid="ignore"):
-            if self.mode == "step":
-                return np.log(v), np.zeros(v.size, dtype=bool), np.zeros(v.size)
-            small = v <= _TINY
             logs = np.log(np.maximum(v, _TINY))
             # a repeated knot's slope is +-inf; no t lands in its cell
-            slopes = np.append(np.diff(logs) / np.diff(self.grid), -self.terminal_rate)
-        return logs, small | np.append(small[1:], False), slopes
+            slopes = np.append(np.diff(logs) / np.diff(self.grid), -rate)
+            logs[exact] = np.log(v[exact])
+        linear = (small | np.append(small[1:], False)) & ~exact
+        return logs, linear, slopes, flat
 
     def _cell(self, t: np.ndarray) -> np.ndarray:
         """Index of the last knot at or before each t (0 before the grid)."""
@@ -155,7 +155,7 @@ class TailCurve:
 
     def _log_cell(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """logs[idx] + slopes[idx] (t - t_idx), the cell formula's log."""
-        logs, _, slopes = self._knots
+        logs, _, slopes, _ = self._knots
         with np.errstate(invalid="ignore"):  # t = inf on a flat piece
             return logs[idx] + slopes[idx] * np.maximum(t - self.grid[idx], 0.0)
 
@@ -163,34 +163,34 @@ class TailCurve:
         t_arr = np.asarray(t, dtype=float)
         idx = self._cell(t_arr)
         ladder, last = self.knot_values, self.grid.size - 1
-        if self.mode == "step":
-            out = ladder[idx]
-        else:
-            out = np.exp(self._log_cell(t_arr, idx))
-            # linear cells (an end at zero) and a constant terminal, exactly
-            exact = self._knots[1][idx] | ((idx == last) & (not self.terminal_rate))
-            if exact.any():
-                g, lo = self.grid, np.minimum(idx, last - 1)  # never the -1st cell
+        _, linear, _, flat = self._knots
+        out = ladder[idx]  # a flat cell's value, exactly, whatever its size
+        sloped = ~flat[idx]
+        if sloped.any():
+            out = np.where(sloped, np.exp(self._log_cell(t_arr, idx)), out)
+            lin = linear[idx]
+            if lin.any():  # a cell with an end at zero falls linearly
+                g, nxt = self.grid, np.minimum(idx + 1, last)
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    theta = np.clip((t_arr - g[lo]) / (g[lo + 1] - g[lo]), 0.0, 1.0)
-                out = np.where(exact, np.where(
-                    idx < last, (1.0 - theta) * ladder[lo] + theta * ladder[lo + 1],
-                    ladder[last]), out)
+                    theta = np.clip((t_arr - g[idx]) / (g[nxt] - g[idx]),
+                                    0.0, 1.0)
+                out = np.where(
+                    lin, (1.0 - theta) * ladder[idx] + theta * ladder[nxt], out)
         out = np.where(np.isinf(t_arr), 0.0, out)
         return out if out.shape else float(out)
 
     def log_tail(self, t):
         """log of the curve, from the cell table (so in log space between
-        log-linear knots and past the last one, where the tail itself
-        underflows)."""
+        knots and past the last one, where the tail itself underflows); on a
+        linear cell the log of the tail, taken at the points there only."""
         t_arr = np.asarray(t, dtype=float)
         idx = self._cell(t_arr)
-        out = self._log_cell(t_arr, idx)
-        linear = self._knots[1][idx]
-        if linear.any():
+        out = np.asarray(self._log_cell(t_arr, idx))
+        lin = self._knots[1][idx]
+        if lin.any():
             with np.errstate(divide="ignore"):
-                out = np.where(linear, np.log(self(t_arr)), out)
-        out = np.where(np.isinf(t_arr), -np.inf, out)
+                out[lin] = np.log(self(t_arr[lin]))
+        out[np.isinf(t_arr)] = -np.inf
         return out if out.shape else float(out)
 
 
@@ -565,9 +565,9 @@ class LevyFirstPassage(DistributionSpec):
 
 @dataclass(frozen=True, kw_only=True)
 class Tabulated(DistributionSpec):
-    """Law given by a discretized tail curve: in step mode a pure-jump law,
-    in log-linear mode one that is exponential between knots and jumps
-    only at 0 and at repeated knots."""
+    """Law given by a discretized tail curve: exponential between knots,
+    with atoms only at 0 and at repeated knots, so a pure-jump law where
+    every cell is flat."""
 
     curve: TailCurve
     family: str = field(default="tabulated", init=False, repr=False)
@@ -581,7 +581,7 @@ class Tabulated(DistributionSpec):
         if ladder[0] <= 0.0:
             raise ZeroAtOriginError("tail must be positive at 0")
         flat = ladder[1] >= 1.0 if ladder.size > 1 else not self.curve.terminal_rate
-        if ladder[0] >= 1.0 and (self.curve.mode == "step" or flat):
+        if ladder[0] >= 1.0 and flat:
             raise DegenerateAtZeroError("tail equals 1 on the first cell")
 
     def _tail0(self, t):
@@ -591,18 +591,40 @@ class Tabulated(DistributionSpec):
         return np.asarray(self.curve.log_tail(t))
 
     def _isf0(self, u):
-        g, ladder = self.curve.grid, self.curve.knot_values
-        idx = np.searchsorted(-ladder, -u, side="left")
-        if self.curve.mode == "step":
-            return np.where(idx >= ladder.size, np.inf,
-                            g[np.minimum(idx, g.size - 1)])
-        return _isf_loglinear(self.curve, u, idx)
+        """Inverse of the curve: the knot before the first knot whose value
+        is at most u, or where u lies strictly inside a cell of positive width,
+        the cell formula inverted (the log work done there only); past the
+        last knot the terminal piece, or nothing."""
+        c, shape, u = self.curve, np.shape(u), np.atleast_1d(u)
+        g, ladder, rate = c.grid, c.knot_values, c.terminal_rate
+        logs = c._knots[0]  # floored at 1e-300; theta reads them only above it
+        idx = np.searchsorted(-ladder, -u, side="left")  # ladder.size for NaN
+        out = g[idx - 1]
+        inside = g[np.minimum(idx, ladder.size - 1)] > out
+        if inside.any():
+            us, j = u[inside], idx[inside]
+            lo_v, hi_v = ladder[j - 1], ladder[j]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                theta = np.where(hi_v > _TINY,
+                                 (np.log(us) - logs[j - 1]) / (logs[j] - logs[j - 1]),
+                                 (lo_v - us) / (lo_v - hi_v))
+            theta = np.minimum(np.maximum(theta, 0.0), 1.0)
+            out[inside] = g[j - 1] + theta * (g[j] - g[j - 1])
+        below = u < ladder[-1]
+        if rate:
+            with np.errstate(divide="ignore"):  # u = 0
+                log_u = np.log(np.maximum(u[below], 0.0))
+            out[below] = g[-1] + (logs[-1] - log_u) / rate
+        else:
+            out[below] = np.inf
+        out[idx == 0] = 0.0
+        return out.reshape(shape)
 
     def _tail_rest0(self, t):
         t_arr = np.asarray(t, dtype=float)
         if self._terminal_limit() > 0.0:
             return np.full(t_arr.shape, np.inf)
-        c, (_, linear, slopes) = self.curve, self.curve._knots
+        c, (_, linear, slopes, _) = self.curve, self.curve._knots
         g, ladder, rate = c.grid, c.knot_values, c.terminal_rate
         cell_int = ladder[:-1] * _cell_share(0.0, np.diff(g), slopes[:-1], linear[:-1])
         suffix = np.append(np.cumsum(cell_int[::-1])[::-1], 0.0) \
@@ -618,18 +640,11 @@ class Tabulated(DistributionSpec):
             return np.where(inside, suffix[nxt] + partial, tv / rate)
         return suffix[nxt] + partial
 
-    def _power_moment0(self, p):
-        if self.curve.mode != "step":
-            return None
-        g = self.curve.grid.tolist()
-        return sum(v * (b ** p - a ** p)
-                   for v, a, b in zip(self.curve.values.tolist(), g, g[1:]))
-
     def _laplace0(self, mu):
         """One sum over the cells for all the rates at once: a cell [a, a + w)
         gives v_a e^{-mu a} times its ``_cell_share`` at mu, and past the
         last knot b, v_b e^{-mu b} / (mu + terminal_rate)."""
-        c, (_, linear, slopes) = self.curve, self.curve._knots
+        c, (_, linear, slopes, _) = self.curve, self.curve._knots
         g, v, m = c.grid, c.knot_values, np.reshape(mu, (-1, 1))
         share = _cell_share(m, np.diff(g), slopes[:-1], linear[:-1])
         cells = np.concatenate(
@@ -654,25 +669,22 @@ class Tabulated(DistributionSpec):
 
     def jumps(self):
         g, ladder = self.curve.grid, self.curve.knot_values
-        left = np.append(1.0, ladder[:-1])  # the tail just before each knot
-        if self.curve.mode != "step":  # continuous but at a repeated knot
-            left[1:] = np.where(g[1:] == g[:-1], left[1:], ladder[1:])
+        # the tail just before each knot: continuous but at 0 and repeats
+        left = np.where(np.append(True, g[1:] == g[:-1]),
+                        np.append(1.0, ladder[:-1]), ladder)
         sizes = (left - ladder) * (1.0 - self.defect)
         return tuple((b, size) for b, size in zip(g.tolist(), sizes.tolist())
                      if size > 1e-15)
 
     def _density0(self, t):
         t_arr = np.asarray(t, dtype=float)
-        if self.curve.mode == "step":
-            return np.zeros(t_arr.shape)
         g, ladder = self.curve.grid, self.curve.knot_values
-        _, linear, slopes = self.curve._knots
+        _, linear, slopes, _ = self.curve._knots
         idx = self.curve._cell(t_arr)
         nxt = np.minimum(idx + 1, g.size - 1)
         # the tail falls linearly over a cell with a (numerically) zero end
-        return np.where(linear[idx] & (idx < g.size - 1),
-                        (ladder[idx] - ladder[nxt]) / np.maximum(g[nxt] - g[idx], _TINY),
-                        -slopes[idx] * np.asarray(self._tail0(t_arr)))
+        drop = (ladder[idx] - ladder[nxt]) / np.maximum(g[nxt] - g[idx], _TINY)
+        return np.where(linear[idx], drop, -slopes[idx] * np.asarray(self._tail0(t_arr)))
 
 
 def _cell_share(m, w: np.ndarray, slopes: np.ndarray,
@@ -700,32 +712,6 @@ def _ramp_share(x: np.ndarray) -> np.ndarray:
     for k in range(8, -1, -1):
         series = series * -x + 1.0 / math.factorial(k + 2)
     return np.where(x < 0.1, series, direct)
-
-
-def _isf_loglinear(curve: TailCurve, u: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Inverse of the log-linear interpolant; ``idx`` locates u in the ladder.
-
-    Every u is carried through the cell formula; the ones it does not
-    apply to are overwritten, so each keeps the bits of a one-u loop.
-    """
-    g, ladder, rate = curve.grid, curve.knot_values, curve.terminal_rate
-    logs = curve._knots[0]  # floored at 1e-300; theta reads them only above it
-    j = np.minimum(np.maximum(idx, 1), ladder.size - 1)
-    lo_v, hi_v = ladder[j - 1], ladder[j]
-    log_u = np.log(np.where(u > 0.0, u, 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = np.where(hi_v > _TINY,
-                         (log_u - logs[j - 1]) / (logs[j] - logs[j - 1]),
-                         (lo_v - u) / (lo_v - hi_v))
-    out = np.where((lo_v <= u) | (lo_v == hi_v), g[j - 1], g[j - 1]
-                   + np.minimum(np.maximum(theta, 0.0), 1.0) * (g[j] - g[j - 1]))
-    out[idx >= ladder.size] = g[-1]  # only a NaN u lands past the ladder
-    below = u < ladder[-1]
-    # past the last knot: the terminal piece, or nothing
-    out[below] = g[-1] + (logs[-1] - log_u[below]) / rate if rate else np.inf
-    out[below & (u <= 0.0)] = np.inf
-    out[u >= ladder[0]] = 0.0
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -887,15 +873,35 @@ def default_horizon(spec: DistributionSpec) -> float:
     return float(min(max(q, 1.0), 1e7))
 
 
-def as_tail_curve(spec: DistributionSpec, grid=None,
-                  mode: str = "log-linear") -> TailCurve:
+def as_tail_curve(spec: DistributionSpec, grid=None) -> TailCurve:
     """Tabulate a law's tail on a grid (defaults to the working grid)."""
     if grid is None:
         grid = working_grid(spec)
     grid = np.asarray(grid, dtype=float)
     vals = np.asarray(spec.tail(grid))
-    return TailCurve(grid=grid, values=vals[:-1], terminal=float(vals[-1]),
-                     mode=mode)
+    return TailCurve(grid=grid, values=vals[:-1], terminal=float(vals[-1]))
+
+
+def piecewise_curve(starts, values, lefts=None,
+                    terminal_rate: float = 0.0) -> TailCurve:
+    """The curve that is ``values[i]`` at ``starts[i]`` and ``lefts[i]``
+    just before ``starts[i + 1]``, geometric in between, with a repeated
+    knot, its left limit first, where the two differ; past the last start
+    it falls at ``terminal_rate``. Without ``lefts`` it is the step tail
+    that is ``values[i]`` on [starts[i], starts[i + 1])."""
+    starts = np.asarray(starts, dtype=float)
+    values = np.asarray(values, dtype=float)
+    lefts = values[:-1] if lefts is None else np.asarray(lefts, dtype=float)
+    if not np.all(np.diff(starts) > 0.0):
+        raise SpecValidationError("tail curve grid must be strictly increasing")
+    grid = np.repeat(starts, 2)[1:]  # s0, s1, s1, s2, s2, ...
+    ladder = np.repeat(values, 2)[1:]
+    ladder[1::2] = lefts
+    keep = np.ones(grid.size, dtype=bool)
+    keep[1::2] = lefts != values[1:]
+    return TailCurve(grid=grid[keep], values=ladder[keep][:-1],
+                     terminal=float(ladder[-1]),
+                     terminal_rate=float(terminal_rate))
 
 
 # ----------------------------------------------------------------------
@@ -920,21 +926,16 @@ def spec_from_dict(doc: dict) -> DistributionSpec:
     if name == "tabulated":
         grid = [float(x) for x in doc["grid"]]
         values = [float(x) for x in doc["values"]]
-        mode = doc.get("interpolation", "step")
-        if mode not in ("step", "log-linear"):
-            raise SpecValidationError(
-                f"unknown interpolation {doc.get('interpolation')!r}")
+        spelling = doc.get("interpolation", "step")
+        if spelling not in ("step", "log-linear"):
+            raise SpecValidationError(f"unknown interpolation {spelling!r}")
         if "terminal" in doc:
-            terminal = float(doc["terminal"])
-            cells = values
-        elif len(values) == len(grid) > 0:
-            terminal = values[-1]
-            cells = values[:-1]
-        else:
+            values.append(float(doc["terminal"]))
+        if len(values) != len(grid) or not grid:
             raise SpecValidationError(
                 "values must carry one entry per grid point (last = terminal)")
-        curve = TailCurve(grid=grid, values=cells,
-                          terminal=terminal, mode=mode)
+        curve = piecewise_curve(grid, values) if spelling == "step" else \
+            TailCurve(grid=grid, values=values[:-1], terminal=values[-1])
         return Tabulated(curve=curve, **extra)
     if name == "piecewise_exp":  # a log-linear curve spelt as segments
         return Tabulated(curve=_segments_curve(doc["params"]["segments"]),
@@ -959,14 +960,7 @@ def _segments_curve(segments) -> TailCurve:
     with np.errstate(over="ignore", invalid="ignore"):
         value = np.exp(-offsets)
         left = np.exp(-(offsets[:-1] + rates[:-1] * np.diff(starts)))
-    grid = np.repeat(starts, 2)[1:]  # s0, s1, s1, s2, s2, ...
-    ladder = np.repeat(value, 2)[1:]
-    ladder[1::2] = left
-    keep = np.ones(grid.size, dtype=bool)
-    keep[1::2] = left != value[1:]
-    return TailCurve(grid=grid[keep], values=ladder[keep][:-1],
-                     terminal=float(ladder[-1]), mode="log-linear",
-                     terminal_rate=float(rates[-1]))
+    return piecewise_curve(starts, value, left, rates[-1])
 
 
 def _curve_segments(curve: TailCurve) -> list[list[float]]:
@@ -993,7 +987,7 @@ def spec_to_dict(spec: DistributionSpec) -> dict:
     if isinstance(spec, Tabulated):
         doc["grid"] = spec.curve.grid.tolist()
         doc["values"] = spec.curve.knot_values.tolist()
-        doc["interpolation"] = spec.curve.mode
+        doc["interpolation"] = "log-linear"
         return doc
     doc["params"] = spec.to_params() if hasattr(spec, "to_params") else {
         f.name: getattr(spec, f.name) for f in fields(spec)

@@ -92,7 +92,7 @@ class ResetLaw:
         if not (r > 0.0 and math.isfinite(r)):
             raise InvalidPeriodError(f"restart period must be in (0, inf), got {r!r}")
         return cls(kind="deterministic", spec=dist.Tabulated(
-            curve=TailCurve(grid=(0.0, r), values=(1.0,), terminal=0.0),
+            curve=dist.piecewise_curve((0.0, r), (1.0, 0.0)),
             check_standing=False))
 
     @classmethod
@@ -160,12 +160,15 @@ class ResetLaw:
             s, _, back = distinct_panels(s, col)
             return (np.exp(m * np.asarray(spec.log_tail(s))[back])
                     * np.asarray(self.density(s))[back])
-        total = 0.0
+        # R = inf, where the cycle restarts only if T is infinite too
+        total = self.mass_at_infinity * spec.mass_at_infinity ** m
         for loc, w in self.atoms():
             total += w * np.exp(m * np.asarray(spec.log_tail(loc)))
         if self.has_density:
-            edges = np.append(cuts(0.0, self.horizon(), kinks((spec, self.spec))),
-                              math.inf)  # the mass past the horizon: one panel
+            upper = self.horizon()
+            edges = cuts(0.0, upper, kinks((spec, self.spec)))
+            if self.tail(upper) > 0.0:  # the mass past the horizon: one panel
+                edges = np.append(edges, math.inf)
             total += np.sum(panels(f, edges[:-1], edges[1:], args=(
                 m[..., None], np.arange(edges.size - 1)))[0], axis=-1)
         return total if m.ndim else float(total)
@@ -236,7 +239,7 @@ def single_reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None,
         vals += dens
         err = float(np.max(errs))
     return TailCurve(grid=t, values=vals[:-1], terminal=float(vals[-1]),
-                     mode="log-linear", err_estimate=err)
+                     err_estimate=err)
 
 
 # ----------------------------------------------------------------------
@@ -657,8 +660,8 @@ def solver_reset_tail(spec: DistributionSpec, reset: ResetLaw, upper: float,
     if cut and vals[-1] > 0.0:
         rate = (math.log(vals[-2]) - math.log(vals[-1])) / h
     return TailCurve(grid=np.arange(n_eff + 1) * h, values=vals[:-1],
-                     terminal=float(vals[-1]), mode="log-linear",
-                     err_estimate=err, terminal_rate=rate)
+                     terminal=float(vals[-1]), err_estimate=err,
+                     terminal_rate=rate)
 
 
 def _cut_node(fine: np.ndarray, coarse: np.ndarray, level: float) -> int:
@@ -705,7 +708,7 @@ def reset_tail(spec: DistributionSpec, reset: ResetLaw, t_grid=None, *,
         err = solved.err_estimate
     vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0))
     return TailCurve(grid=t_grid, values=vals[:-1], terminal=float(vals[-1]),
-                     mode="log-linear", err_estimate=err)
+                     err_estimate=err)
 
 
 def _node_start(reset: ResetLaw, t_grid: np.ndarray, n0: int,
@@ -768,9 +771,9 @@ def laplace_tail(spec: DistributionSpec, mu):
     """Weighted tail transform: integral of exp(-mu t) * tail(t) over [0, inf).
 
     ``mu`` is one rate or an array of rates. Where the family has a closed
-    form (``_laplace0``: exponential, Levy, and step and log-linear
-    tabulated laws as a sum over their cells), the transform is defect / mu
-    plus (1 - defect) times it. Otherwise all the rates are integrated in
+    form (``_laplace0``: exponential, Levy, and tabulated laws as a sum
+    over their cells), the transform is defect / mu plus (1 - defect)
+    times it. Otherwise all the rates are integrated in
     one ``quad_rows`` call, each rate's panels cut as for that rate alone
     (the kinks of ``spec`` and 7 log-spaced points up to 42 / mu, past
     which the integrand is below 1e-18 whatever the law). Either way every

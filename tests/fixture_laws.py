@@ -27,9 +27,8 @@ def levy(level: float = 1.0) -> dist.LevyFirstPassage:
 def step_law(breakpoints, levels, **kw) -> dist.Tabulated:
     """Pure-jump law: ``levels[i]`` is the tail on [breakpoints[i],
     breakpoints[i+1]), the last level extending to infinity."""
-    curve = dist.TailCurve(grid=breakpoints, values=levels[:-1],
-                           terminal=levels[-1])
-    return dist.Tabulated(curve=curve, **kw)
+    return dist.Tabulated(curve=dist.piecewise_curve(breakpoints, levels),
+                          **kw)
 
 
 def pw_sixth() -> dist.Tabulated:

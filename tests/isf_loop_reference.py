@@ -1,12 +1,13 @@
 """Per-element inverse tails, kept as the reference for the array ``isf``.
 
-Log-linear ``Tabulated`` laws (piecewise-exponential ones among them, with
-a terminal rate), ``FromMrl`` laws and Weibull laws invert their tails on
-whole arrays; these functions invert one u at a time, with Python floats
-and numpy's ``log`` and ``power`` on each (which give a single float the
-bits of the whole-array call, where ``math.log`` and the ``**`` of a
-numpy float, the C library's, need not), and the array code must return
-their bits exactly. One line differs from the old loop: under a terminal
+``Tabulated`` laws (step ones among them, read as flat cells with
+repeated knots, and piecewise-exponential ones, with a terminal rate),
+``FromMrl`` laws and Weibull laws invert their tails on whole arrays;
+these functions invert one u at a time, with Python floats and numpy's
+``log`` and ``power`` on each (which give a single float the bits of the
+whole-array call, where ``math.log`` and the ``**`` of a numpy float, the
+C library's, need not), and the array code must return their bits
+exactly. One line differs from the old loop: under a terminal
 residual-mean slope of -1 it returned the near end of the piece, where the
 tail is still above u. Each takes the spec and a float u in [0, 1] and
 returns the base law's inverse (no defect). The loop that inverted the

@@ -1,11 +1,13 @@
 """Hypothesis strategies for random laws shared by the property tests.
 
-Piecewise-constant laws (step curves), piecewise-exponential laws
-(log-linear curves with jumps at repeated knots and an exponential
-terminal piece, read from their ``piecewise_exp`` segments), tabulated
-laws (step and log-linear, with zero knots) and residual-mean-generated
-laws, on up to six cells; and the families with a closed-form inverse
-tail, at random parameters.
+Piecewise-constant laws (step curves, read from their
+``piecewise_constant`` documents), piecewise-exponential laws (log-linear
+curves with jumps at repeated knots and an exponential terminal piece,
+read from their ``piecewise_exp`` segments), tabulated laws (read from
+their step or log-linear spelling, with zero knots) and
+residual-mean-generated laws, on up to six cells; and the families with a
+closed-form inverse tail, at random parameters. The piecewise-constant and
+tabulated documents are strategies too.
 """
 import numpy as np
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 from resetkit import distributions as d
 from resetkit import mrl
 
-from fixture_laws import pe_law, step_law
+from fixture_laws import pe_law
 
 steps = st.lists(st.floats(0.05, 3.0), min_size=1, max_size=6)
 unit = st.floats(0.0, 1.0)
@@ -24,11 +26,16 @@ def starts(widths) -> tuple[float, ...]:
 
 
 @st.composite
-def piecewise_constant(draw):
+def piecewise_constant_doc(draw):
     widths = draw(steps)
     levels = sorted(draw(st.lists(unit, min_size=len(widths),
                                   max_size=len(widths))), reverse=True)
-    return step_law(starts(widths), tuple(levels), check_standing=False)
+    return {"family": "piecewise_constant", "check_standing": False,
+            "params": {"breakpoints": list(starts(widths)), "levels": levels}}
+
+
+def piecewise_constant():
+    return piecewise_constant_doc().map(d.spec_from_dict)
 
 
 @st.composite
@@ -53,17 +60,21 @@ def piecewise_exp(draw):
 
 
 @st.composite
-def tabulated(draw, modes=("step", "log-linear")):
+def tabulated_doc(draw, spellings=("step", "log-linear")):
+    """A ``tabulated`` document in one of its ``interpolation`` spellings:
+    a value per grid point, the last one the terminal."""
     widths = draw(steps)
     grid = starts(widths) + (float(sum(widths)),)
     first = draw(st.floats(0.05, 1.0))
     ladder = [first] + sorted((min(x, first) for x in draw(
         st.lists(st.one_of(unit, st.just(0.0)), min_size=len(widths),
                  max_size=len(widths)))), reverse=True)
-    curve = d.TailCurve(grid=grid, values=tuple(ladder[:-1]),
-                        terminal=ladder[-1],
-                        mode=draw(st.sampled_from(modes)))
-    return d.Tabulated(curve=curve, check_standing=False)
+    return {"family": "tabulated", "check_standing": False, "grid": list(grid),
+            "values": ladder, "interpolation": draw(st.sampled_from(spellings))}
+
+
+def tabulated(spellings=("step", "log-linear")):
+    return tabulated_doc(spellings).map(d.spec_from_dict)
 
 
 @st.composite

@@ -571,7 +571,7 @@ class TestInconclusive:
         vals = np.exp(-grid)
         vals[40] *= 1.0 - 1e-8
         curve = d.TailCurve(grid=tuple(grid), values=tuple(vals[:-1]),
-                            terminal=float(vals[-1]), mode="log-linear",
+                            terminal=float(vals[-1]),
                             err_estimate=1e-7)
         spec = d.Tabulated(curve=curve)
         v = cls.check_supermultiplicative(spec)["no_bigger"]
@@ -580,18 +580,16 @@ class TestInconclusive:
         exact = d.Tabulated(curve=dataclasses.replace(curve, err_estimate=0.0))
         assert cls.check_supermultiplicative(exact)["no_bigger"].fails
 
-    @pytest.mark.parametrize("law, mode, err, want", [
-        (pe_mean_only, "log-linear", 0.0, 1e-9),
-        (plateau, "log-linear", 0.0, 1e-9),
-        (pw_finite, "step", 0.0, 1e-9),
-        (pw_finite, "step", 1e-7, 3e-7),
-        (pe_mean_only, "log-linear", 1e-5, 3e-5)])
-    def test_tolerance_comes_from_the_curve_error(self, law, mode, err,
-                                                  want):
+    @pytest.mark.parametrize("law, err, want", [
+        (pe_mean_only, 0.0, 1e-9),
+        (plateau, 0.0, 1e-9),
+        (pw_finite, 0.0, 1e-9),
+        (pw_finite, 1e-7, 3e-7),
+        (pe_mean_only, 1e-5, 3e-5)])
+    def test_tolerance_comes_from_the_curve_error(self, law, err, want):
         # every log-linear curve got max(1e-6, 3 err), exact piecewise
         # exponential laws too, and a step curve 1e-9 whatever its error
         spec = law()
         curve = dataclasses.replace(spec.curve, err_estimate=err)
-        assert curve.mode == mode
         got = cls.default_tolerance(d.Tabulated(curve=curve))
         assert got == pytest.approx(want, rel=1e-15)

@@ -9,8 +9,9 @@ generated by a residual-mean curve. On every law, the atoms ``jumps()``
 lists, the density's integral and the mass at infinity must sum to 1. For
 log-linear tabulated laws ``mean_upper_rest`` must equal split quadrature
 of the tail (and for laws generated by a residual-mean curve, between
-two points), and for step laws the closed-form mean must equal
-``mean_upper_rest`` at 0. The closed-form families' densities go through
+two points), and for step laws the mean (from the cell table) and the
+second moment (by quadrature) must equal their sums over the flat cells.
+The closed-form families' densities go through
 the same tail-drop check.
 """
 import numpy as np
@@ -28,7 +29,7 @@ from law_strategies import (from_mrl, piecewise_constant, piecewise_exp,
 PROPERTY = settings(derandomize=True, deadline=None, database=None,
                     max_examples=60)
 
-loglinear = tabulated(modes=("log-linear",))
+loglinear = tabulated(spellings=("log-linear",))
 
 
 @PROPERTY
@@ -111,15 +112,17 @@ def test_from_mrl_mean_upper_rest_matches_quadrature(spec, fracs):
 
 
 @PROPERTY
-@given(spec=st.one_of(piecewise_constant(), tabulated(modes=("step",))))
-def test_step_mean_closed_form_matches_mean_upper_rest(spec):
-    # the closed-form sum over cells against the suffix sums of the tail
-    got = d.mean(spec)
-    if np.isfinite(got):
-        assert got == pytest.approx(float(d.mean_upper_rest(spec, 0.0)),
-                                    rel=1e-14)
-    else:
-        assert spec.mass_at_infinity > 0.0
+@given(spec=st.one_of(piecewise_constant(), tabulated(spellings=("step",))))
+def test_step_moments_match_the_cell_sums(spec):
+    # E[T**p] is the sum of v (b**p - a**p) over the flat cells [a, b) of
+    # value v; a repeated knot is a cell of width 0
+    g, v = spec.curve.grid, spec.curve.knot_values
+    for got, p in ((d.mean(spec), 1.0), (d.second_moment(spec), 2.0)):
+        if spec.mass_at_infinity > 0.0:
+            assert got == np.inf
+        else:
+            want = float(np.sum(v[:-1] * np.diff(g ** p)))
+            assert got == pytest.approx(want, rel=1e-14, abs=1e-300)
 
 
 # residual-mean slopes down to -1 - 1e-6 pass validation

@@ -72,7 +72,7 @@ class TestValidation:
 
     def test_one_knot_at_one_with_a_terminal_rate_is_exponential(self):
         curve = TailCurve(grid=(0.0,), values=(), terminal=1.0,
-                          mode="log-linear", terminal_rate=2.0)
+                          terminal_rate=2.0)
         t = np.array([0.0, 0.3, 4.0])
         np.testing.assert_allclose(d.Tabulated(curve=curve).tail(t),
                                    np.exp(-2.0 * t), rtol=1e-15)
@@ -286,36 +286,35 @@ class TestTailCurve:
         ((0.0, 1.0), (math.nan,), 0.2), ((0.0, 1.0), (0.5,), math.nan),
         ((0.0, math.nan), (0.5,), 0.2), ((0.0, math.inf), (0.5,), 0.2),
         ((0.0, 1.0, -math.inf), (0.5, 0.4), 0.2)])
-    @pytest.mark.parametrize("mode", ["step", "log-linear"])
-    def test_rejects_non_finite_data(self, grid, values, terminal, mode):
+    @pytest.mark.parametrize("spelling", ["step", "log-linear"])
+    def test_rejects_non_finite_data(self, grid, values, terminal, spelling):
         # NaN compared false with every bound, so such curves were accepted
         with pytest.raises(d.SpecValidationError):
-            TailCurve(grid=grid, values=values, terminal=terminal, mode=mode)
+            d.spec_from_dict({"family": "tabulated", "grid": grid,
+                              "values": values, "terminal": terminal,
+                              "interpolation": spelling})
 
     @pytest.mark.parametrize("rate", [math.nan, -0.5, math.inf])
     def test_rejects_a_bad_terminal_rate(self, rate):
         with pytest.raises(d.SpecValidationError):
             TailCurve(grid=(0.0, 1.0), values=(0.5,), terminal=0.2,
-                      mode="log-linear", terminal_rate=rate)
+                      terminal_rate=rate)
 
-    def test_terminal_rate_needs_log_linear_mode(self):
-        with pytest.raises(d.SpecValidationError, match="log-linear"):
-            TailCurve(grid=(0.0, 1.0), values=(0.5,), terminal=0.2,
-                      terminal_rate=1.0)
-
-    @pytest.mark.parametrize("grid, mode", [
+    @pytest.mark.parametrize("grid, spelling", [
         ((0.0, 1.0, 1.0, 1.0), "log-linear"), ((0.0, 1.0, 1.0, 2.0), "step"),
         ((0.0, 0.0, 1.0, 2.0), "log-linear"), ((0.0, 2.0, 1.0, 3.0), "log-linear")])
     def test_a_knot_repeats_once_after_zero_in_log_linear_mode_only(
-            self, grid, mode):
+            self, grid, spelling):
+        # a step spelling gives every start once; its jumps are the repeats
         with pytest.raises(d.SpecValidationError, match="strictly increasing"):
-            TailCurve(grid=grid, values=(0.9, 0.5, 0.4), terminal=0.2,
-                      mode=mode)
+            d.spec_from_dict({"family": "tabulated", "grid": grid,
+                              "values": [0.9, 0.5, 0.4, 0.2],
+                              "interpolation": spelling})
 
     def test_a_repeated_knot_is_a_jump(self):
         curve = TailCurve(grid=(0.0, 1.0, 1.0, 2.0, 2.0),
                           values=(0.9, 0.5, 0.4, 0.3), terminal=0.1,
-                          mode="log-linear", terminal_rate=0.5)
+                          terminal_rate=0.5)
         spec = d.Tabulated(curve=curve)
         assert spec.tail(np.nextafter(1.0, 0.0)) == pytest.approx(0.5, rel=1e-15)
         assert spec.tail(1.0) == 0.4
@@ -336,10 +335,44 @@ class TestTailCurve:
             + (0.4 - 0.3) / math.log(0.4 / 0.3) + 0.1 / 0.5
         assert d.mean(spec) == pytest.approx(rest, rel=1e-14)
 
+    def test_a_last_knot_below_1e300_falls_at_the_terminal_rate(self):
+        # its log was floored at 1e-300 and the piece past it read as flat:
+        # the tail stayed 1e-310 out to t = 1e6, and isf(1e-315) was 35.5
+        spec = d.Tabulated(curve=TailCurve(grid=(0.0, 1.0), values=(1.0,),
+                                           terminal=1e-310, terminal_rate=1.0))
+        assert spec.tail(6.0) == pytest.approx(1e-310 * math.exp(-5.0), rel=1e-9)
+        assert spec.log_tail(6.0) == pytest.approx(math.log(1e-310) - 5.0,
+                                                   rel=1e-15)
+        assert spec.tail(1e6) == 0.0
+        assert spec.isf(1e-315) == pytest.approx(
+            1.0 + math.log(1e-310) - math.log(1e-315), rel=1e-14)
+        us = np.geomspace(1e-320, 1e-311, 50)
+        assert np.all(np.asarray(spec.tail(spec.isf(us))) <= us)
+
+    def test_log_tail_takes_the_tail_only_in_linear_cells(self, monkeypatch):
+        # [1, 2) falls linearly to 0: there the log is the tail's, taken at
+        # those points only; the flat [2, inf) reads log 0 from the table
+        curve = TailCurve(grid=(0.0, 1.0, 2.0), values=(1.0, 0.5), terminal=0.0)
+        ts = np.linspace(0.0, 3.0, 31)
+        one = np.array([curve.log_tail(float(t)) for t in ts])
+        zero_d = np.array([curve.log_tail(np.asarray(t)) for t in ts])
+        sizes, call = [], TailCurve.__call__
+
+        def spy(self, t):
+            sizes.append(np.size(t))
+            return call(self, t)
+        monkeypatch.setattr(TailCurve, "__call__", spy)
+        got = np.asarray(curve.log_tail(ts))
+        assert sizes == [np.count_nonzero((ts >= 1.0) & (ts < 2.0))]
+        assert got.tobytes() == one.tobytes() == zero_d.tobytes()
+        assert got[ts < 1.0] == pytest.approx(-ts[ts < 1.0] * math.log(2.0),
+                                              rel=1e-15, abs=0.0)
+        assert got[-1] == -np.inf and got[15] == pytest.approx(math.log(0.25))
+
     def test_loglinear_tabulation_agrees_on_grid(self):
         spec = weib(1.3)
         grid = np.linspace(0.0, 6.0, 200)
-        curve = d.as_tail_curve(spec, grid, mode="log-linear")
+        curve = d.as_tail_curve(spec, grid)
         tab = d.Tabulated(curve=curve)
         np.testing.assert_allclose(np.asarray(tab.tail(grid)),
                                    np.asarray(spec.tail(grid)), atol=1e-6)
@@ -349,7 +382,9 @@ class TestTailCurve:
         # so the step case is exercised with a law that has an atom at 0
         spec = pe_mean_only()
         grid = np.linspace(0.0, 6.0, 400)
-        tab = d.Tabulated(curve=d.as_tail_curve(spec, grid, mode="step"))
+        tab = d.spec_from_dict({"family": "tabulated", "grid": grid.tolist(),
+                                "values": spec.tail(grid).tolist(),
+                                "interpolation": "step"})
         np.testing.assert_allclose(np.asarray(tab.tail(grid)),
                                    np.asarray(spec.tail(grid)), atol=1e-6)
 
@@ -369,7 +404,7 @@ class TestTailCurve:
 
     def test_dict_round_trip(self):
         curve = TailCurve(grid=(0.0, 0.5, 2.0), values=(0.9, 0.4),
-                          terminal=0.0, mode="log-linear")
+                          terminal=0.0)
         doc = d.spec_to_dict(d.Tabulated(curve=curve))
         assert doc["grid"] == [0.0, 0.5, 2.0]
         assert doc["values"] == [0.9, 0.4, 0.0]
@@ -377,16 +412,14 @@ class TestTailCurve:
         assert d.spec_from_dict(doc).curve == curve
 
     def test_loglinear_interpolates_geometrically(self):
-        curve = TailCurve(grid=(0.0, 2.0), values=(1.0,), terminal=math.exp(-2.0),
-                          mode="log-linear")
+        curve = TailCurve(grid=(0.0, 2.0), values=(1.0,), terminal=math.exp(-2.0))
         assert curve(1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_loglinear_density_where_the_tail_falls_linearly(self):
         # the tail interpolates linearly on a cell with a zero end; the
         # density there used the log slope against 1e-300, 340x too large
         curve = TailCurve(grid=(0.0, 0.4, 1.1, 1.9, 2.6),
-                          values=(1.0, 0.7, 0.45, 0.2), terminal=0.0,
-                          mode="log-linear")
+                          values=(1.0, 0.7, 0.45, 0.2), terminal=0.0)
         reset = d.Tabulated(curve=curve)
         mass, _ = split_quad(reset.density, 1.9, 2.6)
         assert mass == pytest.approx(0.2, abs=1e-12)
@@ -432,7 +465,7 @@ class TestJsonEnvelope:
         spec = d.spec_from_dict(doc)
         assert spec.tail(1.5) == 0.5
         assert spec.mass_at_infinity == 0.25
-        assert d.spec_to_dict(spec)["values"] == [0.8, 0.5, 0.25]
+        assert d.spec_from_dict(d.spec_to_dict(spec)) == spec
 
     def test_mass_at_infinity_key(self):
         doc = {"family": "exponential", "params": {"rate": 2.0},
@@ -473,7 +506,9 @@ class TestJsonEnvelope:
                "interpolation": "step"}
         spec = d.spec_from_dict(pw)
         assert spec == d.spec_from_dict(tab)
-        assert d.spec_to_dict(spec) == tab
+        # flat cells, every jump a repeated knot, its left limit first
+        assert spec.curve.grid.tolist() == [0.0, 0.5, 0.5, 1.5, 1.5]
+        assert spec.curve.knot_values.tolist() == [1.0, 1.0, 0.5, 0.5, 0.0]
         assert d.spec_from_dict(d.spec_to_dict(spec)) == spec
 
     def test_support_ends_where_the_step_tail_reaches_zero(self):
@@ -485,7 +520,6 @@ class TestJsonEnvelope:
     def test_piecewise_exp_is_a_log_linear_curve(self):
         spec = pe_mean_only()
         assert spec.family == "tabulated"
-        assert spec.curve.mode == "log-linear"
         assert spec.curve.grid.tolist() == [0.0, 1.0, 1.0]
         assert spec.curve.knot_values.tolist() == [
             math.exp(-0.1), math.exp(-1.1), math.exp(-1.25)]
@@ -515,7 +549,7 @@ class TestJsonEnvelope:
 
     def test_a_curve_without_a_terminal_rate_stays_tabulated(self):
         curve = TailCurve(grid=(0.0, 1.0, 1.0), values=(0.9, 0.5),
-                          terminal=0.4, mode="log-linear")
+                          terminal=0.4)
         doc = d.spec_to_dict(d.Tabulated(curve=curve))
         assert doc["family"] == "tabulated"
         assert d.spec_from_dict(doc).curve == curve

@@ -25,8 +25,7 @@ def _from_mrl_reset():
 def _loglinear_reset():
     grid = np.array([0.0, 0.3, 0.7, 1.2, 2.0, 3.1])
     return rt.ResetLaw.general(d.Tabulated(curve=d.TailCurve(
-        grid=grid, values=(1.0, 0.8, 0.35, 0.3, 0.1), terminal=0.0,
-        mode="log-linear")))
+        grid=grid, values=(1.0, 0.8, 0.35, 0.3, 0.1), terminal=0.0)))
 
 
 RESETS = {

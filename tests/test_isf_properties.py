@@ -69,7 +69,7 @@ def test_isf_is_a_generalised_inverse(spec, us):
 
 
 def reference_for(spec):
-    if isinstance(spec, d.Tabulated) and spec.curve.mode == "log-linear":
+    if isinstance(spec, d.Tabulated):
         return ref.loglinear_isf
     if isinstance(spec, mrl.FromMrl):
         return ref.from_mrl_isf
@@ -92,16 +92,17 @@ def test_isf_matches_the_loop_reference(spec, us):
     assert_matches_reference(spec, us)
 
 
-@pytest.mark.parametrize("name", ["pe_mean_only", "plateau", "uniform02",
-                                  "weib05", "weib2", "loglinear"])
+@pytest.mark.parametrize("name", ["pe_mean_only", "plateau", "pw_finite",
+                                  "pw_sixth", "uniform02", "weib05", "weib2",
+                                  "loglinear"])
 def test_fixture_isf_matches_the_loop_reference(name):
     if name == "loglinear":
         rng = np.random.default_rng(424242)
         grid = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 8.0, 249))])
         ladder = np.sort(rng.uniform(1e-6, 1.0, 250))[::-1]
         spec = d.Tabulated(curve=d.TailCurve(
-            grid=tuple(grid), values=tuple(ladder[:-1]), terminal=0.0,
-            mode="log-linear"), check_standing=False)
+            grid=tuple(grid), values=tuple(ladder[:-1]), terminal=0.0),
+            check_standing=False)
     else:
         spec = ALL_LAWS[name]()
     us = np.concatenate([np.linspace(0.0, 1.0, 2001),

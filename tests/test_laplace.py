@@ -44,8 +44,7 @@ def test_cell_sums_match_quadrature(spec, defect, log_rate):
 def test_cell_ending_at_zero_across_the_series_switch():
     # a cell falling linearly to 0 over [0, 1]: its share (x - 1 + e^-x) /
     # x**2 is taken by its series below x = 0.1 and directly above
-    curve = d.TailCurve(grid=(0.0, 1.0), values=(1.0,), terminal=0.0,
-                        mode="log-linear")
+    curve = d.TailCurve(grid=(0.0, 1.0), values=(1.0,), terminal=0.0)
     spec = d.Tabulated(curve=curve)
     for mu in (1e-6, 0.0999, 0.1, 0.1001, 3.0):
         with decimal.localcontext(prec=40):
@@ -70,8 +69,8 @@ def test_terminal_rate_and_jump():
     lambda: dataclasses.replace(exp_law(2.0), defect=0.1),
     lambda: dataclasses.replace(levy(0.5), defect=0.3),
     lambda: d.Tabulated(curve=d.TailCurve(
-        grid=(0.0, 0.5, 0.5, 2.0), values=(0.9, 0.6, 0.3), terminal=0.0,
-        mode="log-linear"), defect=0.05)])
+        grid=(0.0, 0.5, 0.5, 2.0), values=(0.9, 0.6, 0.3), terminal=0.0),
+        defect=0.05)])
 def test_closed_forms_make_no_panels_call(make, monkeypatch):
     spec = make()
     calls = []

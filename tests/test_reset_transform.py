@@ -41,7 +41,7 @@ def _loglinear_law(rng, knots: int) -> d.Tabulated:
     ladder = np.exp(-np.cumsum(widths * rng.uniform(0.0, 3.0, knots - 1)))
     return d.Tabulated(curve=d.TailCurve(
         grid=grid, values=np.concatenate([[1.0], ladder[:-1]]),
-        terminal=0.0, mode="log-linear"))
+        terminal=0.0))
 
 
 class TestResetLaw:
@@ -105,6 +105,30 @@ class TestResetLaw:
                 q = reset.expect_tail_power(spec)
                 assert abs(q + rt.prob_completion_first(spec, reset) - 1.0) < 1e-13
 
+    def test_expect_tail_power_counts_restart_at_infinity(self):
+        # R = inf with T = inf restarts the cycle; the sum left out that
+        # 0.3 x 0.2 and read q + P(T <= R) = 0.94
+        spec = dataclasses.replace(weib(0.5), defect=0.2)
+        reset = rt.ResetLaw.general(d.Weibull(shape=1.0, defect=0.3))
+        for m in (1.0, 2.0, 3.0):
+            q = reset.expect_tail_power(spec, m)
+            assert abs(q + rt.prob_completion_first(spec, reset, m) - 1.0) < 1e-13
+
+    def test_no_panel_past_a_horizon_the_reset_law_ends_at(self, monkeypatch):
+        # uniform02 ends at its horizon, 2: a panel [2, inf) would integrate
+        # a zero density on every power row
+        ends, panels = [], rt.panels
+
+        def spy(fn, lo, hi, args=()):
+            ends.append(np.asarray(hi).tolist())
+            return panels(fn, lo, hi, args=args)
+        monkeypatch.setattr(rt, "panels", spy)
+        powers = 2.0 ** np.arange(61)
+        for reset in (standard_resets()["uniform02"], rt.ResetLaw.exponential(1.0)):
+            reset.expect_tail_power(weib(0.5), powers)
+        assert ends == [[1.0, 2.0], [rt.ResetLaw.exponential(1.0).horizon(),
+                                     math.inf]]
+
 
 class TestClosedForms:
     def test_deterministic_reset_tail_examples(self):
@@ -121,9 +145,7 @@ class TestClosedForms:
     def test_deterministic_tails_where_the_law_ends_before_the_period(self):
         # tail(r) = 0: before r the law's own tail, 0 after; it was
         # 0 * -inf = NaN before r, and 5e-324 after it for l >= 2
-        spec = d.Tabulated(curve=d.TailCurve(grid=(0.0, 0.05), values=(0.05,),
-                                             terminal=0.0, mode="step"),
-                           check_standing=False)
+        spec = step_law((0.0, 0.05), (0.05, 0.0), check_standing=False)
         ts = np.array([0.0, 0.01, 0.1, 0.3])
         for l in (1, 2):
             got = np.asarray(rt.branching_deterministic_tail(spec, 0.2, l, ts))
@@ -182,7 +204,7 @@ class TestClosedForms:
                                          np.cumsum(hazard * np.diff(grid))]))
         law = d.Tabulated(curve=d.TailCurve(
             grid=tuple(grid), values=tuple(ladder[:-1]),
-            terminal=float(ladder[-1]), mode="log-linear"),
+            terminal=float(ladder[-1])),
             check_standing=False)
 
         def f(s):

@@ -98,7 +98,7 @@ def test_fixed_point_next_to_a_singular_reset_density():
 
 
 @PROPERTY
-@given(spec=st.one_of(tabulated(modes=("log-linear",)), from_mrl()),
+@given(spec=st.one_of(tabulated(spellings=("log-linear",)), from_mrl()),
        mu=st.floats(0.5, 3.0))
 def test_branching_tail_integrates_to_the_mean_series(spec, mu):
     # by 25 / mu some 25 restarts have come, each racing twice the copies
@@ -114,7 +114,7 @@ def test_branching_tail_integrates_to_the_mean_series(spec, mu):
 
 
 @PROPERTY
-@given(spec=st.one_of(tabulated(modes=("log-linear",)), from_mrl()),
+@given(spec=st.one_of(tabulated(spellings=("log-linear",)), from_mrl()),
        r=st.floats(0.2, 3.0), l=st.sampled_from([2, 3]))
 def test_branching_deterministic_tail_integrates_to_the_mean_series(spec, r,
                                                                     l):
